@@ -28,14 +28,16 @@ from typing import Sequence
 from .errors import ConfigError, DomainError, GgvError
 from .gyrogroup import GyroPoint, coplus, gyr_apply, ominus, oplus
 from .isometry import (
+    N_MAX_LIMIT,
     decompose_mazur_ulam,
     defect_experiment,
     random_isometry,
     verify_midpoint_preservation,
 )
-from .models import ModelConfig, make_model, make_point
+from .models import KINDS, ModelConfig, make_model, make_point
 from .sampling import sample_point
 from .space import (
+    DEFAULT_TOLERANCE,
     GgvModel,
     delinearize,
     gnorm,
@@ -70,16 +72,15 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=("normed", "einstein", "mobius", "pathological"),
-                        default="einstein", help="model kind (default: einstein)")
+    common.add_argument("--model", choices=KINDS, default="einstein", help="model kind (default: einstein)")
     common.add_argument("--dim", type=_positive_int, default=2, help="ambient dimension (default: 2)")
     common.add_argument("--s", type=_positive_float, default=1.0, help="ball radius (default: 1)")
     common.add_argument("--config", metavar="PATH", help="JSON model config file; overrides the model flags")
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling (default: 0)")
     common.add_argument("--samples", type=_positive_int, default=1000,
                         help="samples per property (default: 1000)")
-    common.add_argument("--tolerance", type=_positive_float, default=1e-9,
-                        help="residual tolerance (default: 1e-9)")
+    common.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
+                        help=f"residual tolerance (default: {DEFAULT_TOLERANCE:g})")
     common.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
 
     parser = argparse.ArgumentParser(prog="ggv", description="Generalized gyrovector space toolbox")
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_defect = sub.add_parser("defect", parents=[common], help="defect doubling experiment for one map")
     p_defect.add_argument("--depth", type=_positive_int, default=4, help="composition depth (default: 4)")
     p_defect.add_argument("--n-max", type=int, default=8,
-                          help="iterate exponent: records distances at powers 2^0..2^n (default: 8)")
+                          help=f"iterate exponent in [0, {N_MAX_LIMIT}]: records distances at powers 2^0..2^n (default: 8)")
 
     p_dec = sub.add_parser("decompose", parents=[common], help="decomposition residuals for one map")
     p_dec.add_argument("--depth", type=_positive_int, default=4, help="composition depth (default: 4)")
@@ -263,6 +264,8 @@ def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
 
 
 def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
+    if not 0 <= args.n_max <= N_MAX_LIMIT:
+        raise UsageError(f"--n-max must be in [0, {N_MAX_LIMIT}], got {args.n_max}")
     T = random_isometry(m, args.seed, args.depth, tolerance=args.tolerance)
     rng = random.Random(f"{args.seed}:defect-points")
     x1, x2 = sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)

@@ -39,6 +39,20 @@ class GyroPoint:
         return len(self.coords)
 
 
+def _point(tag: str, coords: tuple[float, ...]) -> GyroPoint:
+    """Package-private constructor for a tuple of floats that package code computed.
+
+    Kernels and samplers build millions of points whose coordinates are
+    already floats, so they skip the coercion in ``__post_init__``.  Filling
+    the instance dict is the cheapest way past the frozen ``__setattr__``.
+    """
+    p = object.__new__(GyroPoint)
+    fields = p.__dict__
+    fields["model_tag"] = tag
+    fields["coords"] = coords
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class GyroGroupOps:
     """Operation bundle for one gyrogroup carrier.

@@ -3,7 +3,14 @@
 Maps are built compositionally from primitives with closed-form inverses:
 left translations ``x -> c (+) x``, point reflections ``x -> 2 (x) a (-) x``,
 ambient rotations (ball models, dimension >= 2), and the identity.  Every
-generated map is checked to preserve the gyrometric before it is handed out.
+generated map is checked to preserve the gyrometric before it is handed out,
+and carries the record of that check so that the experiments need not repeat
+it.
+
+A package-built map validates its argument once per call, at the entry of
+``apply``/``inverse_apply``, however deep the composition; the steps inside
+trust the points their predecessors computed.  The experiments validate their
+inputs at entry and then run on points they sampled or computed themselves.
 
 Three experiments probe what such maps must do:
 
@@ -20,17 +27,21 @@ Three experiments probe what such maps must do:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
-from .gyrogroup import GyroPoint
+from .gyrogroup import GyroPoint, _point
 from .sampling import sample_point
-from .space import GgvModel, gyromidpoint, metric_distance, otimes
+from .space import DEFAULT_TOLERANCE, GgvModel, _distance, _midpoint, worst_residual
 
-DEFAULT_TOLERANCE = 1e-9
+# Sampled pairs of the preservation check a generated map passes before it is
+# handed out.
+CONSTRUCTION_PAIRS = 200
+# Largest doubling exponent of the defect experiment: 2^20 applications of S.
+N_MAX_LIMIT = 20
 
 # Scalar palette for the homogeneity checks: every dyadic m/2^n with
 # denominator exponent <= DYADIC_DEPTH inside [-SCALAR_RANGE, SCALAR_RANGE],
@@ -40,12 +51,24 @@ DYADIC_DEPTH = 6
 GENERAL_SCALARS = 32
 
 
+@dataclass(frozen=True)
+class PreservationRecord:
+    """``map_preservation_residual(T, pairs, seed)`` as measured on ``apply``."""
+
+    apply: Callable[[GyroPoint], GyroPoint]
+    seed: int
+    pairs: int
+    residual: float
+
+
 @dataclass(frozen=True, eq=False)
 class GyroMap:
     """A bijection between model carriers with an explicit inverse.
 
     ``recipe`` lists the primitive maps of the composition as JSON-friendly
     descriptors; it exists for diagnostics and reproducibility only.
+    ``preservation`` is the check a generated map passed; it vouches only
+    for the ``apply`` it was measured on.
     """
 
     domain_model: GgvModel
@@ -53,6 +76,7 @@ class GyroMap:
     apply: Callable[[GyroPoint], GyroPoint]
     inverse_apply: Callable[[GyroPoint], GyroPoint]
     recipe: tuple[dict, ...]
+    preservation: PreservationRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -139,12 +163,45 @@ class DefectTrace:
 # Primitive maps.
 # ---------------------------------------------------------------------------
 
+def _checked(
+    validate: Callable[[GyroPoint], None], unchecked: Callable[[GyroPoint], GyroPoint]
+) -> Callable[[GyroPoint], GyroPoint]:
+    """A map callable that validates its argument, then runs ``unchecked``.
+
+    ``unchecked`` stays reachable as an attribute: compositions and the
+    experiments call it on points that package code sampled or computed.
+    """
+    def call(x: GyroPoint) -> GyroPoint:
+        validate(x)
+        return unchecked(x)
+
+    call.unchecked = unchecked
+    return call
+
+
+def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroPoint]:
+    """``T.apply`` (or ``T.inverse_apply``) for arguments known to be carrier points.
+
+    A package-built map skips its entry check.  Any other callable runs as
+    given and its images are validated, since nothing vouches for them.
+    """
+    fn = T.inverse_apply if inverse else T.apply
+    unchecked = getattr(fn, "unchecked", None)
+    if unchecked is not None:
+        return unchecked
+    validate = (T.domain_model if inverse else T.codomain_model).group.validate
+
+    def checked_image(x: GyroPoint) -> GyroPoint:
+        y = fn(x)
+        validate(y)
+        return y
+
+    return checked_image
+
+
 def identity_map(m: GgvModel) -> GyroMap:
     """The identity of a carrier."""
-    def apply(x: GyroPoint) -> GyroPoint:
-        m.group.validate(x)
-        return x
-
+    apply = _checked(m.group.validate, lambda x: x)
     return GyroMap(m, m, apply, apply, ({"kind": "identity"},))
 
 
@@ -155,16 +212,14 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
     neg_c = g.inv(c)
 
     def apply(x: GyroPoint) -> GyroPoint:
-        g.validate(x)
         return g.add(c, x)
 
     def inverse_apply(y: GyroPoint) -> GyroPoint:
-        g.validate(y)
         # Left cancellation makes this an exact two-sided inverse.
         return g.add(neg_c, y)
 
     recipe = ({"kind": "left_translation", "center": list(c.coords)},)
-    return GyroMap(m, m, apply, inverse_apply, recipe)
+    return GyroMap(m, m, _checked(g.validate, apply), _checked(g.validate, inverse_apply), recipe)
 
 
 def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
@@ -177,10 +232,10 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     g = m.group
     double_a = m.otimes(2.0, a)
 
-    def apply(x: GyroPoint) -> GyroPoint:
-        g.validate(x)
+    def reflect(x: GyroPoint) -> GyroPoint:
         return g.add(double_a, g.inv(x))
 
+    apply = _checked(g.validate, reflect)
     recipe = ({"kind": "point_reflection", "center": list(a.coords)},)
     return GyroMap(m, m, apply, apply, recipe)
 
@@ -207,15 +262,13 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
     tag = m.tag
 
     def apply(x: GyroPoint) -> GyroPoint:
-        m.group.validate(x)
-        return GyroPoint(tag, tuple(sum(r * cx for r, cx in zip(row, x.coords)) for row in rows))
+        return _point(tag, tuple(sum(r * cx for r, cx in zip(row, x.coords)) for row in rows))
 
     def inverse_apply(y: GyroPoint) -> GyroPoint:
-        m.group.validate(y)
-        return GyroPoint(tag, tuple(sum(rows[k][i] * y.coords[k] for k in range(dim)) for i in range(dim)))
+        return _point(tag, tuple(sum(rows[k][i] * y.coords[k] for k in range(dim)) for i in range(dim)))
 
     recipe = ({"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},)
-    return GyroMap(m, m, apply, inverse_apply, recipe)
+    return GyroMap(m, m, _checked(m.group.validate, apply), _checked(m.group.validate, inverse_apply), recipe)
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -231,18 +284,21 @@ def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
         )
 
     def apply(x: GyroPoint) -> GyroPoint:
-        domain.group.validate(x)
-        return GyroPoint(codomain.tag, x.coords)
+        return _point(codomain.tag, x.coords)
 
     def inverse_apply(y: GyroPoint) -> GyroPoint:
-        codomain.group.validate(y)
-        return GyroPoint(domain.tag, y.coords)
+        return _point(domain.tag, y.coords)
 
-    return GyroMap(domain, codomain, apply, inverse_apply, ({"kind": "transport"},))
+    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
+                   _checked(codomain.group.validate, inverse_apply), ({"kind": "transport"},))
 
 
 def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
-    """Compose maps left to right: the first map is applied first."""
+    """Compose maps left to right: the first map is applied first.
+
+    The composition validates its argument once, on entry, and runs the
+    unchecked steps of its package-built maps.
+    """
     chain = list(maps)
     if not chain:
         raise PreconditionError("cannot compose an empty list of maps")
@@ -253,19 +309,23 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
             )
     if len(chain) == 1:
         return chain[0]
+    steps = [_unchecked(mp) for mp in chain]
+    inverse_steps = [_unchecked(mp, inverse=True) for mp in reversed(chain)]
 
     def apply(x: GyroPoint) -> GyroPoint:
-        for mp in chain:
-            x = mp.apply(x)
+        for step in steps:
+            x = step(x)
         return x
 
     def inverse_apply(y: GyroPoint) -> GyroPoint:
-        for mp in reversed(chain):
-            y = mp.inverse_apply(y)
+        for step in inverse_steps:
+            y = step(y)
         return y
 
+    domain, codomain = chain[0].domain_model, chain[-1].codomain_model
     recipe = tuple(step for mp in chain for step in mp.recipe)
-    return GyroMap(chain[0].domain_model, chain[-1].codomain_model, apply, inverse_apply, recipe)
+    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
+                   _checked(codomain.group.validate, inverse_apply), recipe)
 
 
 def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, ...], ...]:
@@ -285,20 +345,40 @@ def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, .
 # ---------------------------------------------------------------------------
 
 def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
-    """Worst linearized gap between image distances and source distances."""
+    """Worst linearized gap between image distances and source distances.
+
+    The pairs are drawn in a fixed order from ``seed``, so the pairs of a
+    shorter check are a prefix of those of a longer one.
+    """
     rng = random.Random(f"{seed}:preservation")
     m1, m2 = T.domain_model, T.codomain_model
+    apply = _unchecked(T)
     worst = 0.0
     for _ in range(n_pairs):
         a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
-        worst = max(worst, abs(metric_distance(m2, T.apply(a), T.apply(b)) - metric_distance(m1, a, b)))
+        worst = worst_residual(worst, abs(_distance(m2, apply(a), apply(b)) - _distance(m1, a, b)))
     return worst
 
 
 def require_gyrometric_preserving(
     T: GyroMap, n_pairs: int = 100, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> None:
-    """Raise :class:`PreconditionError` unless ``T`` preserves the gyrometric."""
+    """Raise :class:`PreconditionError` unless ``T`` preserves the gyrometric.
+
+    The check is skipped when ``T`` carries a record that settles it: same
+    seed and at least as many pairs, so these pairs are a prefix of the
+    recorded ones and their worst gap cannot exceed the recorded residual,
+    which is within ``tolerance``.
+    """
+    record = T.preservation
+    if (
+        record is not None
+        and record.apply is T.apply
+        and record.seed == seed
+        and n_pairs <= record.pairs
+        and record.residual <= tolerance
+    ):
+        return
     residual = map_preservation_residual(T, n_pairs, seed)
     if residual > tolerance:
         raise PreconditionError(
@@ -339,7 +419,8 @@ def random_isometry(
     """Compose ``depth`` seeded random primitives into a gyrometric-preserving map.
 
     The construction is deterministic in ``(seed, depth, kinds)`` and the
-    result is verified over 200 sampled pairs before being returned.
+    result is verified over ``CONSTRUCTION_PAIRS`` pairs drawn from ``seed``
+    before being returned; the map carries the record of that check.
     """
     if depth < 1:
         raise PreconditionError(f"depth must be >= 1, got {depth}")
@@ -350,13 +431,17 @@ def random_isometry(
             raise PreconditionError(f"primitive {kind!r} is not available for {m.tag}")
     rng = random.Random(f"{seed}:isometry")
     prims = [_random_primitive(m, rng.choice(palette), rng) for _ in range(depth)]
-    T = compose_maps(prims)
-    residual = map_preservation_residual(T, 200, seed)
+    return _verified(compose_maps(prims), seed, tolerance)
+
+
+def _verified(T: GyroMap, seed: int, tolerance: float) -> GyroMap:
+    """``T`` with the record of its construction check, or :class:`MapConstructionError`."""
+    residual = map_preservation_residual(T, CONSTRUCTION_PAIRS, seed)
     if residual > tolerance:
         raise MapConstructionError(
             f"generated map failed preservation: residual {residual:.3e}, recipe {T.recipe!r}"
         )
-    return T
+    return replace(T, preservation=PreservationRecord(T.apply, seed, CONSTRUCTION_PAIRS, residual))
 
 
 def random_isometry_between(
@@ -377,11 +462,7 @@ def random_isometry_between(
     d1 = depth // 2
     head = random_isometry(domain, seed, d1, tolerance=tolerance)
     tail = random_isometry(codomain, seed + 1, depth - d1, tolerance=tolerance)
-    T = compose_maps([head, transport(domain, codomain), tail])
-    residual = map_preservation_residual(T, 200, seed)
-    if residual > tolerance:
-        raise MapConstructionError(f"cross-instance map failed preservation: residual {residual:.3e}")
-    return T
+    return _verified(compose_maps([head, transport(domain, codomain), tail]), seed, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +477,14 @@ def verify_midpoint_preservation(
         raise PreconditionError("n_samples must be >= 1")
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     m1, m2 = T.domain_model, T.codomain_model
+    apply = _unchecked(T)
     rng = random.Random(f"{seed}:midpoint")
     worst = 0.0
     for _ in range(n_samples):
         a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
-        image_of_mid = T.apply(gyromidpoint(m1, a, b))
-        mid_of_images = gyromidpoint(m2, T.apply(a), T.apply(b))
-        worst = max(worst, metric_distance(m2, image_of_mid, mid_of_images))
+        image_of_mid = apply(_midpoint(m1, a, b))
+        mid_of_images = _midpoint(m2, apply(a), apply(b))
+        worst = worst_residual(worst, _distance(m2, image_of_mid, mid_of_images))
     return MidpointReport(n_samples, worst, worst <= tolerance, seed, tolerance)
 
 
@@ -425,11 +507,12 @@ def decompose_mazur_ulam(
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     m1, m2 = T.domain_model, T.codomain_model
     g1, g2 = m1.group, m2.group
-    translation_part = T.apply(g1.identity)
+    apply = _unchecked(T)
+    translation_part = apply(g1.identity)
     neg_te = g2.inv(translation_part)
 
     def T0(x: GyroPoint) -> GyroPoint:
-        return g2.add(neg_te, T.apply(x))
+        return g2.add(neg_te, apply(x))
 
     rng = random.Random(f"{seed}:decomposition")
     additivity = 0.0
@@ -438,29 +521,31 @@ def decompose_mazur_ulam(
     for _ in range(n_samples):
         a, b = sample_point(m1, rng, 0.8), sample_point(m1, rng, 0.8)
         ta, tb = T0(a), T0(b)
-        additivity = max(additivity, metric_distance(m2, T0(g1.add(a, b)), g2.add(ta, tb)))
+        additivity = worst_residual(additivity, _distance(m2, T0(g1.add(a, b)), g2.add(ta, tb)))
         co1 = g1.add(a, g1.gyr(a, g1.inv(b), b))
         co2 = g2.add(ta, g2.gyr(ta, g2.inv(tb), tb))
-        coaddition = max(coaddition, metric_distance(m2, T0(co1), co2))
-        isometry = max(isometry, abs(metric_distance(m2, ta, tb) - metric_distance(m1, a, b)))
+        coaddition = worst_residual(coaddition, _distance(m2, T0(co1), co2))
+        isometry = worst_residual(isometry, abs(_distance(m2, ta, tb) - _distance(m1, a, b)))
 
     # Homogeneity: base points stay deep inside the ball because the scalar
     # range pushes iterates toward the boundary.
     base_points = [sample_point(m1, rng, 0.6) for _ in range(3)]
+    images = [T0(x) for x in base_points]
+
+    def homogeneity_gap(worst: float, alpha: float) -> float:
+        for x, tx in zip(base_points, images):
+            worst = worst_residual(worst, _distance(m2, T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx)))
+        return worst
+
     dyadic = 0.0
-    homogeneity = 0.0
     for alpha in _dyadic_scalars():
-        for x in base_points:
-            res = metric_distance(m2, T0(otimes(m1, alpha, x)), otimes(m2, alpha, T0(x)))
-            dyadic = max(dyadic, res)
+        dyadic = homogeneity_gap(dyadic, alpha)
     homogeneity = dyadic
     for _ in range(GENERAL_SCALARS):
-        alpha = rng.uniform(-SCALAR_RANGE, SCALAR_RANGE)
-        for x in base_points:
-            res = metric_distance(m2, T0(otimes(m1, alpha, x)), otimes(m2, alpha, T0(x)))
-            homogeneity = max(homogeneity, res)
+        homogeneity = homogeneity_gap(homogeneity, rng.uniform(-SCALAR_RANGE, SCALAR_RANGE))
 
-    worst = max(additivity, homogeneity, isometry, dyadic, coaddition)
+    # The dyadic residual is part of the homogeneity residual.
+    worst = max(additivity, homogeneity, isometry, coaddition)
     return DecompositionReport(
         translation_part=translation_part,
         additivity_residual=additivity,
@@ -490,23 +575,24 @@ def defect_experiment(
     under the bound ``2 lin(rho(x1, p))`` is only possible when the defect
     vanishes.
     """
-    if not isinstance(n_max, int) or n_max < 0 or n_max > 20:
-        raise PreconditionError(f"n_max must be an integer in [0, 20], got {n_max!r}")
+    if not isinstance(n_max, int) or n_max < 0 or n_max > N_MAX_LIMIT:
+        raise PreconditionError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
     require_gyrometric_preserving(T, tolerance=tolerance)
     m1, m2 = T.domain_model, T.codomain_model
     m1.group.validate(x1)
     m1.group.validate(x2)
+    apply, inverse_apply = _unchecked(T), _unchecked(T, inverse=True)
 
-    p = gyromidpoint(m1, x1, x2)
-    p_image = gyromidpoint(m2, T.apply(x1), T.apply(x2))
-    refl_p = point_reflection(m1, p)
-    refl_p_image = point_reflection(m2, p_image)
+    p = _midpoint(m1, x1, x2)
+    p_image = _midpoint(m2, apply(x1), apply(x2))
+    refl_p = _unchecked(point_reflection(m1, p))
+    refl_p_image = _unchecked(point_reflection(m2, p_image))
 
     def S(x: GyroPoint) -> GyroPoint:
-        return refl_p.apply(T.inverse_apply(refl_p_image.apply(T.apply(x))))
+        return refl_p(inverse_apply(refl_p_image(apply(x))))
 
-    defect = metric_distance(m2, T.apply(p), p_image)
-    bound = 2.0 * metric_distance(m1, x1, p)
+    defect = _distance(m2, apply(p), p_image)
+    bound = 2.0 * _distance(m1, x1, p)
 
     iterates = []
     current = p
@@ -516,9 +602,9 @@ def defect_experiment(
         while applied < target:
             current = S(current)
             applied += 1
-        iterates.append(metric_distance(m1, current, p))
+        iterates.append(_distance(m1, current, p))
 
-    fixed_point_residual = max(metric_distance(m1, S(x1), x1), metric_distance(m1, S(x2), x2))
+    fixed_point_residual = worst_residual(_distance(m1, S(x1), x1), _distance(m1, S(x2), x2))
     passed = (
         defect <= tolerance
         and fixed_point_residual <= tolerance

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BoundaryClampWarning, ConfigError, DomainError
-from .gyrogroup import GyroGroupOps, GyroPoint
+from .gyrogroup import GyroGroupOps, GyroPoint, _point
 from .space import GgvModel, NormValueSpace
 
 KINDS = ("normed", "einstein", "mobius", "pathological")
@@ -142,12 +142,13 @@ def path_Phi_inv(a: float) -> float:
 def _path_S(x: float) -> float:
     # Pinned bijection (-inf, 0) -> (-inf, -1]: negative integers are fixed,
     # everything else shifts down by one.  Discontinuous, but a bijection is
-    # all that is required of it.  Non-integer inputs within an ulp of zero
-    # would collide with the fixed point -1 after rounding; keep them below.
+    # all that is required of it.  A non-integer whose shift rounds onto an
+    # integer (-1 for inputs within an ulp of zero, -3 for the double just
+    # above -2) would collide with that fixed point; keep it just below.
     if x.is_integer():
         return x
     value = x - 1.0
-    return value if value < -1.0 else math.nextafter(-1.0, -math.inf)
+    return math.nextafter(value, -math.inf) if value.is_integer() else value
 
 
 def _path_S_inv(y: float) -> float:
@@ -370,16 +371,16 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
         _check_point(p, tag, dim)
 
     def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _point(tag, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     def inv(a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, tuple(-x for x in a.coords))
+        return _point(tag, tuple(-x for x in a.coords))
 
     def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
         return a
 
     def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, tuple(r * x for x in a.coords))
+        return _point(tag, tuple(r * x for x in a.coords))
 
     group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
     return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _euclidean_line())
@@ -415,16 +416,16 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
             return _mobius_gyr(u, v, w, c)
 
     def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, _clamp_ball(raw_add(a.coords, b.coords), s))
+        return _point(tag, _clamp_ball(raw_add(a.coords, b.coords), s))
 
     def inv(a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, tuple(-x for x in a.coords))
+        return _point(tag, tuple(-x for x in a.coords))
 
     def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, _clamp_ball(raw_gyr(u.coords, v.coords, a.coords), s))
+        return _point(tag, _clamp_ball(raw_gyr(u.coords, v.coords, a.coords), s))
 
     def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, _clamp_ball(_scale_in_ball(r, a.coords, s), s))
+        return _point(tag, _clamp_ball(_scale_in_ball(r, a.coords, s), s))
 
     if cfg.kind == "einstein":
         def distance(a: GyroPoint, b: GyroPoint) -> float:
@@ -448,17 +449,17 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
             raise DomainError(f"{tag}: {a!r} is outside (-inf, -1) union [1, inf)")
 
     def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, (path_Phi(path_Phi_inv(a.coords[0]) + path_Phi_inv(b.coords[0])),))
+        return _point(tag, (path_Phi(path_Phi_inv(a.coords[0]) + path_Phi_inv(b.coords[0])),))
 
     def inv(a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, (path_Phi(-path_Phi_inv(a.coords[0])),))
+        return _point(tag, (path_Phi(-path_Phi_inv(a.coords[0])),))
 
     def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
         # The transplanted group is commutative, so every gyration is the identity.
         return a
 
     def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return GyroPoint(tag, (path_Phi(r * path_Phi_inv(a.coords[0])),))
+        return _point(tag, (path_Phi(r * path_Phi_inv(a.coords[0])),))
 
     def distance(a: GyroPoint, b: GyroPoint) -> float:
         # lin(rho(a, b)) collapses to the transplanted-coordinate gap
@@ -486,6 +487,6 @@ def make_model(cfg: ModelConfig) -> GgvModel:
 
 def make_point(m: GgvModel, coords: Sequence[float]) -> GyroPoint:
     """Build and validate a carrier point of ``m`` from raw coordinates."""
-    p = GyroPoint(m.tag, tuple(float(c) for c in coords))
+    p = GyroPoint(m.tag, coords)
     m.group.validate(p)
     return p

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .gyrogroup import GyroPoint
+from .gyrogroup import GyroPoint, _point
 from .space import GgvModel, gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -23,16 +23,16 @@ def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -
     if kind == "pathological":
         from .models import path_Phi
 
-        return GyroPoint(m.tag, (path_Phi(rng.uniform(-LINE_RANGE, LINE_RANGE)),))
+        return _point(m.tag, (path_Phi(rng.uniform(-LINE_RANGE, LINE_RANGE)),))
     dim = m.config.dim
     if kind == "normed":
-        return GyroPoint(m.tag, tuple(rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(dim)))
+        return _point(m.tag, tuple(rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(dim)))
     direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
     n = math.sqrt(sum(x * x for x in direction))
     if n == 0.0:
         direction, n = [1.0] + [0.0] * (dim - 1), 1.0
     radius = m.config.s * margin * rng.random() ** (1.0 / dim)
-    return GyroPoint(m.tag, tuple(radius * x / n for x in direction))
+    return _point(m.tag, tuple(radius * x / n for x in direction))
 
 
 def sample_point_away_from_identity(

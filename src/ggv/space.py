@@ -21,6 +21,7 @@ Distances come in two flavours:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -33,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # An element of the norm-value set: a plain real carrying the transplanted
 # one-dimensional linear structure of its NormValueSpace.
 NormValue = float
+
+# Largest linearized residual a check may report and still pass.
+DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +157,11 @@ def gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
     """Gyrometric ``rho(a, b) = |phi(a (-) b)|``, returned as a norm value."""
     m.group.validate(a)
     m.group.validate(b)
+    return _gyrometric(m, a, b)
+
+
+def _gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
+    # gyrometric for points that package code sampled or computed.
     diff = m.group.add(a, m.group.inv(b))
     return m.ambient_norm(m.phi(diff))
 
@@ -168,6 +177,11 @@ def gyromidpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
     """
     m.group.validate(a)
     m.group.validate(b)
+    return _midpoint(m, a, b)
+
+
+def _midpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
+    # gyromidpoint for points that package code sampled or computed.
     g = m.group
     return g.add(a, m.otimes(0.5, g.add(g.inv(a), b)))
 
@@ -177,8 +191,24 @@ def metric_distance(m: GgvModel, a: GyroPoint, b: GyroPoint) -> float:
 
     This is the residual measure used throughout the verification suites.
     """
+    m.group.validate(a)
+    m.group.validate(b)
+    return _distance(m, a, b)
+
+
+def _distance(m: GgvModel, a: GyroPoint, b: GyroPoint) -> float:
+    # metric_distance for points that package code sampled or computed.
     if m.distance is not None:
-        m.group.validate(a)
-        m.group.validate(b)
         return m.distance(a, b)
-    return m.nvs.lin(gyrometric(m, a, b))
+    return m.nvs.lin(_gyrometric(m, a, b))
+
+
+def worst_residual(worst: float, residual: float) -> float:
+    """The larger of two residuals, a non-finite ``residual`` counting as ``+inf``.
+
+    Every residual reduction goes through here: ``max`` would drop a NaN
+    residual and let its check pass, while ``+inf`` fails every tolerance.
+    """
+    if not math.isfinite(residual):
+        return math.inf
+    return residual if residual > worst else worst

@@ -22,6 +22,7 @@ from .sampling import (
     sample_separated_pair,
 )
 from .space import (
+    DEFAULT_TOLERANCE,
     GgvModel,
     gnorm,
     gyrometric,
@@ -31,9 +32,9 @@ from .space import (
     nv_le_nonneg,
     nv_smul,
     otimes,
+    worst_residual,
 )
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 1000
 
 # Quantitative margins for the contrapositive checks: points this far from
@@ -150,7 +151,7 @@ def _ggv8(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
     lhs = m.nvs.lin(gnorm(m, oplus(m.group, a, b)))
     rhs = m.nvs.lin(nv_add(m.nvs, gnorm(m, a), gnorm(m, b)))
-    return max(0.0, lhs - rhs)
+    return worst_residual(0.0, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,8 @@ def _unit_laws(m, rng):
     a = sample_point(m, rng)
     g = m.group
     res = _d(m, oplus(g, g.identity, a), a)
-    res = max(res, _d(m, oplus(g, ominus(g, a), a), g.identity))
-    return max(res, _d(m, gyr_apply(g, g.identity, a, a), a))
+    res = worst_residual(res, _d(m, oplus(g, ominus(g, a), a), g.identity))
+    return worst_residual(res, _d(m, gyr_apply(g, g.identity, a, a), a))
 
 
 def _left_cancellation(m, rng):
@@ -269,22 +270,22 @@ def _gyrometric_invariance(m, rng):
     g = m.group
     base = gyrometric(m, a, b)
     res = _dn(m, gyrometric(m, oplus(g, x, a), oplus(g, x, b)), base)
-    res = max(res, _dn(m, gyrometric(m, ominus(g, a), ominus(g, b)), base))
-    return max(res, _dn(m, gyrometric(m, b, a), base))
+    res = worst_residual(res, _dn(m, gyrometric(m, ominus(g, a), ominus(g, b)), base))
+    return worst_residual(res, _dn(m, gyrometric(m, b, a), base))
 
 
 def _gyrotriangle(m, rng):
     a, b, c = (sample_point(m, rng) for _ in range(3))
     lhs = m.nvs.lin(gyrometric(m, a, b))
     rhs = m.nvs.lin(nv_add(m.nvs, gyrometric(m, a, c), gyrometric(m, c, b)))
-    return max(0.0, lhs - rhs)
+    return worst_residual(0.0, lhs - rhs)
 
 
 def _midpoint_equidistant(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
     p = gyromidpoint(m, a, b)
     half = nv_smul(m.nvs, 0.5, gyrometric(m, a, b))
-    return max(_dn(m, gyrometric(m, a, p), half), _dn(m, gyrometric(m, b, p), half))
+    return worst_residual(_dn(m, gyrometric(m, a, p), half), _dn(m, gyrometric(m, b, p), half))
 
 
 def _midpoint_forms_agree(m, rng):
@@ -305,7 +306,7 @@ def _metric_self_zero(m, rng):
 
 def _metric_nonnegative(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
-    return max(0.0, -metric_distance(m, a, b))
+    return worst_residual(0.0, -metric_distance(m, a, b))
 
 
 def _metric_symmetric(m, rng):
@@ -315,7 +316,7 @@ def _metric_symmetric(m, rng):
 
 def _metric_triangle(m, rng):
     a, b, c = (sample_point(m, rng) for _ in range(3))
-    return max(0.0, metric_distance(m, a, b) - metric_distance(m, a, c) - metric_distance(m, c, b))
+    return worst_residual(0.0, metric_distance(m, a, b) - metric_distance(m, a, c) - metric_distance(m, c, b))
 
 
 def _metric_separates(m, rng):
@@ -394,7 +395,7 @@ def _linearization_round_trip(m, rng):
     t = rng.uniform(-3.0, 3.0)
     res = abs(m.nvs.lin(m.nvs.lin_inv(t)) - t)
     A = gnorm(m, sample_point(m, rng))
-    return max(res, _dn(m, m.nvs.lin_inv(m.nvs.lin(A)), A))
+    return worst_residual(res, _dn(m, m.nvs.lin_inv(m.nvs.lin(A)), A))
 
 
 def _zero_linearizes_to_zero(m, rng):
@@ -476,7 +477,7 @@ def run_check(
     rng = random.Random(f"{seed}:{name}")
     worst = 0.0
     for _ in range(samples):
-        worst = max(worst, draw(m, rng))
+        worst = worst_residual(worst, draw(m, rng))
     return VerificationReport(name, m.tag, seed, samples, worst, tolerance, worst <= tolerance)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ggv.isometry
 from ggv.cli import main
 
 
@@ -166,3 +167,27 @@ def test_decompose_smoke(capsys):
     report = json.loads(out)
     assert report["pass"] is True
     assert report["result"]["additivity_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("n_max", ["21", "30", "-1"])
+def test_defect_n_max_out_of_range_is_a_usage_error(capsys, n_max):
+    code, out, err = run_cli(capsys, "defect", "--model", "mobius", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggv: error:") and err.count("\n") == 1
+
+
+def test_verify_mazur_ulam_checks_each_map_once(capsys, monkeypatch):
+    calls = []
+    measure = ggv.isometry.map_preservation_residual
+
+    def counted(T, n_pairs, seed):
+        calls.append((n_pairs, seed))
+        return measure(T, n_pairs, seed)
+
+    monkeypatch.setattr(ggv.isometry, "map_preservation_residual", counted)
+    code, out, _ = run_cli(
+        capsys, "verify-mazur-ulam", "--model", "mobius", "--maps", "1", "--samples", "20", "--seed", "3"
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert calls == [(200, 3)]

@@ -188,6 +188,23 @@ def test_ball_gyro_laws(kind, data):
 
 
 # ---------------------------------------------------------------------------
+# Point construction.
+# ---------------------------------------------------------------------------
+
+def test_public_points_coerce_and_kernel_points_compare_equal(any_model):
+    p = GyroPoint("normed(dim=2)", [1, 2])
+    assert p.coords == (1.0, 2.0)
+    assert all(type(c) is float for c in p.coords)
+    m = any_model
+    rng = random.Random(19)
+    a, b = sample_point(m, rng), sample_point(m, rng)
+    for q in (a, oplus(m.group, a, b), ominus(m.group, a), otimes(m, 0.5, a)):
+        assert type(q.coords) is tuple and all(type(c) is float for c in q.coords)
+        rebuilt = GyroPoint(q.model_tag, list(q.coords))
+        assert rebuilt == q and hash(rebuilt) == hash(q)
+
+
+# ---------------------------------------------------------------------------
 # Domain errors.
 # ---------------------------------------------------------------------------
 

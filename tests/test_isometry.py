@@ -1,11 +1,14 @@
 """Gyrometric-preserving maps: primitives, random compositions, experiments."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+import ggv.isometry
 from ggv import (
+    DomainError,
     GyroMap,
     GyroPoint,
     MapConstructionError,
@@ -209,6 +212,96 @@ def test_compose_maps_rejects_mismatched_chains(einstein2, mobius2):
         compose_maps([identity_map(einstein2), identity_map(mobius2)])
     with pytest.raises(PreconditionError):
         compose_maps([])
+
+
+def _counting_validate(m):
+    """``m`` with a validate that counts its calls, and the count."""
+    calls = []
+    validate = m.group.validate
+
+    def counted(p):
+        calls.append(p)
+        validate(p)
+
+    return dataclasses.replace(m, group=dataclasses.replace(m.group, validate=counted)), calls
+
+
+def test_a_deep_composition_validates_once_per_call(einstein2):
+    m, calls = _counting_validate(einstein2)
+    rng = random.Random(101)
+    chain = compose_maps([
+        left_translation(m, sample_point(m, rng, 0.5)),
+        point_reflection(m, sample_point(m, rng, 0.5)),
+        ambient_rotation(m, random_rotation_matrix(2, rng)),
+        identity_map(m),
+        point_reflection(m, sample_point(m, rng, 0.5)),
+        compose_maps([left_translation(m, sample_point(m, rng, 0.5)), identity_map(m)]),
+    ])
+    assert len(chain.recipe) == 7
+    x = sample_point(m, rng, 0.8)
+    calls.clear()
+    y = chain.apply(x)
+    assert calls == [x]
+    calls.clear()
+    assert metric_distance(einstein2, chain.inverse_apply(y), x) <= TOL
+    assert calls == [y]
+
+
+def test_a_composition_rejects_points_outside_the_carrier(einstein2, patho):
+    rng = random.Random(103)
+    chain = random_isometry(einstein2, seed=9, depth=6)
+    for bad in (GyroPoint(einstein2.tag, (1.5, 0.0)), GyroPoint(einstein2.tag, (math.nan, 0.0)),
+                make_point(patho, [2.0]), sample_point(einstein2, rng).coords):
+        with pytest.raises(DomainError):
+            chain.apply(bad)
+        with pytest.raises(DomainError):
+            chain.inverse_apply(bad)
+
+
+def test_a_recorded_preservation_check_is_reused_only_when_it_settles_the_check(mobius2, monkeypatch):
+    T = random_isometry(mobius2, seed=4, depth=5)
+    record = T.preservation
+    assert (record.seed, record.pairs) == (4, 200)
+    assert record.residual == map_preservation_residual(T, 200, seed=4)
+    calls = []
+    measure = ggv.isometry.map_preservation_residual
+
+    def counted(T, n_pairs, seed):
+        calls.append((n_pairs, seed))
+        return measure(T, n_pairs, seed)
+
+    monkeypatch.setattr(ggv.isometry, "map_preservation_residual", counted)
+    require = ggv.isometry.require_gyrometric_preserving
+    require(T, n_pairs=100, seed=4)
+    require(T, n_pairs=200, seed=4, tolerance=record.residual)
+    assert calls == []
+    require(T, n_pairs=201, seed=4)
+    require(T, n_pairs=100, seed=5)
+    assert record.residual > 0.0
+    with pytest.raises(PreconditionError):
+        require(T, n_pairs=200, seed=4, tolerance=record.residual / 2)
+    # A map rebuilt around another apply is not vouched for by the record.
+    require(dataclasses.replace(T, apply=lambda x: T.apply(x)), n_pairs=100, seed=4)
+    assert calls == [(201, 4), (100, 5), (200, 4), (100, 4)]
+
+
+def test_nan_images_fail_the_preservation_check(normed2):
+    nan_group = dataclasses.replace(
+        normed2.group, add=lambda a, b: GyroPoint(normed2.tag, (math.nan, math.nan))
+    )
+    broken = dataclasses.replace(normed2, group=nan_group)
+    shift = left_translation(broken, make_point(broken, [1.0, 0.0]))
+    assert math.isnan(shift.apply(make_point(broken, [0.0, 1.0])).coords[0])
+    assert map_preservation_residual(shift, 20, seed=0) == math.inf
+    with pytest.raises(PreconditionError):
+        verify_midpoint_preservation(shift, 20, seed=0)
+    with pytest.raises(MapConstructionError):
+        random_isometry(broken, seed=0, depth=2, kinds=("left_translation",))
+    # Images of a user-built map are validated, so NaN ones are rejected.
+    nan_map = GyroMap(normed2, normed2, lambda x: GyroPoint(normed2.tag, (math.nan, 0.0)),
+                      lambda y: y, ({"kind": "nan"},))
+    with pytest.raises(DomainError):
+        map_preservation_residual(nan_map, 20, seed=0)
 
 
 # ---------------------------------------------------------------------------

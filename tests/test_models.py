@@ -103,6 +103,13 @@ def test_T_pinned_values():
     assert path_T(-0.5) == -1.5
 
 
+def test_T_keeps_non_integers_off_the_fixed_points():
+    # x - 1 rounds onto a negative integer for these non-integers.
+    for x in (-5e-324, -0.9999999999999999, -1.0000000000000002, -1.9999999999999998, -3.9999999999999996):
+        assert not path_T(x).is_integer()
+        assert path_T_inv(path_T(x)) == pytest.approx(x, abs=1e-12)
+
+
 def test_T_ranges():
     for x in (0.0, 0.3, 1.7, 12.0):
         assert path_T(x) >= 1.0

@@ -1,6 +1,7 @@
 """The verification suite itself: shape, determinism, and non-vacuity."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -75,4 +76,14 @@ def test_suite_catches_a_broken_gyration(einstein2):
         dict(GROUPS["gyrogroup"])["gyr_matches_composition"],
         seed=2, samples=100,
     )
+    assert not report.passed
+
+
+def test_a_nan_residual_fails_its_check(mobius2):
+    report = run_check(mobius2, "nan", lambda m, r: float("nan"), seed=0, samples=10)
+    assert report.max_residual == math.inf
+    assert not report.passed
+    # NaN on any one sample fails the check, wherever it falls.
+    draws = iter([0.0, float("nan")] + [0.0] * 8)
+    report = run_check(mobius2, "late-nan", lambda m, r: next(draws), seed=0, samples=10)
     assert not report.passed
