@@ -142,9 +142,10 @@ def path_Phi_inv(a: float) -> float:
 def _path_S(x: float) -> float:
     # Pinned bijection (-inf, 0) -> (-inf, -1]: negative integers are fixed,
     # everything else shifts down by one.  Discontinuous, but a bijection is
-    # all that is required of it.  A non-integer whose shift rounds onto an
-    # integer (-1 for inputs within an ulp of zero, -3 for the double just
-    # above -2) would collide with that fixed point; keep it just below.
+    # all that is required of it (in floating point ``x - 1`` is not
+    # injective anyway).  A non-integer whose shift rounds onto an integer
+    # (-1 for inputs within an ulp of zero, -3 for the double just above -2)
+    # would land on that fixed point; keep it just below.
     if x.is_integer():
         return x
     value = x - 1.0

@@ -204,11 +204,11 @@ def _distance(m: GgvModel, a: GyroPoint, b: GyroPoint) -> float:
 
 
 def worst_residual(worst: float, residual: float) -> float:
-    """The larger of two residuals, a non-finite ``residual`` counting as ``+inf``.
+    """The larger of two residuals, a non-finite one counting as ``+inf``.
 
-    Every residual reduction goes through here: ``max`` would drop a NaN
-    residual and let its check pass, while ``+inf`` fails every tolerance.
+    ``max`` would drop a NaN residual and let its check pass, while ``+inf``
+    fails every tolerance.
     """
-    if not math.isfinite(residual):
+    if not (math.isfinite(worst) and math.isfinite(residual)):
         return math.inf
     return residual if residual > worst else worst

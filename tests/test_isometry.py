@@ -33,6 +33,7 @@ from ggv import (
     transport,
     verify_midpoint_preservation,
 )
+from ggv.isometry import CONSTRUCTION_PAIRS
 from ggv.sampling import sample_point
 from ggv.space import gyrometric, nv_smul
 
@@ -260,9 +261,9 @@ def test_a_composition_rejects_points_outside_the_carrier(einstein2, patho):
 
 def test_a_recorded_preservation_check_is_reused_only_when_it_settles_the_check(mobius2, monkeypatch):
     T = random_isometry(mobius2, seed=4, depth=5)
-    record = T.preservation
-    assert (record.seed, record.pairs) == (4, 200)
-    assert record.residual == map_preservation_residual(T, 200, seed=4)
+    seed, residual = T.preservation
+    assert seed == 4
+    assert residual == map_preservation_residual(T, CONSTRUCTION_PAIRS, seed=4)
     calls = []
     measure = ggv.isometry.map_preservation_residual
 
@@ -273,16 +274,23 @@ def test_a_recorded_preservation_check_is_reused_only_when_it_settles_the_check(
     monkeypatch.setattr(ggv.isometry, "map_preservation_residual", counted)
     require = ggv.isometry.require_gyrometric_preserving
     require(T, n_pairs=100, seed=4)
-    require(T, n_pairs=200, seed=4, tolerance=record.residual)
+    require(T, n_pairs=CONSTRUCTION_PAIRS, seed=4, tolerance=residual)
     assert calls == []
-    require(T, n_pairs=201, seed=4)
+    require(T, n_pairs=CONSTRUCTION_PAIRS + 1, seed=4)
     require(T, n_pairs=100, seed=5)
-    assert record.residual > 0.0
+    assert residual > 0.0
     with pytest.raises(PreconditionError):
-        require(T, n_pairs=200, seed=4, tolerance=record.residual / 2)
-    # A map rebuilt around another apply is not vouched for by the record.
-    require(dataclasses.replace(T, apply=lambda x: T.apply(x)), n_pairs=100, seed=4)
-    assert calls == [(201, 4), (100, 5), (200, 4), (100, 4)]
+        require(T, n_pairs=CONSTRUCTION_PAIRS, seed=4, tolerance=residual / 2)
+    assert calls == [(CONSTRUCTION_PAIRS + 1, 4), (100, 5), (CONSTRUCTION_PAIRS, 4)]
+    # A rebuilt map carries no record, whichever field was replaced.
+    for rebuilt in (dataclasses.replace(T, apply=lambda x: T.apply(x)),
+                    dataclasses.replace(T, codomain_model=make_model(ModelConfig("mobius", 2)))):
+        assert rebuilt.preservation is None
+        calls.clear()
+        require(rebuilt, n_pairs=100, seed=4)
+        assert calls == [(100, 4)]
+    with pytest.raises(ValueError):
+        dataclasses.replace(T, preservation=(4, 0.0))
 
 
 def test_nan_images_fail_the_preservation_check(normed2):

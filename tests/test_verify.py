@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ggv import ModelConfig, make_model
+from ggv.space import worst_residual
 from ggv.verify import GROUPS, run_all, run_check, run_group
 
 
@@ -79,11 +80,12 @@ def test_suite_catches_a_broken_gyration(einstein2):
     assert not report.passed
 
 
-def test_a_nan_residual_fails_its_check(mobius2):
-    report = run_check(mobius2, "nan", lambda m, r: float("nan"), seed=0, samples=10)
-    assert report.max_residual == math.inf
-    assert not report.passed
-    # NaN on any one sample fails the check, wherever it falls.
-    draws = iter([0.0, float("nan")] + [0.0] * 8)
+def test_a_nan_residual_reduces_to_inf_and_fails_its_check(mobius2):
+    for pair in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (1e-12, math.inf), (-math.inf, 0.0)):
+        assert worst_residual(*pair) == math.inf
+    assert worst_residual(1e-12, 3e-12) == worst_residual(3e-12, 1e-12) == 3e-12
+    # A draw that reduces its parts through the reducer fails on NaN.
+    draws = iter([0.0, worst_residual(math.nan, 0.0)] + [0.0] * 8)
     report = run_check(mobius2, "late-nan", lambda m, r: next(draws), seed=0, samples=10)
+    assert report.max_residual == math.inf
     assert not report.passed
