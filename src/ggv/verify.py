@@ -476,8 +476,8 @@ def run_check(
     """Run one named check for ``samples`` draws and report the worst residual."""
     rng = random.Random(f"{seed}:{name}")
     worst = 0.0
-    # ``max`` still drops a draw that is NaN itself; the benchmark self-test
-    # perfbench/test_perfbench.py pins that, so both change together.
+    # ``max`` still drops a draw that is NaN itself: perfbench/test_perfbench.py
+    # asserts that, so switching to worst_residual waits for that test to change.
     for _ in range(samples):
         worst = max(worst, draw(m, rng))
     return VerificationReport(name, m.tag, seed, samples, worst, tolerance, worst <= tolerance)
