@@ -149,71 +149,53 @@ def _format_value(value) -> str:
     return f"{value:.12g}"
 
 
+# Each operation: its argument kinds ("p" a point, "r" a real) and the
+# function that evaluates it.
+_OPERATIONS = {
+    "oplus": ("pp", lambda m, a, b: oplus(m.group, a, b)),
+    "ominus": ("p", lambda m, a: ominus(m.group, a)),
+    "gyr": ("ppp", lambda m, u, v, a: gyr_apply(m.group, u, v, a)),
+    "coplus": ("pp", lambda m, a, b: coplus(m.group, a, b)),
+    "otimes": ("rp", otimes),
+    "gnorm": ("p", gnorm),
+    "gyrometric": ("pp", gyrometric),
+    "midpoint": ("pp", gyromidpoint),
+    "metric": ("pp", metric_distance),
+    "linearize": ("r", lambda m, A: linearize(m.nvs, A)),
+    "delinearize": ("r", lambda m, t: delinearize(m.nvs, t)),
+    "nvadd": ("rr", lambda m, A, B: nv_add(m.nvs, A, B)),
+    "nvsmul": ("rr", lambda m, r, A: nv_smul(m.nvs, r, A)),
+}
+
+
 def evaluate_expression(m: GgvModel, expr: str) -> str:
     """Evaluate a flat prefix expression and render the result."""
     tokens = expr.split()
     if not tokens:
         raise UsageError("empty expression")
     op, args = tokens[0], tokens[1:]
-    g = m.group
-
-    def need(count: int) -> None:
-        if len(args) != count:
-            raise UsageError(f"{op!r} expects {count} arguments, got {len(args)}")
-
-    if op == "oplus":
-        need(2)
-        return _format_value(oplus(g, _parse_point(m, args[0]), _parse_point(m, args[1])))
-    if op == "ominus":
-        need(1)
-        return _format_value(ominus(g, _parse_point(m, args[0])))
-    if op == "gyr":
-        need(3)
-        return _format_value(gyr_apply(g, *(_parse_point(m, t) for t in args)))
-    if op == "coplus":
-        need(2)
-        return _format_value(coplus(g, _parse_point(m, args[0]), _parse_point(m, args[1])))
-    if op == "otimes":
-        need(2)
-        return _format_value(otimes(m, _parse_scalar(args[0]), _parse_point(m, args[1])))
-    if op == "gnorm":
-        need(1)
-        return _format_value(gnorm(m, _parse_point(m, args[0])))
-    if op == "gyrometric":
-        need(2)
-        return _format_value(gyrometric(m, _parse_point(m, args[0]), _parse_point(m, args[1])))
-    if op == "midpoint":
-        need(2)
-        return _format_value(gyromidpoint(m, _parse_point(m, args[0]), _parse_point(m, args[1])))
-    if op == "metric":
-        need(2)
-        return _format_value(metric_distance(m, _parse_point(m, args[0]), _parse_point(m, args[1])))
-    if op == "linearize":
-        need(1)
-        return _format_value(linearize(m.nvs, _parse_scalar(args[0])))
-    if op == "delinearize":
-        need(1)
-        return _format_value(delinearize(m.nvs, _parse_scalar(args[0])))
-    if op == "nvadd":
-        need(2)
-        return _format_value(nv_add(m.nvs, _parse_scalar(args[0]), _parse_scalar(args[1])))
-    if op == "nvsmul":
-        need(2)
-        return _format_value(nv_smul(m.nvs, _parse_scalar(args[0]), _parse_scalar(args[1])))
-    raise UsageError(f"unknown operation {op!r}")
+    if op not in _OPERATIONS:
+        raise UsageError(f"unknown operation {op!r}")
+    kinds, evaluate = _OPERATIONS[op]
+    if len(args) != len(kinds):
+        raise UsageError(f"{op!r} expects {len(kinds)} arguments, got {len(args)}")
+    values = [_parse_point(m, t) if kind == "p" else _parse_scalar(t) for kind, t in zip(kinds, args)]
+    return _format_value(evaluate(m, *values))
 
 
 # ---------------------------------------------------------------------------
 # Report plumbing.
 # ---------------------------------------------------------------------------
 
-def _emit_report(report: dict, output: str | None) -> None:
+def _emit_report(report: dict, output: str | None) -> int:
+    """Write the report; return its exit code."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+    return 0 if report["pass"] else 1
 
 
 def _base_report(command: str, m: GgvModel, args: argparse.Namespace) -> dict:
@@ -232,8 +214,7 @@ def _cmd_verify_axioms(m: GgvModel, args: argparse.Namespace) -> int:
     document = _base_report("verify-axioms", m, args)
     document["results"] = [r.to_dict() for r in reports]
     document["pass"] = all(r.passed for r in reports)
-    _emit_report(document, args.output)
-    return 0 if document["pass"] else 1
+    return _emit_report(document, args.output)
 
 
 def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
@@ -259,8 +240,7 @@ def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
     document["max_depth"] = args.max_depth
     document["results"] = results
     document["pass"] = all(r["midpoint"]["pass"] and r["decomposition"]["pass"] for r in results)
-    _emit_report(document, args.output)
-    return 0 if document["pass"] else 1
+    return _emit_report(document, args.output)
 
 
 def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
@@ -277,8 +257,7 @@ def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
     document["x2"] = list(x2.coords)
     document["result"] = trace.to_dict()
     document["pass"] = trace.passed
-    _emit_report(document, args.output)
-    return 0 if trace.passed else 1
+    return _emit_report(document, args.output)
 
 
 def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
@@ -289,8 +268,7 @@ def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
     document["recipe"] = [step["kind"] for step in T.recipe]
     document["result"] = report.to_dict()
     document["pass"] = report.passed
-    _emit_report(document, args.output)
-    return 0 if report.passed else 1
+    return _emit_report(document, args.output)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _point
 from .sampling import sample_point
-from .space import DEFAULT_TOLERANCE, GgvModel, _distance, _midpoint, worst_residual
+from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
 # handed out.
@@ -71,8 +71,10 @@ class GyroMap:
 
 
 @dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(Report):
     """Worst linearized gap between T(P(a, b)) and P(T(a), T(b))."""
+
+    PROPERTY = "midpoint_preservation"
 
     samples: int
     max_residual: float
@@ -80,20 +82,12 @@ class MidpointReport:
     seed: int
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "midpoint_preservation",
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Report):
     """Residuals of the translation-plus-isomorphism decomposition."""
+
+    PROPERTY = "translation_isomorphism_decomposition"
 
     translation_part: GyroPoint
     additivity_residual: float
@@ -106,24 +100,9 @@ class DecompositionReport:
     seed: int
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "translation_isomorphism_decomposition",
-            "translation_part": list(self.translation_part.coords),
-            "additivity_residual": self.additivity_residual,
-            "homogeneity_residual": self.homogeneity_residual,
-            "isometry_residual": self.isometry_residual,
-            "dyadic_residual": self.dyadic_residual,
-            "coaddition_residual": self.coaddition_residual,
-            "pass": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
-class DefectTrace:
+class DefectTrace(Report):
     """Defect of a midpoint image and the doubling iterates that bound it.
 
     ``iterates[n]`` is the linearized gyrometric between ``S^(2^n)(p)`` and
@@ -131,23 +110,14 @@ class DefectTrace:
     forces the defect to vanish.
     """
 
+    PROPERTY = "midpoint_defect"
+
     defect: float
     iterates: tuple[float, ...]
     bound: float
     fixed_point_residual: float
     passed: bool
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "property": "midpoint_defect",
-            "defect": self.defect,
-            "iterates": list(self.iterates),
-            "bound": self.bound,
-            "fixed_point_residual": self.fixed_point_residual,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +138,18 @@ def _checked(
 
     call.unchecked = unchecked
     return call
+
+
+def _package_map(
+    domain: GgvModel,
+    codomain: GgvModel,
+    apply: Callable[[GyroPoint], GyroPoint],
+    inverse_apply: Callable[[GyroPoint], GyroPoint],
+    recipe: tuple[dict, ...],
+) -> GyroMap:
+    """A map whose directions validate their argument, then run the given steps."""
+    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
+                   _checked(codomain.group.validate, inverse_apply), recipe)
 
 
 def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroPoint]:
@@ -192,8 +174,7 @@ def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroP
 
 def identity_map(m: GgvModel) -> GyroMap:
     """The identity of a carrier."""
-    apply = _checked(m.group.validate, lambda x: x)
-    return GyroMap(m, m, apply, apply, ({"kind": "identity"},))
+    return _package_map(m, m, lambda x: x, lambda x: x, ({"kind": "identity"},))
 
 
 def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
@@ -210,7 +191,7 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
         return g.add(neg_c, y)
 
     recipe = ({"kind": "left_translation", "center": list(c.coords)},)
-    return GyroMap(m, m, _checked(g.validate, apply), _checked(g.validate, inverse_apply), recipe)
+    return _package_map(m, m, apply, inverse_apply, recipe)
 
 
 def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
@@ -226,9 +207,8 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     def reflect(x: GyroPoint) -> GyroPoint:
         return g.add(double_a, g.inv(x))
 
-    apply = _checked(g.validate, reflect)
     recipe = ({"kind": "point_reflection", "center": list(a.coords)},)
-    return GyroMap(m, m, apply, apply, recipe)
+    return _package_map(m, m, reflect, reflect, recipe)
 
 
 def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
@@ -259,7 +239,7 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
         return _point(tag, tuple(sum(rows[k][i] * y.coords[k] for k in range(dim)) for i in range(dim)))
 
     recipe = ({"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},)
-    return GyroMap(m, m, _checked(m.group.validate, apply), _checked(m.group.validate, inverse_apply), recipe)
+    return _package_map(m, m, apply, inverse_apply, recipe)
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -280,8 +260,7 @@ def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
     def inverse_apply(y: GyroPoint) -> GyroPoint:
         return _point(domain.tag, y.coords)
 
-    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
-                   _checked(codomain.group.validate, inverse_apply), ({"kind": "transport"},))
+    return _package_map(domain, codomain, apply, inverse_apply, ({"kind": "transport"},))
 
 
 def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
@@ -315,8 +294,7 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
 
     domain, codomain = chain[0].domain_model, chain[-1].codomain_model
     recipe = tuple(step for mp in chain for step in mp.recipe)
-    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
-                   _checked(codomain.group.validate, inverse_apply), recipe)
+    return _package_map(domain, codomain, apply, inverse_apply, recipe)
 
 
 def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, ...], ...]:
@@ -347,7 +325,7 @@ def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
     worst = 0.0
     for _ in range(n_pairs):
         a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
-        worst = worst_residual(worst, abs(_distance(m2, apply(a), apply(b)) - _distance(m1, a, b)))
+        worst = worst_residual(worst, abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)))
     return worst
 
 
@@ -408,6 +386,11 @@ def random_isometry(
     result is verified over ``CONSTRUCTION_PAIRS`` pairs drawn from ``seed``
     before being returned; the map carries the record of that check.
     """
+    return _verified(_random_composition(m, seed, depth, kinds), seed, tolerance)
+
+
+def _random_composition(m: GgvModel, seed: int, depth: int, kinds: Sequence[str] | None = None) -> GyroMap:
+    """The seeded composition behind :func:`random_isometry`, not yet verified."""
     if depth < 1:
         raise PreconditionError(f"depth must be >= 1, got {depth}")
     palette = tuple(kinds) if kinds is not None else _available_kinds(m)
@@ -416,8 +399,7 @@ def random_isometry(
         if kind not in allowed:
             raise PreconditionError(f"primitive {kind!r} is not available for {m.tag}")
     rng = random.Random(f"{seed}:isometry")
-    prims = [_random_primitive(m, rng.choice(palette), rng) for _ in range(depth)]
-    return _verified(compose_maps(prims), seed, tolerance)
+    return compose_maps([_random_primitive(m, rng.choice(palette), rng) for _ in range(depth)])
 
 
 def _verified(T: GyroMap, seed: int, tolerance: float) -> GyroMap:
@@ -442,13 +424,14 @@ def random_isometry_between(
 
     The instances must carry the same parameters; the map is a composition
     acting in the domain, a transport bridge, and a composition acting in
-    the codomain.
+    the codomain.  Only the whole map is verified, once, and it carries the
+    record of that check.
     """
     if depth < 2:
         raise PreconditionError("cross-instance maps need depth >= 2 to act on both sides")
     d1 = depth // 2
-    head = random_isometry(domain, seed, d1, tolerance=tolerance)
-    tail = random_isometry(codomain, seed + 1, depth - d1, tolerance=tolerance)
+    head = _random_composition(domain, seed, d1)
+    tail = _random_composition(codomain, seed + 1, depth - d1)
     return _verified(compose_maps([head, transport(domain, codomain), tail]), seed, tolerance)
 
 
@@ -471,7 +454,7 @@ def verify_midpoint_preservation(
         a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
         image_of_mid = apply(_midpoint(m1, a, b))
         mid_of_images = _midpoint(m2, apply(a), apply(b))
-        worst = worst_residual(worst, _distance(m2, image_of_mid, mid_of_images))
+        worst = worst_residual(worst, m2.distance(image_of_mid, mid_of_images))
     return MidpointReport(n_samples, worst, worst <= tolerance, seed, tolerance)
 
 
@@ -508,11 +491,11 @@ def decompose_mazur_ulam(
     for _ in range(n_samples):
         a, b = sample_point(m1, rng, 0.8), sample_point(m1, rng, 0.8)
         ta, tb = T0(a), T0(b)
-        additivity = worst_residual(additivity, _distance(m2, T0(g1.add(a, b)), g2.add(ta, tb)))
+        additivity = worst_residual(additivity, m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)))
         co1 = g1.add(a, g1.gyr(a, g1.inv(b), b))
         co2 = g2.add(ta, g2.gyr(ta, g2.inv(tb), tb))
-        coaddition = worst_residual(coaddition, _distance(m2, T0(co1), co2))
-        isometry = worst_residual(isometry, abs(_distance(m2, ta, tb) - _distance(m1, a, b)))
+        coaddition = worst_residual(coaddition, m2.distance(T0(co1), co2))
+        isometry = worst_residual(isometry, abs(m2.distance(ta, tb) - m1.distance(a, b)))
 
     # Homogeneity: base points stay deep inside the ball because the scalar
     # range pushes iterates toward the boundary.
@@ -521,7 +504,7 @@ def decompose_mazur_ulam(
 
     def homogeneity_gap(worst: float, alpha: float) -> float:
         for x, tx in zip(base_points, images):
-            worst = worst_residual(worst, _distance(m2, T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx)))
+            worst = worst_residual(worst, m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx)))
         return worst
 
     dyadic = 0.0
@@ -578,8 +561,8 @@ def defect_experiment(
     def S(x: GyroPoint) -> GyroPoint:
         return refl_p(inverse_apply(refl_p_image(apply(x))))
 
-    defect = _distance(m2, apply(p), p_image)
-    bound = 2.0 * _distance(m1, x1, p)
+    defect = m2.distance(apply(p), p_image)
+    bound = 2.0 * m1.distance(x1, p)
 
     iterates = []
     current = p
@@ -589,9 +572,9 @@ def defect_experiment(
         while applied < target:
             current = S(current)
             applied += 1
-        iterates.append(_distance(m1, current, p))
+        iterates.append(m1.distance(current, p))
 
-    fixed_point_residual = worst_residual(_distance(m1, S(x1), x1), _distance(m1, S(x2), x2))
+    fixed_point_residual = worst_residual(m1.distance(S(x1), x1), m1.distance(S(x2), x2))
     passed = (
         defect <= tolerance
         and fixed_point_residual <= tolerance

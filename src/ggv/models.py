@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,6 +51,10 @@ KINDS = ("normed", "einstein", "mobius", "pathological")
 # back inside with a warning; gamma factors diverge at the boundary and
 # nothing trustworthy lives beyond this shell.
 BALL_EDGE = 1e-12
+
+# Largest argument whose exp is a finite double: the pathological bijections
+# leave the doubles beyond it.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,11 @@ def path_Phi(x: float) -> float:
     increasing on each branch and globally.  For negative ``x`` within an ulp
     of zero the exact value ``-exp(-x)`` rounds to ``-1.0``, which the open
     carrier excludes, so the result is nudged to the nearest double below.
+    Raises :class:`DomainError` where ``exp`` would overflow a double.
     """
     x = float(x)
+    if abs(x) > _LOG_MAX:
+        raise DomainError(f"path_Phi({x!r}) overflows a double")
     if x >= 0.0:
         return math.exp(x)
     value = -math.exp(-x)
@@ -163,9 +171,12 @@ def path_T(x: float) -> float:
 
     ``exp(x)`` on ``x >= 0``; on ``x < 0`` the pinned bijection onto
     ``(-inf, -1]`` that fixes negative integers and shifts every other value
-    down by one.
+    down by one.  Raises :class:`DomainError` where ``exp`` would overflow a
+    double.
     """
     x = float(x)
+    if x > _LOG_MAX:
+        raise DomainError(f"path_T({x!r}) overflows a double")
     if x >= 0.0:
         return math.exp(x)
     return _path_S(x)
@@ -383,8 +394,12 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
     def smul(r: float, a: GyroPoint) -> GyroPoint:
         return _point(tag, tuple(r * x for x in a.coords))
 
+    def distance(a: GyroPoint, b: GyroPoint) -> float:
+        # lin(rho(a, b)) = |a + (-b)|, and x + (-y) == x - y in IEEE arithmetic.
+        return _norm(tuple(x - y for x, y in zip(a.coords, b.coords)))
+
     group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _euclidean_line())
+    return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _euclidean_line(), distance)
 
 
 def _ball_model(cfg: ModelConfig) -> GgvModel:
@@ -409,12 +424,18 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
             # cancel.  This keeps the closed form independent of the
             # composition-of-sums oracle.
             return _mobius_gyr(_scale_in_ball(0.5, u, s), _scale_in_ball(0.5, v, s), w, c)
+
+        def distance(a: GyroPoint, b: GyroPoint) -> float:
+            return _einstein_distance(a.coords, b.coords, s)
     else:
         def raw_add(u: tuple, v: tuple) -> tuple:
             return _mobius_add(u, v, c)
 
         def raw_gyr(u: tuple, v: tuple, w: tuple) -> tuple:
             return _mobius_gyr(u, v, w, c)
+
+        def distance(a: GyroPoint, b: GyroPoint) -> float:
+            return _mobius_distance(a.coords, b.coords, s)
 
     def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
         return _point(tag, _clamp_ball(raw_add(a.coords, b.coords), s))
@@ -427,13 +448,6 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
 
     def smul(r: float, a: GyroPoint) -> GyroPoint:
         return _point(tag, _clamp_ball(_scale_in_ball(r, a.coords, s), s))
-
-    if cfg.kind == "einstein":
-        def distance(a: GyroPoint, b: GyroPoint) -> float:
-            return _einstein_distance(a.coords, b.coords, s)
-    else:
-        def distance(a: GyroPoint, b: GyroPoint) -> float:
-            return _mobius_distance(a.coords, b.coords, s)
 
     group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
     return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _rapidity_line(s), distance)

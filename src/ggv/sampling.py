@@ -6,6 +6,7 @@ import math
 import random
 
 from .gyrogroup import GyroPoint, _point
+from .models import path_Phi
 from .space import GgvModel, gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -21,8 +22,6 @@ def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -
     """Draw a carrier point of ``m``; ball radii stay within ``margin * s``."""
     kind = m.config.kind
     if kind == "pathological":
-        from .models import path_Phi
-
         return _point(m.tag, (path_Phi(rng.uniform(-LINE_RANGE, LINE_RANGE)),))
     dim = m.config.dim
     if kind == "normed":

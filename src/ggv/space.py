@@ -22,8 +22,8 @@ Distances come in two flavours:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from .errors import DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint
@@ -62,8 +62,8 @@ class GgvModel:
     """A concrete generalized gyrovector space.
 
     Bundles the gyrogroup operations, the scalar action, the injection into
-    the ambient normed space, and the norm-value line.  ``distance`` is an
-    optional stable kernel for the linearized gyrometric: it must agree with
+    the ambient normed space, and the norm-value line.  ``distance`` is the
+    kernel of the linearized gyrometric: it must agree with
     ``lin o gyrometric`` (the suite cross-checks this), but may be formulated
     to avoid the cancellation that the composed route suffers near a ball
     boundary.
@@ -75,7 +75,7 @@ class GgvModel:
     phi: Callable[[GyroPoint], tuple[float, ...]]
     ambient_norm: Callable[[tuple[float, ...]], float]
     nvs: NormValueSpace
-    distance: Callable[[GyroPoint, GyroPoint], float] | None = None
+    distance: Callable[[GyroPoint, GyroPoint], float]
 
     @property
     def tag(self) -> str:
@@ -86,9 +86,18 @@ class GgvModel:
         return self.group.identity
 
 
-def _require_member(s: NormValueSpace, value: NormValue) -> None:
+def _require_member(s: NormValueSpace, value: NormValue) -> NormValue:
+    # Results are checked too: tanh saturates at the edge of the rapidity line.
     if not s.contains(value):
         raise DomainError(f"{value!r} is not in the norm-value set of {s.tag}")
+    return value
+
+
+def _finite_scalar(r: float) -> float:
+    r = float(r)
+    if not math.isfinite(r):
+        raise DomainError(f"scalar {r!r} is not a finite real")
+    return r
 
 
 def otimes(m: GgvModel, r: float, a: GyroPoint) -> GyroPoint:
@@ -98,7 +107,7 @@ def otimes(m: GgvModel, r: float, a: GyroPoint) -> GyroPoint:
     multiplicative in the scalar.
     """
     m.group.validate(a)
-    return m.otimes(float(r), a)
+    return m.otimes(_finite_scalar(r), a)
 
 
 def gnorm(m: GgvModel, a: GyroPoint) -> NormValue:
@@ -115,13 +124,13 @@ def nv_add(s: NormValueSpace, A: NormValue, B: NormValue) -> NormValue:
     """Transplanted vector addition ``A (+)' B`` on the norm-value line."""
     _require_member(s, A)
     _require_member(s, B)
-    return s.nv_add(A, B)
+    return _require_member(s, s.nv_add(A, B))
 
 
 def nv_smul(s: NormValueSpace, r: float, A: NormValue) -> NormValue:
     """Transplanted scalar multiplication ``r (x)' A`` on the norm-value line."""
     _require_member(s, A)
-    return s.nv_smul(float(r), A)
+    return _require_member(s, s.nv_smul(_finite_scalar(r), A))
 
 
 def linearize(s: NormValueSpace, A: NormValue) -> float:
@@ -132,12 +141,7 @@ def linearize(s: NormValueSpace, A: NormValue) -> float:
 
 def delinearize(s: NormValueSpace, t: float) -> NormValue:
     """Preimage of a real under the linearizing bijection."""
-    A = s.lin_inv(float(t))
-    if not s.contains(A):
-        # lin_inv is a bijection onto the norm-value set, so this can only
-        # trigger on a mis-specified model.
-        raise RuntimeError(f"lin_inv of {s.tag} left the norm-value set: {t!r} -> {A!r}")
-    return A
+    return _require_member(s, s.lin_inv(float(t)))
 
 
 def nv_le_nonneg(s: NormValueSpace, A: NormValue, B: NormValue) -> bool:
@@ -157,13 +161,7 @@ def gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
     """Gyrometric ``rho(a, b) = |phi(a (-) b)|``, returned as a norm value."""
     m.group.validate(a)
     m.group.validate(b)
-    return _gyrometric(m, a, b)
-
-
-def _gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
-    # gyrometric for points that package code sampled or computed.
-    diff = m.group.add(a, m.group.inv(b))
-    return m.ambient_norm(m.phi(diff))
+    return m.ambient_norm(m.phi(m.group.add(a, m.group.inv(b))))
 
 
 def gyromidpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
@@ -193,14 +191,7 @@ def metric_distance(m: GgvModel, a: GyroPoint, b: GyroPoint) -> float:
     """
     m.group.validate(a)
     m.group.validate(b)
-    return _distance(m, a, b)
-
-
-def _distance(m: GgvModel, a: GyroPoint, b: GyroPoint) -> float:
-    # metric_distance for points that package code sampled or computed.
-    if m.distance is not None:
-        return m.distance(a, b)
-    return m.nvs.lin(_gyrometric(m, a, b))
+    return m.distance(a, b)
 
 
 def worst_residual(worst: float, residual: float) -> float:
@@ -212,3 +203,26 @@ def worst_residual(worst: float, residual: float) -> float:
     if not (math.isfinite(worst) and math.isfinite(residual)):
         return math.inf
     return residual if residual > worst else worst
+
+
+class Report:
+    """JSON form shared by the frozen report dataclasses.
+
+    ``to_dict`` writes the class-level ``PROPERTY`` (when set) under
+    ``property``, then each field under its own name, except ``passed``,
+    which is written as ``pass``.  A point is written as its coordinates and
+    a tuple as a list.
+    """
+
+    PROPERTY: ClassVar[str] = ""
+
+    def to_dict(self) -> dict:
+        out = {"property": self.PROPERTY} if self.PROPERTY else {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, GyroPoint):
+                value = list(value.coords)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out["pass" if f.name == "passed" else f.name] = value
+        return out

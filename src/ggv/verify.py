@@ -24,6 +24,7 @@ from .sampling import (
 from .space import (
     DEFAULT_TOLERANCE,
     GgvModel,
+    Report,
     gnorm,
     gyrometric,
     gyromidpoint,
@@ -47,7 +48,7 @@ DrawFn = Callable[[GgvModel, random.Random], float]
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Report):
     """Pass/fail record for one property on one model."""
 
     property: str
@@ -57,21 +58,6 @@ class VerificationReport:
     max_residual: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "model": self.model,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def _d(m: GgvModel, x, y) -> float:
-    return metric_distance(m, x, y)
 
 
 def _dn(m: GgvModel, A, B) -> float:
@@ -95,7 +81,7 @@ def _ggv0(m, rng):
 
 def _ggv1(m, rng):
     a = sample_point(m, rng)
-    return _d(m, otimes(m, 1.0, a), a)
+    return metric_distance(m, otimes(m, 1.0, a), a)
 
 
 def _ggv2(m, rng):
@@ -106,13 +92,13 @@ def _ggv2(m, rng):
     r1, r2 = sample_scalar(rng), sample_scalar(rng)
     lhs = otimes(m, r1 + r2, a)
     rhs = oplus(m.group, otimes(m, r1, a), otimes(m, r2, a))
-    return _d(m, lhs, rhs)
+    return metric_distance(m, lhs, rhs)
 
 
 def _ggv3(m, rng):
     a = sample_point(m, rng, 0.8)
     r1, r2 = sample_scalar(rng), sample_scalar(rng)
-    return _d(m, otimes(m, r1 * r2, a), otimes(m, r1, otimes(m, r2, a)))
+    return metric_distance(m, otimes(m, r1 * r2, a), otimes(m, r1, otimes(m, r2, a)))
 
 
 def _ggv4(m, rng):
@@ -132,13 +118,13 @@ def _ggv5(m, rng):
     r = sample_scalar(rng)
     lhs = gyr_apply(m.group, u, v, otimes(m, r, a))
     rhs = otimes(m, r, gyr_apply(m.group, u, v, a))
-    return _d(m, lhs, rhs)
+    return metric_distance(m, lhs, rhs)
 
 
 def _ggv6(m, rng):
     v, a = sample_point(m, rng), sample_point(m, rng)
     r1, r2 = sample_scalar(rng), sample_scalar(rng)
-    return _d(m, gyr_apply(m.group, otimes(m, r1, v), otimes(m, r2, v), a), a)
+    return metric_distance(m, gyr_apply(m.group, otimes(m, r1, v), otimes(m, r2, v), a), a)
 
 
 def _ggv7(m, rng):
@@ -161,21 +147,21 @@ def _ggv8(m, rng):
 def _unit_laws(m, rng):
     a = sample_point(m, rng)
     g = m.group
-    res = _d(m, oplus(g, g.identity, a), a)
-    res = worst_residual(res, _d(m, oplus(g, ominus(g, a), a), g.identity))
-    return worst_residual(res, _d(m, gyr_apply(g, g.identity, a, a), a))
+    res = metric_distance(m, oplus(g, g.identity, a), a)
+    res = worst_residual(res, metric_distance(m, oplus(g, ominus(g, a), a), g.identity))
+    return worst_residual(res, metric_distance(m, gyr_apply(g, g.identity, a, a), a))
 
 
 def _left_cancellation(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
     g = m.group
-    return _d(m, oplus(g, ominus(g, a), oplus(g, a, b)), b)
+    return metric_distance(m, oplus(g, ominus(g, a), oplus(g, a, b)), b)
 
 
 def _gyrocommutativity(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
     g = m.group
-    return _d(m, oplus(g, a, b), gyr_apply(g, a, b, oplus(g, b, a)))
+    return metric_distance(m, oplus(g, a, b), gyr_apply(g, a, b, oplus(g, b, a)))
 
 
 def _gyroautomorphism(m, rng):
@@ -183,30 +169,30 @@ def _gyroautomorphism(m, rng):
     g = m.group
     lhs = gyr_apply(g, u, v, oplus(g, a, b))
     rhs = oplus(g, gyr_apply(g, u, v, a), gyr_apply(g, u, v, b))
-    return _d(m, lhs, rhs)
+    return metric_distance(m, lhs, rhs)
 
 
 def _left_loop(m, rng):
     u, v, a = (sample_point(m, rng) for _ in range(3))
     g = m.group
-    return _d(m, gyr_apply(g, oplus(g, u, v), v, a), gyr_apply(g, u, v, a))
+    return metric_distance(m, gyr_apply(g, oplus(g, u, v), v, a), gyr_apply(g, u, v, a))
 
 
 def _gyration_inversion(m, rng):
     u, v, a = (sample_point(m, rng) for _ in range(3))
     g = m.group
-    return _d(m, gyr_apply(g, v, u, gyr_apply(g, u, v, a)), a)
+    return metric_distance(m, gyr_apply(g, v, u, gyr_apply(g, u, v, a)), a)
 
 
 def _gyr_matches_composition(m, rng):
     u, v, a = (sample_point(m, rng) for _ in range(3))
     g = m.group
-    return _d(m, gyr_apply(g, u, v, a), gyr_via_composition(g, u, v, a))
+    return metric_distance(m, gyr_apply(g, u, v, a), gyr_via_composition(g, u, v, a))
 
 
 def _coaddition_commutes(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
-    return _d(m, coplus(m.group, a, b), coplus(m.group, b, a))
+    return metric_distance(m, coplus(m.group, a, b), coplus(m.group, b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +204,18 @@ def _unit_norm_is_zero(m, rng):
 
 
 def _scalars_fix_unit(m, rng):
-    return _d(m, otimes(m, sample_scalar(rng, -4.0, 4.0), m.identity), m.identity)
+    return metric_distance(m, otimes(m, sample_scalar(rng, -4.0, 4.0), m.identity), m.identity)
 
 
 def _zero_scalar_gives_unit(m, rng):
-    return _d(m, otimes(m, 0.0, sample_point(m, rng)), m.identity)
+    return metric_distance(m, otimes(m, 0.0, sample_point(m, rng)), m.identity)
 
 
 def _negation_is_inverse(m, rng):
     a = sample_point(m, rng)
     alpha = sample_scalar(rng)
     g = m.group
-    return _d(m, ominus(g, otimes(m, alpha, a)), otimes(m, -alpha, a))
+    return metric_distance(m, ominus(g, otimes(m, alpha, a)), otimes(m, -alpha, a))
 
 
 def _nonzero_scaling_keeps_nonunit(m, rng):
@@ -291,12 +277,12 @@ def _midpoint_equidistant(m, rng):
 def _midpoint_forms_agree(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
     via_coaddition = otimes(m, 0.5, coplus(m.group, a, b))
-    return _d(m, gyromidpoint(m, a, b), via_coaddition)
+    return metric_distance(m, gyromidpoint(m, a, b), via_coaddition)
 
 
 def _midpoint_symmetric(m, rng):
     a, b = sample_point(m, rng), sample_point(m, rng)
-    return _d(m, gyromidpoint(m, a, b), gyromidpoint(m, b, a))
+    return metric_distance(m, gyromidpoint(m, a, b), gyromidpoint(m, b, a))
 
 
 def _metric_self_zero(m, rng):

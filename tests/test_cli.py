@@ -58,6 +58,28 @@ def test_eval_rejects_malformed_points(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("model,expr", [
+    ("einstein", "otimes nan 0.1,0"),
+    ("einstein", "otimes inf 0.1,0"),
+    ("einstein", "nvsmul nan 0.5"),
+    ("pathological", "otimes 1000 3"),
+    ("pathological", "otimes 1.7e308 3"),
+    ("pathological", "oplus 1e308 1e308"),
+    ("pathological", "delinearize 1000"),
+    ("pathological", "nvsmul 1e6 3"),
+    ("pathological", "nvadd 1e308 1e308"),
+    ("einstein", "delinearize 1e9"),
+    ("einstein", "delinearize nan"),
+    ("einstein", "nvsmul 40 0.5"),
+])
+def test_bad_scalars_and_results_off_the_carrier_are_domain_errors(capsys, model, expr):
+    code, out, err = run_cli(capsys, "eval", "--model", model, "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggv: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "--model", "klein", "--expr", "oplus 1 2"])

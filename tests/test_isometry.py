@@ -36,6 +36,7 @@ from ggv import (
 from ggv.isometry import CONSTRUCTION_PAIRS
 from ggv.sampling import sample_point
 from ggv.space import gyrometric, nv_smul
+from ggv.verify import GROUPS, run_check
 
 TOL = 1e-9
 
@@ -444,6 +445,47 @@ def test_cross_instance_maps_satisfy_the_experiments():
     x1, x2 = sample_point(domain, rng, 0.7), sample_point(domain, rng, 0.7)
     trace = defect_experiment(T, x1, x2, n_max=5)
     assert trace.passed, trace.to_dict()
+
+
+def test_a_cross_instance_map_is_verified_once(monkeypatch):
+    calls = []
+    measure = ggv.isometry.map_preservation_residual
+
+    def counted(T, n_pairs, seed):
+        calls.append((n_pairs, seed))
+        return measure(T, n_pairs, seed)
+
+    monkeypatch.setattr(ggv.isometry, "map_preservation_residual", counted)
+    domain = make_model(ModelConfig("einstein", dim=2, s=1.0))
+    codomain = make_model(ModelConfig("einstein", dim=2, s=1.0))
+    T = random_isometry_between(domain, codomain, seed=17, depth=5)
+    assert calls == [(CONSTRUCTION_PAIRS, 17)]
+    assert T.preservation[0] == 17
+    assert len(T.recipe) == 6  # two in the domain, the transport, three in the codomain
+
+
+def test_report_dicts_keep_their_keys(einstein2):
+    T = random_isometry(einstein2, seed=5, depth=2)
+    rng = random.Random(5)
+    x1, x2 = sample_point(einstein2, rng, 0.7), sample_point(einstein2, rng, 0.7)
+    check = run_check(einstein2, "GGV1", dict(GROUPS["axioms"])["GGV1"], seed=5, samples=3)
+    midpoint = verify_midpoint_preservation(T, 3, seed=5)
+    decomposition = decompose_mazur_ulam(T, 3, seed=5)
+    trace = defect_experiment(T, x1, x2, n_max=2)
+    assert set(check.to_dict()) == {
+        "property", "model", "seed", "samples", "max_residual", "tolerance", "pass"}
+    assert midpoint.to_dict()["property"] == "midpoint_preservation"
+    assert set(midpoint.to_dict()) == {"property", "samples", "max_residual", "pass", "seed", "tolerance"}
+    assert decomposition.to_dict()["property"] == "translation_isomorphism_decomposition"
+    assert set(decomposition.to_dict()) == {
+        "property", "translation_part", "additivity_residual", "homogeneity_residual",
+        "isometry_residual", "dyadic_residual", "coaddition_residual", "pass", "samples",
+        "seed", "tolerance"}
+    assert decomposition.to_dict()["translation_part"] == list(decomposition.translation_part.coords)
+    assert trace.to_dict()["property"] == "midpoint_defect"
+    assert set(trace.to_dict()) == {
+        "property", "defect", "iterates", "bound", "fixed_point_residual", "pass", "tolerance"}
+    assert trace.to_dict()["iterates"] == list(trace.iterates)
 
 
 def test_construction_error_reports_diagnostics(einstein2):
