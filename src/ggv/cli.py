@@ -25,7 +25,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .errors import ConfigError, DomainError, GgvError
+from .errors import ConfigError, DomainError, GgvError, SamplingError
 from .gyrogroup import GyroPoint, coplus, gyr_apply, ominus, oplus
 from .isometry import (
     N_MAX_LIMIT,
@@ -288,7 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "decompose":
             return _cmd_decompose(m, args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ConfigError, DomainError) as exc:
+    except (UsageError, ConfigError, DomainError, SamplingError) as exc:
         print(f"ggv: error: {exc}", file=sys.stderr)
         return 2
     except GgvError as exc:

@@ -21,5 +21,9 @@ class MapConstructionError(GgvError, RuntimeError):
     """A generated map failed its gyrometric-preservation check."""
 
 
+class SamplingError(GgvError, RuntimeError):
+    """A sampler found no draw meeting its separation threshold."""
+
+
 class BoundaryClampWarning(RuntimeWarning):
     """A ball-model result was pulled back inside the open ball after rounding."""

@@ -12,6 +12,16 @@ A package-built map validates its argument once per call, at the entry of
 trust the points their predecessors computed.  The experiments validate their
 inputs at entry and then run on points they sampled or computed themselves.
 
+The preservation check, the midpoint experiment and the decomposition run on
+*blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
+check is one vectorized pass.  Every model kernel and every package-built map
+direction carries its block form as a ``block`` attribute, rounding each row
+exactly as the point form rounds it; a kernel or map without one (a user-built
+``GyroMap``, a kernel swapped in by hand) is lifted row by row through its
+point form, so the reports are the same either way.  Samples are drawn from
+the same streams in the same order as a loop over points would draw them.
+The defect experiment's doubling chain is sequential and stays on points.
+
 Three experiments probe what such maps must do:
 
 * every gyrometric-preserving surjection maps gyromidpoints to gyromidpoints;
@@ -27,15 +37,17 @@ Three experiments probe what such maps must do:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _point
+from .models import _same
 from .sampling import sample_point
-from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_residual
+from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_of, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
 # handed out.
@@ -48,7 +60,13 @@ N_MAX_LIMIT = 20
 # plus GENERAL_SCALARS uniform draws from the same interval.
 SCALAR_RANGE = 4.0
 DYADIC_DEPTH = 6
+DYADIC_SCALARS = tuple(sorted(
+    {m / 2 ** n for n in range(DYADIC_DEPTH + 1) for m in range(-4 * 2 ** n, 4 * 2 ** n + 1)}
+))
 GENERAL_SCALARS = 32
+
+# A block of carrier points: ``dim`` float64 columns, one row per point.
+Block = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +143,22 @@ class DefectTrace(Report):
 # ---------------------------------------------------------------------------
 
 def _checked(
-    validate: Callable[[GyroPoint], None], unchecked: Callable[[GyroPoint], GyroPoint]
+    validate: Callable[[GyroPoint], None],
+    unchecked: Callable[[GyroPoint], GyroPoint],
+    block: Callable[[Block], Block] | None,
 ) -> Callable[[GyroPoint], GyroPoint]:
     """A map callable that validates its argument, then runs ``unchecked``.
 
     ``unchecked`` stays reachable as an attribute: compositions and the
     experiments call it on points that package code sampled or computed.
+    So does ``block``, the same map on blocks of such points, or ``None``.
     """
     def call(x: GyroPoint) -> GyroPoint:
         validate(x)
         return unchecked(x)
 
     call.unchecked = unchecked
+    call.block = block
     return call
 
 
@@ -146,10 +168,16 @@ def _package_map(
     apply: Callable[[GyroPoint], GyroPoint],
     inverse_apply: Callable[[GyroPoint], GyroPoint],
     recipe: tuple[dict, ...],
+    blocks: tuple[Callable[[Block], Block], Callable[[Block], Block]] | None = None,
 ) -> GyroMap:
-    """A map whose directions validate their argument, then run the given steps."""
-    return GyroMap(domain, codomain, _checked(domain.group.validate, apply),
-                   _checked(codomain.group.validate, inverse_apply), recipe)
+    """A map whose directions validate their argument, then run the given steps.
+
+    ``blocks`` is the pair of directions on blocks; without it the
+    experiments lift the map row by row.
+    """
+    apply_block, inverse_block = blocks or (None, None)
+    return GyroMap(domain, codomain, _checked(domain.group.validate, apply, apply_block),
+                   _checked(codomain.group.validate, inverse_apply, inverse_block), recipe)
 
 
 def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroPoint]:
@@ -172,9 +200,69 @@ def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroP
     return checked_image
 
 
+# ---------------------------------------------------------------------------
+# Blocks.
+# ---------------------------------------------------------------------------
+
+def _block(points: Sequence[GyroPoint]) -> Block:
+    return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
+
+
+def _row_wise(fn: Callable, tag: str) -> Callable:
+    """The block form of ``fn``, evaluated row by row through ``fn`` itself.
+
+    A block argument is split into points of ``tag``, a column into its
+    entries, and a scalar repeats.  A point-valued ``fn`` gives a block, a
+    real-valued one a column.
+    """
+    def block(*args):
+        rows = []
+        for arg in args:
+            if isinstance(arg, tuple):
+                rows.append([_point(tag, row) for row in zip(*(column.tolist() for column in arg))])
+            elif isinstance(arg, np.ndarray):
+                rows.append(arg.tolist())
+            else:
+                rows.append(repeat(arg))
+        out = [fn(*row) for row in zip(*rows)]
+        return _block(out) if isinstance(out[0], GyroPoint) else np.array(out, dtype=np.float64)
+
+    return block
+
+
+def _on_blocks(m: GgvModel) -> GgvModel:
+    """``m`` with each kernel replaced by its block form.
+
+    A kernel without a ``block`` attribute (one swapped in by hand, or
+    wrapped from outside) is lifted row by row through its point form.
+    """
+    g = m.group
+
+    def form(kernel: Callable) -> Callable:
+        return getattr(kernel, "block", None) or _row_wise(kernel, m.tag)
+
+    group = replace(g, add=form(g.add), inv=form(g.inv), gyr=form(g.gyr))
+    return replace(m, group=group, otimes=form(m.otimes), distance=form(m.distance))
+
+
+def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
+    """``T.apply`` on blocks of carrier points.
+
+    The block form of a package-built map; otherwise ``_unchecked(T)`` row by
+    row, which validates the images of a user-built map.
+    """
+    return getattr(T.apply, "block", None) or _row_wise(_unchecked(T), T.domain_model.tag)
+
+
+def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
+    """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
+    points = [sample_point(m, rng, margin) for _ in range(2 * n)]
+    return _block(points[0::2]), _block(points[1::2])
+
+
 def identity_map(m: GgvModel) -> GyroMap:
     """The identity of a carrier."""
-    return _package_map(m, m, lambda x: x, lambda x: x, ({"kind": "identity"},))
+    return _package_map(m, m, _same, _same, ({"kind": "identity"},), (_same, _same))
 
 
 def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
@@ -190,8 +278,11 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
         # Left cancellation makes this an exact two-sided inverse.
         return g.add(neg_c, y)
 
+    # On blocks, a point's coordinates broadcast against the columns.
+    add = getattr(g.add, "block", None)
+    blocks = (lambda x: add(c.coords, x), lambda y: add(neg_c.coords, y)) if add else None
     recipe = ({"kind": "left_translation", "center": list(c.coords)},)
-    return _package_map(m, m, apply, inverse_apply, recipe)
+    return _package_map(m, m, apply, inverse_apply, recipe, blocks)
 
 
 def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
@@ -207,8 +298,14 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     def reflect(x: GyroPoint) -> GyroPoint:
         return g.add(double_a, g.inv(x))
 
+    add, inv = getattr(g.add, "block", None), getattr(g.inv, "block", None)
+
+    def reflect_block(x: Block) -> Block:
+        return add(double_a.coords, inv(x))
+
+    blocks = (reflect_block, reflect_block) if add and inv else None
     recipe = ({"kind": "point_reflection", "center": list(a.coords)},)
-    return _package_map(m, m, reflect, reflect, recipe)
+    return _package_map(m, m, reflect, reflect, recipe, blocks)
 
 
 def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
@@ -232,14 +329,20 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
                 raise PreconditionError("rotation matrix is not orthogonal")
     tag = m.tag
 
+    def rotate(x: tuple) -> tuple:
+        return tuple(sum(r * cx for r, cx in zip(row, x)) for row in rows)
+
+    def unrotate(y: tuple) -> tuple:
+        return tuple(sum(rows[k][i] * y[k] for k in range(dim)) for i in range(dim))
+
     def apply(x: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(sum(r * cx for r, cx in zip(row, x.coords)) for row in rows))
+        return _point(tag, rotate(x.coords))
 
     def inverse_apply(y: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(sum(rows[k][i] * y.coords[k] for k in range(dim)) for i in range(dim)))
+        return _point(tag, unrotate(y.coords))
 
     recipe = ({"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},)
-    return _package_map(m, m, apply, inverse_apply, recipe)
+    return _package_map(m, m, apply, inverse_apply, recipe, (rotate, unrotate))
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -260,14 +363,15 @@ def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
     def inverse_apply(y: GyroPoint) -> GyroPoint:
         return _point(domain.tag, y.coords)
 
-    return _package_map(domain, codomain, apply, inverse_apply, ({"kind": "transport"},))
+    return _package_map(domain, codomain, apply, inverse_apply, ({"kind": "transport"},), (_same, _same))
 
 
 def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
     """Compose maps left to right: the first map is applied first.
 
     The composition validates its argument once, on entry, and runs the
-    unchecked steps of its package-built maps.
+    unchecked steps of its package-built maps.  It has a block form when
+    every step has one.
     """
     chain = list(maps)
     if not chain:
@@ -281,20 +385,24 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
         return chain[0]
     steps = [_unchecked(mp) for mp in chain]
     inverse_steps = [_unchecked(mp, inverse=True) for mp in reversed(chain)]
+    block_steps = [getattr(mp.apply, "block", None) for mp in chain]
+    inverse_block_steps = [getattr(mp.inverse_apply, "block", None) for mp in reversed(chain)]
+    blocks = None
+    if None not in block_steps + inverse_block_steps:
+        blocks = (_chain(block_steps), _chain(inverse_block_steps))
+    domain, codomain = chain[0].domain_model, chain[-1].codomain_model
+    recipe = tuple(step for mp in chain for step in mp.recipe)
+    return _package_map(domain, codomain, _chain(steps), _chain(inverse_steps), recipe, blocks)
 
-    def apply(x: GyroPoint) -> GyroPoint:
+
+def _chain(steps: list[Callable]) -> Callable:
+    """Run ``steps`` in order, each on the result of the one before."""
+    def run(x):
         for step in steps:
             x = step(x)
         return x
 
-    def inverse_apply(y: GyroPoint) -> GyroPoint:
-        for step in inverse_steps:
-            y = step(y)
-        return y
-
-    domain, codomain = chain[0].domain_model, chain[-1].codomain_model
-    recipe = tuple(step for mp in chain for step in mp.recipe)
-    return _package_map(domain, codomain, apply, inverse_apply, recipe)
+    return run
 
 
 def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, ...], ...]:
@@ -319,14 +427,13 @@ def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
     The pairs are drawn in a fixed order from ``seed``, so the pairs of a
     shorter check are a prefix of those of a longer one.
     """
+    if n_pairs < 1:
+        return 0.0
     rng = random.Random(f"{seed}:preservation")
-    m1, m2 = T.domain_model, T.codomain_model
-    apply = _unchecked(T)
-    worst = 0.0
-    for _ in range(n_pairs):
-        a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
-        worst = worst_residual(worst, abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)))
-    return worst
+    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
+    apply = _apply_block(T)
+    a, b = _sample_pairs(T.domain_model, rng, 0.9, n_pairs)
+    return worst_of(abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)))
 
 
 def require_gyrometric_preserving(
@@ -446,21 +553,14 @@ def verify_midpoint_preservation(
     if n_samples < 1:
         raise PreconditionError("n_samples must be >= 1")
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    m1, m2 = T.domain_model, T.codomain_model
-    apply = _unchecked(T)
+    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
+    apply = _apply_block(T)
     rng = random.Random(f"{seed}:midpoint")
-    worst = 0.0
-    for _ in range(n_samples):
-        a, b = sample_point(m1, rng, 0.9), sample_point(m1, rng, 0.9)
-        image_of_mid = apply(_midpoint(m1, a, b))
-        mid_of_images = _midpoint(m2, apply(a), apply(b))
-        worst = worst_residual(worst, m2.distance(image_of_mid, mid_of_images))
+    a, b = _sample_pairs(T.domain_model, rng, 0.9, n_samples)
+    image_of_mid = apply(_midpoint(m1, a, b))
+    mid_of_images = _midpoint(m2, apply(a), apply(b))
+    worst = worst_of(m2.distance(image_of_mid, mid_of_images))
     return MidpointReport(n_samples, worst, worst <= tolerance, seed, tolerance)
-
-
-def _dyadic_scalars() -> list[float]:
-    values = {m / 2 ** n for n in range(DYADIC_DEPTH + 1) for m in range(-4 * 2 ** n, 4 * 2 ** n + 1)}
-    return sorted(values)
 
 
 def decompose_mazur_ulam(
@@ -475,44 +575,36 @@ def decompose_mazur_ulam(
     if n_samples < 1:
         raise PreconditionError("n_samples must be >= 1")
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    m1, m2 = T.domain_model, T.codomain_model
+    translation_part = _unchecked(T)(T.domain_model.identity)
+    neg_te = T.codomain_model.group.inv(translation_part)
+    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     g1, g2 = m1.group, m2.group
-    apply = _unchecked(T)
-    translation_part = apply(g1.identity)
-    neg_te = g2.inv(translation_part)
+    apply = _apply_block(T)
 
-    def T0(x: GyroPoint) -> GyroPoint:
-        return g2.add(neg_te, apply(x))
+    def T0(x: Block) -> Block:
+        return g2.add(tuple(np.full(len(x[0]), c) for c in neg_te.coords), apply(x))
 
     rng = random.Random(f"{seed}:decomposition")
-    additivity = 0.0
-    coaddition = 0.0
-    isometry = 0.0
-    for _ in range(n_samples):
-        a, b = sample_point(m1, rng, 0.8), sample_point(m1, rng, 0.8)
-        ta, tb = T0(a), T0(b)
-        additivity = worst_residual(additivity, m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)))
-        co1 = g1.add(a, g1.gyr(a, g1.inv(b), b))
-        co2 = g2.add(ta, g2.gyr(ta, g2.inv(tb), tb))
-        coaddition = worst_residual(coaddition, m2.distance(T0(co1), co2))
-        isometry = worst_residual(isometry, abs(m2.distance(ta, tb) - m1.distance(a, b)))
+    a, b = _sample_pairs(T.domain_model, rng, 0.8, n_samples)
+    ta, tb = T0(a), T0(b)
+    additivity = worst_of(m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)))
+    co1 = g1.add(a, g1.gyr(a, g1.inv(b), b))
+    co2 = g2.add(ta, g2.gyr(ta, g2.inv(tb), tb))
+    coaddition = worst_of(m2.distance(T0(co1), co2))
+    isometry = worst_of(abs(m2.distance(ta, tb) - m1.distance(a, b)))
 
     # Homogeneity: base points stay deep inside the ball because the scalar
-    # range pushes iterates toward the boundary.
-    base_points = [sample_point(m1, rng, 0.6) for _ in range(3)]
-    images = [T0(x) for x in base_points]
-
-    def homogeneity_gap(worst: float, alpha: float) -> float:
-        for x, tx in zip(base_points, images):
-            worst = worst_residual(worst, m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx)))
-        return worst
-
-    dyadic = 0.0
-    for alpha in _dyadic_scalars():
-        dyadic = homogeneity_gap(dyadic, alpha)
-    homogeneity = dyadic
-    for _ in range(GENERAL_SCALARS):
-        homogeneity = homogeneity_gap(homogeneity, rng.uniform(-SCALAR_RANGE, SCALAR_RANGE))
+    # range pushes iterates toward the boundary.  One row per scalar and base
+    # point, the dyadic ladder first.
+    n_base = 3
+    base = _block([sample_point(T.domain_model, rng, 0.6) for _ in range(n_base)])
+    scalars = DYADIC_SCALARS + tuple(rng.uniform(-SCALAR_RANGE, SCALAR_RANGE) for _ in range(GENERAL_SCALARS))
+    alpha = np.repeat(scalars, n_base)
+    x = tuple(np.tile(column, len(scalars)) for column in base)
+    tx = tuple(np.tile(column, len(scalars)) for column in T0(base))
+    gaps = m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx))
+    dyadic = worst_of(gaps[:n_base * len(DYADIC_SCALARS)])
+    homogeneity = worst_of(gaps[n_base * len(DYADIC_SCALARS):], dyadic)
 
     # The dyadic residual is part of the homogeneity residual.
     worst = max(additivity, homogeneity, isometry, coaddition)

@@ -30,6 +30,12 @@ Four constructions are provided, selected by :class:`ModelConfig.kind`:
     :func:`path_Phi`).  The unit is ``1`` and the zero element of its
     norm-value line is the real number ``1``, which makes this model the
     stress test for any code tempted to assume that unit norms vanish.
+
+Each kernel of a model (``group.add``, ``group.inv``, ``group.gyr``,
+``otimes``, ``distance``) evaluates one coordinate formula, and carries the
+same formula on blocks of points as its ``block`` attribute (see
+:func:`_model`); every row of a block rounds exactly as the point kernel
+rounds it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import BoundaryClampWarning, ConfigError, DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint, _point
@@ -51,6 +62,11 @@ KINDS = ("normed", "einstein", "mobius", "pathological")
 # back inside with a warning; gamma factors diverge at the boundary and
 # nothing trustworthy lives beyond this shell.
 BALL_EDGE = 1e-12
+
+# Admissible ball radii.  The ball formulas multiply by c^2 = s^-4, which
+# must stay a normal double: beyond this range gyrations silently lose terms
+# (s = 1e100) or overflow to NaN (s = 1e-100).
+RADIUS_RANGE = (1e-75, 1e75)
 
 # Largest argument whose exp is a finite double: the pathological bijections
 # leave the doubles beyond it.
@@ -77,6 +93,9 @@ class ModelConfig:
         s = self.s
         if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(s) or s <= 0:
             raise ConfigError(f"s must be a positive finite real, got {self.s!r}")
+        low, high = RADIUS_RANGE
+        if not low <= s <= high:
+            raise ConfigError(f"s must lie in [{low:g}, {high:g}], got {self.s!r}")
         object.__setattr__(self, "s", float(s))
         if self.kind == "pathological":
             object.__setattr__(self, "dim", 1)
@@ -194,14 +213,34 @@ def path_T_inv(A: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Shared small-vector helpers (carriers have dimension <= a few).
+#
+# The coordinate formulas below serve points, whose coordinates are a tuple
+# of floats, and blocks, a tuple of ``dim`` float64 columns with one row per
+# point: ``+ - * /`` act elementwise on columns, and ``lib`` supplies the
+# functions that differ (``_POINT`` or ``math`` for points, ``_BLOCK`` for
+# blocks).
 # ---------------------------------------------------------------------------
+
+def _same(x):
+    return x
+
+
+def _columnwise(fn: Callable[[float], float]) -> Callable:
+    """``fn`` applied to each entry of a column; a scalar stays a scalar."""
+    def each(x):
+        if isinstance(x, float):
+            return fn(x)
+        return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
+
+    return each
+
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _norm(u: Sequence[float]) -> float:
-    return math.sqrt(_dot(u, u))
+def _norm(u: Sequence[float], lib=math) -> float:
+    return lib.sqrt(_dot(u, u))
 
 
 def _check_point(p: GyroPoint, tag: str, dim: int) -> None:
@@ -215,35 +254,80 @@ def _check_point(p: GyroPoint, tag: str, dim: int) -> None:
         raise DomainError(f"{tag}: non-finite coordinates {p.coords!r}")
 
 
+def _warn_clamp(n: float, s: float) -> None:
+    # Called from a clamp, itself called from a kernel: the warning names the
+    # line that called the kernel.
+    warnings.warn(
+        f"ball point of norm {n!r} clamped back inside radius {s!r}",
+        BoundaryClampWarning,
+        stacklevel=4,
+    )
+
+
 def _clamp_ball(coords: tuple[float, ...], s: float) -> tuple[float, ...]:
     n = _norm(coords)
     limit = s * (1.0 - BALL_EDGE)
     if n >= limit:
-        warnings.warn(
-            f"ball point of norm {n!r} clamped back inside radius {s!r}",
-            BoundaryClampWarning,
-            stacklevel=3,
-        )
+        _warn_clamp(n, s)
         scale = limit / n
         return tuple(c * scale for c in coords)
     return coords
 
 
-def _scale_in_ball(r: float, u: tuple[float, ...], s: float) -> tuple[float, ...]:
-    # r (x) u = s tanh(r artanh(|u|/s)) u/|u|, with the removable singularity
-    # at the origin returning the origin exactly.
-    n = _norm(u)
-    if n == 0.0:
-        return u
-    t = s * math.tanh(r * math.atanh(n / s))
+def _clamp_block(coords: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, ...]:
+    # _clamp_ball on each row, one warning per clamped row; the other rows
+    # are scaled by exactly 1.
+    n = _norm(coords, _BLOCK)
+    limit = s * (1.0 - BALL_EDGE)
+    clamped = n >= limit
+    if not clamped.any():
+        return coords
+    for norm in n[clamped].tolist():
+        _warn_clamp(norm, s)
+    scale = limit / np.where(clamped, n, limit)
+    return tuple(c * scale for c in coords)
+
+
+def _radial(r, u, n, s, lib):
+    # r (x) u = s tanh(r artanh(|u|/s)) u/|u| for |u| = n > 0.
+    t = s * lib.tanh(r * lib.atanh(n / s))
     return tuple(t * x / n for x in u)
 
 
-def _einstein_add(u: tuple[float, ...], v: tuple[float, ...], s: float) -> tuple[float, ...]:
+def _scale_in_ball(r: float, u: tuple[float, ...], s: float) -> tuple[float, ...]:
+    # The removable singularity at the origin returns the origin exactly.
+    n = _norm(u)
+    return u if n == 0.0 else _radial(r, u, n, s, math)
+
+
+def _scale_block(r, u: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, ...]:
+    # _scale_in_ball on each row; ``r`` is a scalar or a column.
+    n = _norm(u, _BLOCK)
+    with np.errstate(invalid="ignore"):  # 0/0 on the origin rows, kept as they are
+        scaled = _radial(r, u, n, s, _BLOCK)
+    origin = n == 0.0
+    return tuple(np.where(origin, x, y) for x, y in zip(u, scaled))
+
+
+# What the formulas take as ``lib``: the square root and transcendental
+# functions, the boundary clamp and the ball scaling (which branch per row),
+# and ``each``, which lifts a scalar function to the coordinate type.  NumPy's
+# square root is correctly rounded, as libm's is.  The transcendental
+# functions of a block are libm's own mapped over the column: NumPy's differ
+# from libm in the last ulp on a sizable share of arguments, and each row of a
+# block must round exactly like its point.
+_TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p")
+_POINT = SimpleNamespace(sqrt=math.sqrt, **{name: getattr(math, name) for name in _TRANSCENDENTAL},
+                         clamp=_clamp_ball, scale=_scale_in_ball, each=_same)
+_BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name)) for name in _TRANSCENDENTAL},
+                         clamp=_clamp_block, scale=_scale_block, each=_columnwise)
+
+
+def _einstein_add(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> tuple[float, ...]:
     s2 = s * s
     uv = _dot(u, v) / s2
     u2 = _dot(u, u) / s2
-    gamma_u = 1.0 / math.sqrt(1.0 - u2)
+    gamma_u = 1.0 / lib.sqrt(1.0 - u2)
     coeff_u = 1.0 + (gamma_u / (1.0 + gamma_u)) * uv
     coeff_v = 1.0 / gamma_u
     den = 1.0 + uv
@@ -265,7 +349,7 @@ def _mobius_add(u: tuple[float, ...], v: tuple[float, ...], c: float) -> tuple[f
     return tuple((pu * ei + ce2 * ui) / den for ei, ui in zip(e, u))
 
 
-def _mobius_distance(u: tuple[float, ...], v: tuple[float, ...], s: float) -> float:
+def _mobius_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> float:
     # Linearized Mobius distance s*artanh(|(-)u (+) v|/s) through the exact
     # cancellation-free decomposition
     #   1 - 2c<u,v> + c^2|u|^2|v|^2 = (1-c|u|^2)(1-c|v|^2) + c|u-v|^2,
@@ -276,13 +360,13 @@ def _mobius_distance(u: tuple[float, ...], v: tuple[float, ...], s: float) -> fl
     diff = tuple(x - y for x, y in zip(u, v))
     d2 = c * _dot(diff, diff)
     den = pu * pv + d2
-    t = math.sqrt(d2 / den)
+    t = lib.sqrt(d2 / den)
     one_minus_t2 = pu * pv / den
     # artanh(t) = log(1 + t) - log(1 - t^2)/2
-    return s * (math.log1p(t) - 0.5 * math.log(one_minus_t2))
+    return s * (lib.log1p(t) - 0.5 * lib.log(one_minus_t2))
 
 
-def _einstein_distance(u: tuple[float, ...], v: tuple[float, ...], s: float) -> float:
+def _einstein_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> float:
     # Linearized Einstein distance via the gamma identity
     #   gamma((-)u (+) v) = gamma(u) gamma(v) (1 - <u,v>/s^2).
     # With p = 1 - c|u|^2 and D = u - v the needed combinations decompose
@@ -299,10 +383,10 @@ def _einstein_distance(u: tuple[float, ...], v: tuple[float, ...], s: float) -> 
     d2 = _dot(diff, diff)
     q = pu + c * ud
     excess = c * c * ud * ud + c * pu * d2  # = q^2 - pu*pv = (|w|/s)^2 q^2
-    x = math.sqrt(excess) / q
+    x = lib.sqrt(excess) / q
     g = pu * pv / (q * q)  # = 1/gamma(w)^2 = 1 - (|w|/s)^2
     # artanh(x) = log(1 + x) - log(1 - x^2)/2
-    return s * (math.log1p(x) - 0.5 * math.log(g))
+    return s * (lib.log1p(x) - 0.5 * lib.log(g))
 
 
 def _mobius_gyr(u: tuple[float, ...], v: tuple[float, ...], w: tuple[float, ...], c: float) -> tuple[float, ...]:
@@ -375,37 +459,59 @@ def _transplanted_line() -> NormValueSpace:
 # Model factories.
 # ---------------------------------------------------------------------------
 
+def _no_gyration(u, v, w):
+    # Gyrations of a commutative group are the identity, on points as on blocks.
+    return w
+
+
+def _model(cfg: ModelConfig, identity: tuple[float, ...], validate: Callable[[GyroPoint], None],
+           ops: Callable, ambient_norm: Callable, nvs: NormValueSpace) -> GgvModel:
+    """A model whose kernels are ``ops(lib, at, out)``.
+
+    ``ops`` returns the kernels ``add, inv, gyr, smul, distance``, each
+    written once over coordinates: ``at`` gives an argument's coordinates and
+    ``out`` makes the result from coordinates.  On points ``at`` reads
+    ``coords`` and ``out`` builds a point; on blocks, whose columns are the
+    coordinates, both pass their argument through.  Each point kernel carries
+    its block form as its ``block`` attribute.
+    """
+    tag = cfg.tag
+    kernels = ops(_POINT, attrgetter("coords"), partial(_point, tag))
+    for kernel, block in zip(kernels, ops(_BLOCK, _same, _same)):
+        kernel.block = block
+    add, inv, gyr, smul, distance = kernels
+    group = GyroGroupOps(tag, GyroPoint(tag, identity), add, inv, gyr, validate)
+    return GgvModel(cfg, group, smul, lambda a: a.coords, ambient_norm, nvs, distance)
+
+
 def _normed_model(cfg: ModelConfig) -> GgvModel:
     tag, dim = cfg.tag, cfg.dim
-    identity = GyroPoint(tag, (0.0,) * dim)
 
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, dim)
 
-    def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(x + y for x, y in zip(a.coords, b.coords)))
+    def ops(lib, at, out):
+        def add(a, b):
+            return out(tuple(x + y for x, y in zip(at(a), at(b))))
 
-    def inv(a: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(-x for x in a.coords))
+        def inv(a):
+            return out(tuple(-x for x in at(a)))
 
-    def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
-        return a
+        def smul(r, a):
+            return out(tuple(r * x for x in at(a)))
 
-    def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(r * x for x in a.coords))
+        def distance(a, b):
+            # lin(rho(a, b)) = |a + (-b)|, and x + (-y) == x - y in IEEE arithmetic.
+            return _norm(tuple(x - y for x, y in zip(at(a), at(b))), lib)
 
-    def distance(a: GyroPoint, b: GyroPoint) -> float:
-        # lin(rho(a, b)) = |a + (-b)|, and x + (-y) == x - y in IEEE arithmetic.
-        return _norm(tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return add, inv, _no_gyration, smul, distance
 
-    group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _euclidean_line(), distance)
+    return _model(cfg, (0.0,) * dim, validate, ops, _norm, _euclidean_line())
 
 
 def _ball_model(cfg: ModelConfig) -> GgvModel:
     tag, dim, s = cfg.tag, cfg.dim, cfg.s
     c = 1.0 / (s * s)
-    identity = GyroPoint(tag, (0.0,) * dim)
 
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, dim)
@@ -413,49 +519,45 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
         if n >= s:
             raise DomainError(f"{tag}: point of norm {n!r} is outside the open ball")
 
-    if cfg.kind == "einstein":
-        def raw_add(u: tuple, v: tuple) -> tuple:
-            return _einstein_add(u, v, s)
+    def ops(lib, at, out):
+        clamp, scale = lib.clamp, lib.scale
+        if cfg.kind == "einstein":
+            def add(a, b):
+                return out(clamp(_einstein_add(at(a), at(b), s, lib), s))
 
-        def raw_gyr(u: tuple, v: tuple, w: tuple) -> tuple:
-            # Einstein and Mobius gyrations agree after halving the first two
-            # arguments: the half map is a group isomorphism between the two
-            # additions and gyrations are linear, so the radial scalings
-            # cancel.  This keeps the closed form independent of the
-            # composition-of-sums oracle.
-            return _mobius_gyr(_scale_in_ball(0.5, u, s), _scale_in_ball(0.5, v, s), w, c)
+            def gyr(u, v, a):
+                # Einstein and Mobius gyrations agree after halving the first
+                # two arguments: the half map is a group isomorphism between
+                # the two additions and gyrations are linear, so the radial
+                # scalings cancel.  This keeps the closed form independent of
+                # the composition-of-sums oracle.
+                return out(clamp(_mobius_gyr(scale(0.5, at(u), s), scale(0.5, at(v), s), at(a), c), s))
 
-        def distance(a: GyroPoint, b: GyroPoint) -> float:
-            return _einstein_distance(a.coords, b.coords, s)
-    else:
-        def raw_add(u: tuple, v: tuple) -> tuple:
-            return _mobius_add(u, v, c)
+            def distance(a, b):
+                return _einstein_distance(at(a), at(b), s, lib)
+        else:
+            def add(a, b):
+                return out(clamp(_mobius_add(at(a), at(b), c), s))
 
-        def raw_gyr(u: tuple, v: tuple, w: tuple) -> tuple:
-            return _mobius_gyr(u, v, w, c)
+            def gyr(u, v, a):
+                return out(clamp(_mobius_gyr(at(u), at(v), at(a), c), s))
 
-        def distance(a: GyroPoint, b: GyroPoint) -> float:
-            return _mobius_distance(a.coords, b.coords, s)
+            def distance(a, b):
+                return _mobius_distance(at(a), at(b), s, lib)
 
-    def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return _point(tag, _clamp_ball(raw_add(a.coords, b.coords), s))
+        def inv(a):
+            return out(tuple(-x for x in at(a)))
 
-    def inv(a: GyroPoint) -> GyroPoint:
-        return _point(tag, tuple(-x for x in a.coords))
+        def smul(r, a):
+            return out(clamp(scale(r, at(a), s), s))
 
-    def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
-        return _point(tag, _clamp_ball(raw_gyr(u.coords, v.coords, a.coords), s))
+        return add, inv, gyr, smul, distance
 
-    def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return _point(tag, _clamp_ball(_scale_in_ball(r, a.coords, s), s))
-
-    group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, lambda a: a.coords, _norm, _rapidity_line(s), distance)
+    return _model(cfg, (0.0,) * dim, validate, ops, _norm, _rapidity_line(s))
 
 
 def _pathological_model(cfg: ModelConfig) -> GgvModel:
     tag = cfg.tag
-    identity = GyroPoint(tag, (1.0,))
 
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, 1)
@@ -463,26 +565,25 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
         if not (a >= 1.0 or a < -1.0):
             raise DomainError(f"{tag}: {a!r} is outside (-inf, -1) union [1, inf)")
 
-    def add(a: GyroPoint, b: GyroPoint) -> GyroPoint:
-        return _point(tag, (path_Phi(path_Phi_inv(a.coords[0]) + path_Phi_inv(b.coords[0])),))
+    def ops(lib, at, out):
+        Phi, Phi_inv = lib.each(path_Phi), lib.each(path_Phi_inv)
 
-    def inv(a: GyroPoint) -> GyroPoint:
-        return _point(tag, (path_Phi(-path_Phi_inv(a.coords[0])),))
+        def add(a, b):
+            return out((Phi(Phi_inv(at(a)[0]) + Phi_inv(at(b)[0])),))
 
-    def gyr(u: GyroPoint, v: GyroPoint, a: GyroPoint) -> GyroPoint:
-        # The transplanted group is commutative, so every gyration is the identity.
-        return a
+        def inv(a):
+            return out((Phi(-Phi_inv(at(a)[0])),))
 
-    def smul(r: float, a: GyroPoint) -> GyroPoint:
-        return _point(tag, (path_Phi(r * path_Phi_inv(a.coords[0])),))
+        def smul(r, a):
+            return out((Phi(r * Phi_inv(at(a)[0])),))
 
-    def distance(a: GyroPoint, b: GyroPoint) -> float:
-        # lin(rho(a, b)) collapses to the transplanted-coordinate gap
-        return abs(path_Phi_inv(a.coords[0]) - path_Phi_inv(b.coords[0]))
+        def distance(a, b):
+            # lin(rho(a, b)) collapses to the transplanted-coordinate gap
+            return abs(Phi_inv(at(a)[0]) - Phi_inv(at(b)[0]))
 
-    group = GyroGroupOps(tag, identity, add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, lambda a: a.coords, lambda vec: abs(vec[0]),
-                    _transplanted_line(), distance)
+        return add, inv, _no_gyration, smul, distance
+
+    return _model(cfg, (1.0,), validate, ops, lambda vec: abs(vec[0]), _transplanted_line())
 
 
 def make_model(cfg: ModelConfig) -> GgvModel:

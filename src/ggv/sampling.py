@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
 from .models import path_Phi
 from .space import GgvModel, gnorm
@@ -16,6 +17,11 @@ BALL_MARGIN = 0.95
 LINE_RANGE = 5.0
 # Coordinate range for the normed model.
 NORMED_RANGE = 3.0
+# Draws a rejection sampler makes before it gives up.
+ATTEMPTS = 1000
+# Why a point sampler can give up: its thresholds are absolute, while ball
+# points scale with the radius.
+_TOO_SMALL = "the radius is too small for the suite's separation thresholds"
 
 
 def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -> GyroPoint:
@@ -41,11 +47,13 @@ def sample_point_away_from_identity(
     margin: float = BALL_MARGIN,
 ) -> GyroPoint:
     """Draw a point whose linearized norm is at least ``min_lin_norm``."""
-    for _ in range(1000):
+    for _ in range(ATTEMPTS):
         p = sample_point(m, rng, margin)
         if m.nvs.lin(gnorm(m, p)) >= min_lin_norm:
             return p
-    raise RuntimeError(f"could not sample a point of {m.tag} away from the identity")
+    raise SamplingError(
+        f"no point of {m.tag} at linearized norm >= {min_lin_norm:g} in {ATTEMPTS} draws: {_TOO_SMALL}"
+    )
 
 
 def sample_separated_pair(
@@ -55,13 +63,15 @@ def sample_separated_pair(
     margin: float = BALL_MARGIN,
 ) -> tuple[GyroPoint, GyroPoint]:
     """Draw a pair separated by at least ``min_coord_sep`` in carrier coordinates."""
-    for _ in range(1000):
+    for _ in range(ATTEMPTS):
         a = sample_point(m, rng, margin)
         b = sample_point(m, rng, margin)
         sep = math.sqrt(sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)))
         if sep >= min_coord_sep:
             return a, b
-    raise RuntimeError(f"could not sample a separated pair of {m.tag}")
+    raise SamplingError(
+        f"no pair of {m.tag} {min_coord_sep:g} apart in coordinates in {ATTEMPTS} draws: {_TOO_SMALL}"
+    )
 
 
 def sample_scalar(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> float:
@@ -76,8 +86,8 @@ def sample_scalar(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> floa
 
 def sample_scalar_away_from(rng: random.Random, excluded: float, min_gap: float, lo: float = -2.0, hi: float = 2.0) -> float:
     """Draw a scalar at least ``min_gap`` away from ``excluded``."""
-    for _ in range(1000):
+    for _ in range(ATTEMPTS):
         r = rng.uniform(lo, hi)
         if abs(r - excluded) >= min_gap:
             return r
-    raise RuntimeError("could not sample a separated scalar")
+    raise SamplingError(f"no scalar in [{lo:g}, {hi:g}] at least {min_gap:g} from {excluded!r} in {ATTEMPTS} draws")

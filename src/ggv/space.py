@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, ClassVar
 
+import numpy as np
+
 from .errors import DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint
 
@@ -203,6 +205,13 @@ def worst_residual(worst: float, residual: float) -> float:
     if not (math.isfinite(worst) and math.isfinite(residual)):
         return math.inf
     return residual if residual > worst else worst
+
+
+def worst_of(residuals: np.ndarray, worst: float = 0.0) -> float:
+    """``worst_residual`` folded over a column of residuals, from ``worst``."""
+    if not np.isfinite(residuals).all():
+        return math.inf
+    return worst_residual(worst, float(residuals.max())) if residuals.size else worst
 
 
 class Report:

@@ -80,6 +80,25 @@ def test_bad_scalars_and_results_off_the_carrier_are_domain_errors(capsys, model
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--model", "einstein", "--s", "1e200", "--expr", "gnorm 1e199,0"),
+    ("eval", "--model", "mobius", "--s", "1e-200", "--expr", "oplus 1e-201,0 1e-201,0"),
+])
+def test_radii_outside_the_range_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggv: error: s must lie in [1e-75, 1e+75]") and err.count("\n") == 1
+
+
+def test_a_radius_too_small_for_the_suite_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-axioms", "--model", "einstein", "--s", "1e-5", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggv: error:") and err.count("\n") == 1
+    assert "the radius is too small for the suite's separation thresholds" in err
+
+
 def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "--model", "klein", "--expr", "oplus 1 2"])

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import pytest
 
 import ggv.isometry
 from ggv import (
+    BoundaryClampWarning,
     DomainError,
     GyroMap,
     GyroPoint,
@@ -492,3 +494,50 @@ def test_construction_error_reports_diagnostics(einstein2):
     # An absurdly tight tolerance forces the construction check to fail.
     with pytest.raises(MapConstructionError):
         random_isometry(einstein2, seed=23, depth=6, tolerance=1e-18)
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation.
+# ---------------------------------------------------------------------------
+
+def _without_blocks(m):
+    """``m`` with kernels that have no block form, so that everything is lifted row by row."""
+    g = m.group
+    group = dataclasses.replace(g, add=lambda a, b: g.add(a, b), inv=lambda a: g.inv(a),
+                                gyr=lambda u, v, a: g.gyr(u, v, a))
+    return dataclasses.replace(m, group=group, otimes=lambda r, a: m.otimes(r, a),
+                               distance=lambda a, b: m.distance(a, b))
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig("normed", dim=3), ModelConfig("einstein", dim=3), ModelConfig("mobius", dim=2, s=2.5),
+    ModelConfig("pathological"),
+], ids=lambda cfg: cfg.tag)
+def test_block_experiments_match_the_row_wise_lift(cfg):
+    m = make_model(cfg)
+    lifted = _without_blocks(m)
+    for seed in (0, 5):
+        T = random_isometry(m, seed=seed, depth=6)
+        T_lifted = random_isometry(lifted, seed=seed, depth=6)
+        assert T.apply.block is not None and T_lifted.apply.block is None
+        assert T.recipe == T_lifted.recipe
+        assert T.preservation == T_lifted.preservation
+        assert (map_preservation_residual(T, 150, seed + 1)
+                == map_preservation_residual(T_lifted, 150, seed + 1))
+        for experiment in (verify_midpoint_preservation, decompose_mazur_ulam):
+            assert experiment(T, 60, seed).to_dict() == experiment(T_lifted, 60, seed).to_dict()
+
+
+def test_block_experiments_clamp_like_the_row_wise_lift(mobius2):
+    # Translating by a point at the ball's edge pushes images onto the
+    # boundary shell, where every kernel clamps.
+    edge = make_point(mobius2, [1.0 - 1e-13, 0.0])
+    results = []
+    for m in (mobius2, _without_blocks(mobius2)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", BoundaryClampWarning)
+            residual = map_preservation_residual(left_translation(m, edge), 50, seed=2)
+        assert all(w.category is BoundaryClampWarning for w in record)
+        results.append((residual, [str(w.message) for w in record]))
+    assert len(results[0][1]) > 0
+    assert results[0] == results[1]

@@ -1,15 +1,21 @@
 """Model configuration, the pinned line bijections, and model-specific identities."""
 
+import contextlib
 import json
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggv import (
+    BoundaryClampWarning,
     ConfigError,
     DomainError,
+    GyroPoint,
     ModelConfig,
     gnorm,
     make_model,
@@ -21,6 +27,7 @@ from ggv import (
     path_T,
     path_T_inv,
 )
+from ggv.sampling import sample_point
 
 line_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -38,6 +45,25 @@ def test_config_validation():
         ModelConfig("einstein", s=-1.0)
     with pytest.raises(ConfigError):
         ModelConfig("einstein", s=float("inf"))
+    # Radii whose c^2 = s^-4 leaves the normal doubles: Mobius addition turns
+    # into vector addition, gyrations lose terms or coordinates overflow.
+    for s in (1e200, 1e-200, 1e100, 1e-100, 1e76, 1e-76):
+        with pytest.raises(ConfigError, match=r"s must lie in \[1e-75, 1e\+75\]"):
+            ModelConfig("mobius", s=s)
+    for s in (1e75, 1e-75):
+        assert ModelConfig("einstein", s=s).s == s
+
+
+def test_gyrations_hold_at_the_ends_of_the_radius_range():
+    # Gyrations commute with scaling the ball: gyr_s[su, sv](sw) = s gyr_1[u, v](w).
+    u, v, w = (0.5, 0.1), (-0.2, 0.6), (0.3, 0.3)
+    for kind in ("einstein", "mobius"):
+        unit = make_model(ModelConfig(kind, s=1.0))
+        expected = unit.group.gyr(*(make_point(unit, p) for p in (u, v, w))).coords
+        for s in (1e-75, 1e75):
+            m = make_model(ModelConfig(kind, s=s))
+            image = m.group.gyr(*(make_point(m, [s * x for x in p]) for p in (u, v, w)))
+            assert [x / s for x in image.coords] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pathological_forces_dimension_one():
@@ -214,3 +240,109 @@ def test_models_pass_a_quick_axiom_smoke():
         m = make_model(cfg)
         for report in run_group(m, "axioms", seed=42, samples=60):
             assert report.passed, (m.tag, report.property, report.max_residual)
+
+
+# ---------------------------------------------------------------------------
+# Block forms of the kernels.
+# ---------------------------------------------------------------------------
+
+BLOCK_CONFIGS = [
+    ModelConfig("normed", dim=1), ModelConfig("normed", dim=3),
+    ModelConfig("einstein", dim=2), ModelConfig("einstein", dim=3, s=2.5),
+    ModelConfig("mobius", dim=2, s=0.5), ModelConfig("mobius", dim=3),
+    ModelConfig("pathological"),
+]
+
+
+def _block_rows(m, n=40):
+    """Sampled points plus the rows each block form has to get right."""
+    rng = random.Random(17)
+    rows = [m.identity.coords] + [sample_point(m, rng, 0.95).coords for _ in range(n)]
+    if m.config.kind == "pathological":
+        # Beside the unit and beside -1, where the two branches of Phi meet.
+        rows += [(1.0,), (math.nextafter(1.0, 2.0),), (math.nextafter(-1.0, -2.0),), (-1.0000000000000004,)]
+    elif m.config.kind != "normed":
+        # Inside the ball but within BALL_EDGE of its boundary: every result
+        # at least that far out is clamped.
+        s, dim = m.config.s, m.config.dim
+        rows += [tuple(s * (1.0 - 1e-13) * (i == j) for j in range(dim)) for i in range(dim)]
+        rows += [tuple(-s * (1.0 - 5e-13) / math.sqrt(dim) for _ in range(dim))]
+    return rows
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _point_results(fn, args):
+    """``fn`` on each row of ``args``, and the clamp warnings it issued, in order."""
+    with warnings_recorded() as record:
+        results = [fn(*row) for row in zip(*args)]
+    if isinstance(results[0], float):
+        return _bits(results), record
+    return [_bits(p.coords) for p in results], record
+
+
+def _block_results(fn, args):
+    with warnings_recorded() as record:
+        result = fn(*args)
+    if isinstance(result, np.ndarray):
+        return _bits(result.tolist()), record
+    return [_bits(row) for row in zip(*(column.tolist() for column in result))], record
+
+
+@contextlib.contextmanager
+def warnings_recorded():
+    """Record every BoundaryClampWarning, repeated ones included."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", BoundaryClampWarning)
+        yield record
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda cfg: cfg.tag)
+def test_block_kernels_match_the_point_kernels_bit_for_bit(cfg):
+    m = make_model(cfg)
+    tag, g = m.tag, m.group
+    rows = _block_rows(m)
+    shuffled = random.Random(3)
+    a = [GyroPoint(tag, row) for row in rows]
+    b = shuffled.sample(a, len(a))
+    c = shuffled.sample(a, len(a))
+    column = [shuffled.uniform(-3.0, 3.0) for _ in a]
+    column[:4] = [0.0, 1.0, -1.0, 0.5]
+
+    def block_of(points):
+        return tuple(np.array(x) for x in zip(*(p.coords for p in points)))
+
+    cases = [
+        (g.add, (a, b)), (g.add, (b, a)), (g.inv, (a,)), (g.gyr, (a, b, c)), (g.gyr, (b, a, a)),
+        (m.distance, (a, b)), (m.distance, (a, a)),
+        (m.otimes, ([0.5] * len(a), a)), (m.otimes, ([2.0] * len(a), a)), (m.otimes, (column, a)),
+    ]
+    clamped = 0
+    for kernel, args in cases:
+        expected, point_warnings = _point_results(kernel, args)
+        block_args = [np.array(arg) if isinstance(arg[0], float) else block_of(arg) for arg in args]
+        if kernel is m.otimes and len(set(args[0])) == 1:
+            block_args[0] = args[0][0]  # a scalar, not a column
+        got, block_warnings = _block_results(kernel.block, block_args)
+        assert got == expected, kernel.__name__
+        assert [str(w.message) for w in block_warnings] == [str(w.message) for w in point_warnings]
+        assert all(w.category is BoundaryClampWarning for w in block_warnings)
+        clamped += len(block_warnings)
+    assert (clamped > 0) == (m.config.kind in ("einstein", "mobius"))
+
+
+def test_a_block_warns_once_per_clamped_row_with_the_point_message():
+    m = make_model(ModelConfig("mobius", dim=2))
+    edge = (1.0 - 1e-13, 0.0)
+    rows = [(0.1, 0.2), edge, (0.0, -0.3), (0.0, 1.0 - 2e-13)]
+    points = [GyroPoint(m.tag, row) for row in rows]
+    with pytest.warns(BoundaryClampWarning) as point_record:
+        expected = [m.otimes(1.0, p).coords for p in points]
+    block = tuple(np.array(x) for x in zip(*rows))
+    with pytest.warns(BoundaryClampWarning) as block_record:
+        got = m.otimes.block(1.0, block)
+    assert len(block_record) == len(point_record) == 2
+    assert [str(w.message) for w in block_record] == [str(w.message) for w in point_record]
+    assert [tuple(row) for row in zip(*(x.tolist() for x in got))] == expected

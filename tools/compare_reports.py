@@ -1,0 +1,133 @@
+"""Compare the CLI output of two source trees, request by request.
+
+    python3 tools/compare_reports.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (for instance an exported copy of
+the parent commit and the working tree).  A fixed corpus of ``ggv`` requests
+(``verify-mazur-ulam``, ``decompose`` and ``defect`` on all four kinds, dims
+1-3, seeds 0, 7 and 1234, ball radii 1, 0.5 and 2.5, plus the tolerances
+``1e-17``, which fails every map at construction, and ``5e-15``, which fails
+some checks inside the experiments, per command and kind) is run in-process
+against each tree, in a separate interpreter per tree.  Every request whose
+exit code, stdout or stderr differs is printed; the exit status is 1 if any
+differs.
+
+The report ``timestamp`` and the source location of warning lines (file,
+line number and the echoed source line) are masked, since neither is part of
+the report.  Each request starts with fresh warning registries, as a new
+process would.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+SEEDS = (0, 7, 1234)
+BALL_RADII = (None, "0.5", "2.5")
+COMMANDS = (
+    ("verify-mazur-ulam", ("--maps", "3", "--samples", "60")),
+    ("decompose", ("--samples", "100")),
+    ("defect", ("--n-max", "8")),
+)
+KINDS = ("normed", "einstein", "mobius", "pathological")
+FAILING_TOLERANCES = ("1e-17", "5e-15")
+
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+_WARNING = re.compile(r"^.*:\d+: (\w+Warning): ")
+
+
+def corpus() -> list[list[str]]:
+    """The requests, as ``ggv`` argument vectors."""
+    requests = []
+    for command, options in COMMANDS:
+        for kind in KINDS:
+            dims = (1,) if kind == "pathological" else (1, 2, 3)
+            radii = BALL_RADII if kind in ("einstein", "mobius") else (None,)
+            for dim in dims:
+                for s in radii:
+                    for seed in SEEDS:
+                        argv = [command, "--model", kind, "--dim", str(dim), "--seed", str(seed), *options]
+                        requests.append(argv + (["--s", s] if s else []))
+            for tolerance in FAILING_TOLERANCES:
+                requests.append([command, "--model", kind, "--seed", "0", "--tolerance", tolerance, *options])
+    return requests
+
+
+def mask(stdout: str, stderr: str) -> tuple[str, str]:
+    """Blank the timestamp and the source location of each warning."""
+    lines, echo = [], False
+    for line in stderr.splitlines():
+        if echo and line.startswith("  "):
+            lines.append("  <source line>")
+        elif _WARNING.match(line):
+            lines.append(_WARNING.sub(r"<source>: \1: ", line))
+            echo = True
+            continue
+        else:
+            lines.append(line)
+        echo = False
+    return _TIMESTAMP.sub('"timestamp": "<masked>"', stdout), "\n".join(lines)
+
+
+def collect(tree: Path) -> list[dict]:
+    """Run the corpus in this interpreter against ``tree``'s sources."""
+    sys.path.insert(0, str(tree / "src"))
+    from ggv.cli import main
+
+    records = []
+    for argv in corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # Changing the filters invalidates every warning registry.
+            warnings.simplefilter("default", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback in a real process
+                code = f"uncaught {type(exc).__name__}: {exc}"
+        stdout, stderr = mask(out.getvalue(), err.getvalue())
+        records.append({"argv": argv, "code": code, "stdout": stdout, "stderr": stderr})
+    return records
+
+
+def run_tree(tree: Path) -> list[dict]:
+    result = subprocess.run([sys.executable, __file__, "--collect", str(tree)],
+                            check=True, capture_output=True, text=True)
+    return json.loads(result.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        json.dump(collect(args.collect.resolve()), sys.stdout)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("expected two source trees")
+    old, new = (run_tree(tree.resolve()) for tree in args.trees)
+    differing = 0
+    for a, b in zip(old, new):
+        fields = [key for key in ("code", "stdout", "stderr") if a[key] != b[key]]
+        if fields:
+            differing += 1
+            print(f"ggv {' '.join(a['argv'])}: {', '.join(fields)} differ")
+            for key in fields:
+                print(f"  old {key}: {str(a[key])[:400]!r}")
+                print(f"  new {key}: {str(b[key])[:400]!r}")
+    print(f"{len(old)} requests, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
