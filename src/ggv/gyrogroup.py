@@ -103,8 +103,12 @@ def gyr_via_composition(m: GyroGroupOps, u: GyroPoint, v: GyroPoint, a: GyroPoin
     m.validate(u)
     m.validate(v)
     m.validate(a)
-    left = m.inv(m.add(u, v))
-    return m.add(left, m.add(u, m.add(v, a)))
+    return _gyr_via_composition(m, u, v, a)
+
+
+def _gyr_via_composition(m: GyroGroupOps, u, v, a):
+    # gyr_via_composition on points known to be in the carrier, or on blocks.
+    return m.add(m.inv(m.add(u, v)), m.add(u, m.add(v, a)))
 
 
 def coplus(m: GyroGroupOps, a: GyroPoint, b: GyroPoint) -> GyroPoint:
@@ -115,4 +119,9 @@ def coplus(m: GyroGroupOps, a: GyroPoint, b: GyroPoint) -> GyroPoint:
     """
     m.validate(a)
     m.validate(b)
+    return _coplus(m, a, b)
+
+
+def _coplus(m: GyroGroupOps, a, b):
+    # coplus on points known to be in the carrier, or on blocks.
     return m.add(a, m.gyr(a, m.inv(b), b))

@@ -37,15 +37,14 @@ Three experiments probe what such maps must do:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
-from .gyrogroup import GyroPoint, _point
-from .models import _same
+from .gyrogroup import GyroPoint, _coplus, _point
+from .models import Block, _block, _on_blocks, _row_wise, _same
 from .sampling import sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_of, worst_residual
 
@@ -64,10 +63,6 @@ DYADIC_SCALARS = tuple(sorted(
     {m / 2 ** n for n in range(DYADIC_DEPTH + 1) for m in range(-4 * 2 ** n, 4 * 2 ** n + 1)}
 ))
 GENERAL_SCALARS = 32
-
-# A block of carrier points: ``dim`` float64 columns, one row per point.
-Block = tuple[np.ndarray, ...]
-
 
 @dataclass(frozen=True, eq=False)
 class GyroMap:
@@ -203,47 +198,6 @@ def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroP
 # ---------------------------------------------------------------------------
 # Blocks.
 # ---------------------------------------------------------------------------
-
-def _block(points: Sequence[GyroPoint]) -> Block:
-    return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
-
-
-def _row_wise(fn: Callable, tag: str) -> Callable:
-    """The block form of ``fn``, evaluated row by row through ``fn`` itself.
-
-    A block argument is split into points of ``tag``, a column into its
-    entries, and a scalar repeats.  A point-valued ``fn`` gives a block, a
-    real-valued one a column.
-    """
-    def block(*args):
-        rows = []
-        for arg in args:
-            if isinstance(arg, tuple):
-                rows.append([_point(tag, row) for row in zip(*(column.tolist() for column in arg))])
-            elif isinstance(arg, np.ndarray):
-                rows.append(arg.tolist())
-            else:
-                rows.append(repeat(arg))
-        out = [fn(*row) for row in zip(*rows)]
-        return _block(out) if isinstance(out[0], GyroPoint) else np.array(out, dtype=np.float64)
-
-    return block
-
-
-def _on_blocks(m: GgvModel) -> GgvModel:
-    """``m`` with each kernel replaced by its block form.
-
-    A kernel without a ``block`` attribute (one swapped in by hand, or
-    wrapped from outside) is lifted row by row through its point form.
-    """
-    g = m.group
-
-    def form(kernel: Callable) -> Callable:
-        return getattr(kernel, "block", None) or _row_wise(kernel, m.tag)
-
-    group = replace(g, add=form(g.add), inv=form(g.inv), gyr=form(g.gyr))
-    return replace(m, group=group, otimes=form(m.otimes), distance=form(m.distance))
-
 
 def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
     """``T.apply`` on blocks of carrier points.
@@ -588,9 +542,7 @@ def decompose_mazur_ulam(
     a, b = _sample_pairs(T.domain_model, rng, 0.8, n_samples)
     ta, tb = T0(a), T0(b)
     additivity = worst_of(m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)))
-    co1 = g1.add(a, g1.gyr(a, g1.inv(b), b))
-    co2 = g2.add(ta, g2.gyr(ta, g2.inv(tb), tb))
-    coaddition = worst_of(m2.distance(T0(co1), co2))
+    coaddition = worst_of(m2.distance(T0(_coplus(g1, a, b)), _coplus(g2, ta, tb)))
     isometry = worst_of(abs(m2.distance(ta, tb) - m1.distance(a, b)))
 
     # Homogeneity: base points stay deep inside the ball because the scalar

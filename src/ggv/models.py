@@ -44,8 +44,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import BoundaryClampWarning, ConfigError, DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint, _point
-from .space import GgvModel, NormValueSpace
+from .space import GgvModel, NormValueSpace, nv_add, nv_smul
 
 KINDS = ("normed", "einstein", "mobius", "pathological")
 
@@ -233,6 +234,66 @@ def _columnwise(fn: Callable[[float], float]) -> Callable:
         return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
 
     return each
+
+
+# A block of carrier points: ``dim`` float64 columns, one row per point.
+Block = tuple[np.ndarray, ...]
+
+
+def _block(points: Sequence[GyroPoint]) -> Block:
+    return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
+
+
+def _row_wise(fn: Callable, tag: str | None = None) -> Callable:
+    """The block form of ``fn``, evaluated row by row through ``fn`` itself.
+
+    A block argument is split into points of ``tag`` (into coordinate tuples
+    when ``tag`` is ``None``), a column into its entries, and a scalar
+    repeats.  A point-valued ``fn`` gives a block, a vector-valued one a
+    tuple of columns, a real-valued one a column and a truth-valued one a
+    column of bools.
+    """
+    def block(*args):
+        rows = []
+        for arg in args:
+            if isinstance(arg, tuple):
+                coords = zip(*(column.tolist() for column in arg))
+                rows.append([_point(tag, row) for row in coords] if tag else list(coords))
+            elif isinstance(arg, np.ndarray):
+                rows.append(arg.tolist())
+            else:
+                rows.append(repeat(arg))
+        out = [fn(*row) for row in zip(*rows)]
+        if isinstance(out[0], GyroPoint):
+            return _block(out)
+        if isinstance(out[0], tuple):
+            return tuple(np.array(column) for column in zip(*out))
+        return np.array(out, dtype=bool if isinstance(out[0], bool) else np.float64)
+
+    return block
+
+
+def _on_blocks(m: GgvModel) -> GgvModel:
+    """``m`` with each kernel replaced by its block form.
+
+    A kernel without a ``block`` attribute (one swapped in by hand, or
+    wrapped from outside) is lifted row by row through its point form.  The
+    functions of the norm-value line are mapped over the column, as libm's
+    are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over the
+    rows, membership checks included, because norm values drawn through
+    ``lin_inv`` can leave the norm-value set; the first row that does raises
+    the error a loop over the rows would raise.
+    """
+    g, nvs = m.group, m.nvs
+
+    def form(kernel: Callable, tag: str | None = m.tag) -> Callable:
+        return getattr(kernel, "block", None) or _row_wise(kernel, tag)
+
+    group = replace(g, add=form(g.add), inv=form(g.inv), gyr=form(g.gyr))
+    line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
+                   lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
+    return replace(m, group=group, otimes=form(m.otimes), distance=form(m.distance), phi=form(m.phi),
+                   ambient_norm=form(m.ambient_norm, None), nvs=line)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -464,6 +525,14 @@ def _no_gyration(u, v, w):
     return w
 
 
+def _coordinates(a: GyroPoint) -> tuple[float, ...]:
+    # The injection phi of every model: a block's columns are its coordinates.
+    return a.coords
+
+
+_coordinates.block = _same
+
+
 def _model(cfg: ModelConfig, identity: tuple[float, ...], validate: Callable[[GyroPoint], None],
            ops: Callable, ambient_norm: Callable, nvs: NormValueSpace) -> GgvModel:
     """A model whose kernels are ``ops(lib, at, out)``.
@@ -472,16 +541,19 @@ def _model(cfg: ModelConfig, identity: tuple[float, ...], validate: Callable[[Gy
     written once over coordinates: ``at`` gives an argument's coordinates and
     ``out`` makes the result from coordinates.  On points ``at`` reads
     ``coords`` and ``out`` builds a point; on blocks, whose columns are the
-    coordinates, both pass their argument through.  Each point kernel carries
-    its block form as its ``block`` attribute.
+    coordinates, both pass their argument through.  ``ambient_norm(vec,
+    lib)`` is the norm of the ambient space, written the same way.  Each
+    point kernel carries its block form as its ``block`` attribute.
     """
     tag = cfg.tag
     kernels = ops(_POINT, attrgetter("coords"), partial(_point, tag))
     for kernel, block in zip(kernels, ops(_BLOCK, _same, _same)):
         kernel.block = block
     add, inv, gyr, smul, distance = kernels
+    norm = partial(ambient_norm, lib=_POINT)
+    norm.block = partial(ambient_norm, lib=_BLOCK)
     group = GyroGroupOps(tag, GyroPoint(tag, identity), add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, lambda a: a.coords, ambient_norm, nvs, distance)
+    return GgvModel(cfg, group, smul, _coordinates, norm, nvs, distance)
 
 
 def _normed_model(cfg: ModelConfig) -> GgvModel:
@@ -583,7 +655,7 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
 
         return add, inv, _no_gyration, smul, distance
 
-    return _model(cfg, (1.0,), validate, ops, lambda vec: abs(vec[0]), _transplanted_line())
+    return _model(cfg, (1.0,), validate, ops, lambda vec, lib: abs(vec[0]), _transplanted_line())
 
 
 def make_model(cfg: ModelConfig) -> GgvModel:

@@ -119,6 +119,11 @@ def gnorm(m: GgvModel, a: GyroPoint) -> NormValue:
     is the real number ``1`` in the pathological model.
     """
     m.group.validate(a)
+    return _gnorm(m, a)
+
+
+def _gnorm(m: GgvModel, a: GyroPoint) -> NormValue:
+    # gnorm on a point known to be in the carrier, or on a block.
     return m.ambient_norm(m.phi(a))
 
 
@@ -163,7 +168,12 @@ def gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
     """Gyrometric ``rho(a, b) = |phi(a (-) b)|``, returned as a norm value."""
     m.group.validate(a)
     m.group.validate(b)
-    return m.ambient_norm(m.phi(m.group.add(a, m.group.inv(b))))
+    return _gyrometric(m, a, b)
+
+
+def _gyrometric(m: GgvModel, a: GyroPoint, b: GyroPoint) -> NormValue:
+    # gyrometric on points known to be in the carrier, or on blocks.
+    return _gnorm(m, m.group.add(a, m.group.inv(b)))
 
 
 def gyromidpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
@@ -181,7 +191,7 @@ def gyromidpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
 
 
 def _midpoint(m: GgvModel, a: GyroPoint, b: GyroPoint) -> GyroPoint:
-    # gyromidpoint for points that package code sampled or computed.
+    # gyromidpoint on points known to be in the carrier, or on blocks.
     g = m.group
     return g.add(a, m.otimes(0.5, g.add(g.inv(a), b)))
 
@@ -205,6 +215,13 @@ def worst_residual(worst: float, residual: float) -> float:
     if not (math.isfinite(worst) and math.isfinite(residual)):
         return math.inf
     return residual if residual > worst else worst
+
+
+def worst_rows(*columns: np.ndarray) -> np.ndarray:
+    """``worst_residual`` row by row over residual columns: ``+inf`` on a row
+    where any of them is non-finite."""
+    worst = np.maximum.reduce(columns)
+    return np.where(np.isfinite(columns).all(axis=0), worst, np.inf)
 
 
 def worst_of(residuals: np.ndarray, worst: float = 0.0) -> float:

@@ -2,19 +2,38 @@
 
 Every check draws random samples, evaluates one identity or implication, and
 reports the worst linearized residual it saw.  Point identities are measured
-with :func:`ggv.space.metric_distance`, norm-value identities with the
-absolute difference of linearized values, and order implications count
-violations (so their residual is ``0.0`` or ``1.0``).
+with the distance kernel (:func:`ggv.space.metric_distance`), norm-value
+identities with the absolute difference of linearized values, and order
+implications count violations (so their residual is ``0.0`` or ``1.0``).
+
+Each check of :data:`GROUPS` is a :class:`Check`, split in two: ``sample``
+draws the inputs of one sample from the check's seeded stream, and
+``evaluate`` computes the residuals of all samples at once on blocks (see
+:func:`ggv.models._on_blocks`), with the samples stacked row by row.  The
+evaluation calls the model kernels directly, since its points were sampled
+in the carrier; the norm-value operations keep their membership checks.
+Every row rounds exactly as the same formula on points would, so a report
+does not depend on how many samples share a block.  A one-sided check
+returns its signed excess, which the reduction from ``0.0`` clips.  The
+residuals are reduced with :func:`ggv.space.worst_of`, so a NaN or infinite
+row fails its check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from .gyrogroup import coplus, gyr_apply, gyr_via_composition, ominus, oplus
+import numpy as np
+
+from .errors import PreconditionError
+from .gyrogroup import GyroPoint, _coplus, _gyr_via_composition
+from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads verify.oplus)
+from .models import _block, _on_blocks, _row_wise
 from .sampling import (
+    BALL_MARGIN,
     sample_point,
     sample_point_away_from_identity,
     sample_scalar,
@@ -25,15 +44,12 @@ from .space import (
     DEFAULT_TOLERANCE,
     GgvModel,
     Report,
-    gnorm,
-    gyrometric,
-    gyromidpoint,
-    metric_distance,
-    nv_add,
+    _gnorm,
+    _gyrometric,
+    _midpoint,
     nv_le_nonneg,
-    nv_smul,
-    otimes,
-    worst_residual,
+    worst_of,
+    worst_rows,
 )
 
 DEFAULT_SAMPLES = 1000
@@ -45,6 +61,7 @@ SEPARATION = 1e-3
 MIN_DISTINGUISHABLE = 1e-6
 
 DrawFn = Callable[[GgvModel, random.Random], float]
+SampleFn = Callable[[GgvModel, random.Random], tuple]
 
 
 @dataclass(frozen=True)
@@ -60,8 +77,39 @@ class VerificationReport(Report):
     passed: bool
 
 
-def _dn(m: GgvModel, A, B) -> float:
-    return abs(m.nvs.lin(A) - m.nvs.lin(B))
+@dataclass(frozen=True)
+class Check:
+    """One check of the suite, split into drawing and evaluating its samples.
+
+    ``sample(m, rng)`` draws the inputs of one sample: points, scalars, norm
+    values and flags.  ``evaluate(b, *columns)`` takes them stacked, points
+    as blocks and the rest as columns, on the block form ``b`` of the model
+    and returns one residual per row.  Calling a check makes one draw, as a
+    plain :data:`DrawFn` does.
+    """
+
+    sample: SampleFn
+    evaluate: Callable[..., np.ndarray]
+
+    def residuals(self, m: GgvModel, rows: list[tuple]) -> np.ndarray:
+        """The residuals of sampled rows, evaluated in one pass."""
+        columns = [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+        return self.evaluate(_on_blocks(m), *columns)
+
+    def __call__(self, m: GgvModel, rng: random.Random) -> float:
+        return float(self.residuals(m, [self.sample(m, rng)])[0])
+
+
+def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
+    """A sampler of ``k`` carrier points."""
+    def sample(m, rng):
+        return [sample_point(m, rng, margin) for _ in range(k)]
+
+    return sample
+
+
+def _dn(b: GgvModel, A, B):
+    return abs(b.nvs.lin(A) - b.nvs.lin(B))
 
 
 def _sample_nv(m: GgvModel, rng: random.Random, lo: float = -3.0, hi: float = 3.0):
@@ -70,383 +118,415 @@ def _sample_nv(m: GgvModel, rng: random.Random, lo: float = -3.0, hi: float = 3.
     return m.nvs.lin_inv(rng.uniform(lo, hi))
 
 
+def _violated(ok):
+    # 0.0 on a row where the implication holds, 1.0 where it is violated.
+    return np.where(ok, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # GGV axioms.
 # ---------------------------------------------------------------------------
 
-def _ggv0(m, rng):
-    u, v, a = (sample_point(m, rng) for _ in range(3))
-    return _dn(m, gnorm(m, gyr_apply(m.group, u, v, a)), gnorm(m, a))
+def _ggv0(b, u, v, a):
+    return _dn(b, _gnorm(b, b.group.gyr(u, v, a)), _gnorm(b, a))
 
 
-def _ggv1(m, rng):
-    a = sample_point(m, rng)
-    return metric_distance(m, otimes(m, 1.0, a), a)
+def _ggv1(b, a):
+    return b.distance(b.otimes(1.0, a), a)
 
 
-def _ggv2(m, rng):
+def _point_and_two_scalars(m, rng):
     # Two stacked scalar actions can push ball points within an ulp of the
     # boundary, where the conformal factor amplifies rounding noise; sample
     # deeper so the residual reflects the identity and not the arithmetic.
-    a = sample_point(m, rng, 0.8)
-    r1, r2 = sample_scalar(rng), sample_scalar(rng)
-    lhs = otimes(m, r1 + r2, a)
-    rhs = oplus(m.group, otimes(m, r1, a), otimes(m, r2, a))
-    return metric_distance(m, lhs, rhs)
+    return sample_point(m, rng, 0.8), sample_scalar(rng), sample_scalar(rng)
 
 
-def _ggv3(m, rng):
-    a = sample_point(m, rng, 0.8)
-    r1, r2 = sample_scalar(rng), sample_scalar(rng)
-    return metric_distance(m, otimes(m, r1 * r2, a), otimes(m, r1, otimes(m, r2, a)))
+def _ggv2(b, a, r1, r2):
+    lhs = b.otimes(r1 + r2, a)
+    rhs = b.group.add(b.otimes(r1, a), b.otimes(r2, a))
+    return b.distance(lhs, rhs)
 
 
-def _ggv4(m, rng):
-    a = sample_point_away_from_identity(m, rng, SEPARATION)
-    r = sample_scalar_away_from(rng, 0.0, 0.1)
-    scaled = otimes(m, abs(r), a)
-    lhs_vec = m.phi(scaled)
-    lhs_den = gnorm(m, otimes(m, r, a))
-    rhs_vec = m.phi(a)
-    rhs_den = gnorm(m, a)
+def _ggv3(b, a, r1, r2):
+    return b.distance(b.otimes(r1 * r2, a), b.otimes(r1, b.otimes(r2, a)))
+
+
+def _nonunit_point_and_nonzero_scalar(m, rng):
+    return sample_point_away_from_identity(m, rng, SEPARATION), sample_scalar_away_from(rng, 0.0, 0.1)
+
+
+def _ggv4(b, a, r):
+    lhs_vec = b.phi(b.otimes(abs(r), a))
+    lhs_den = _gnorm(b, b.otimes(r, a))
+    rhs_vec = b.phi(a)
+    rhs_den = _gnorm(b, a)
     diff = tuple(x / lhs_den - y / rhs_den for x, y in zip(lhs_vec, rhs_vec))
-    return m.ambient_norm(diff)
+    return b.ambient_norm(diff)
 
 
-def _ggv5(m, rng):
-    u, v, a = (sample_point(m, rng) for _ in range(3))
-    r = sample_scalar(rng)
-    lhs = gyr_apply(m.group, u, v, otimes(m, r, a))
-    rhs = otimes(m, r, gyr_apply(m.group, u, v, a))
-    return metric_distance(m, lhs, rhs)
+def _three_points_and_scalar(m, rng):
+    return sample_point(m, rng), sample_point(m, rng), sample_point(m, rng), sample_scalar(rng)
 
 
-def _ggv6(m, rng):
-    v, a = sample_point(m, rng), sample_point(m, rng)
-    r1, r2 = sample_scalar(rng), sample_scalar(rng)
-    return metric_distance(m, gyr_apply(m.group, otimes(m, r1, v), otimes(m, r2, v), a), a)
+def _ggv5(b, u, v, a, r):
+    lhs = b.group.gyr(u, v, b.otimes(r, a))
+    rhs = b.otimes(r, b.group.gyr(u, v, a))
+    return b.distance(lhs, rhs)
 
 
-def _ggv7(m, rng):
-    a = sample_point(m, rng)
-    r = sample_scalar(rng)
-    return _dn(m, gnorm(m, otimes(m, r, a)), nv_smul(m.nvs, abs(r), gnorm(m, a)))
+def _two_points_and_two_scalars(m, rng):
+    return sample_point(m, rng), sample_point(m, rng), sample_scalar(rng), sample_scalar(rng)
 
 
-def _ggv8(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    lhs = m.nvs.lin(gnorm(m, oplus(m.group, a, b)))
-    rhs = m.nvs.lin(nv_add(m.nvs, gnorm(m, a), gnorm(m, b)))
-    return worst_residual(0.0, lhs - rhs)
+def _ggv6(b, v, a, r1, r2):
+    return b.distance(b.group.gyr(b.otimes(r1, v), b.otimes(r2, v), a), a)
+
+
+def _point_and_scalar(m, rng):
+    return sample_point(m, rng), sample_scalar(rng)
+
+
+def _ggv7(b, a, r):
+    return _dn(b, _gnorm(b, b.otimes(r, a)), b.nvs.nv_smul(abs(r), _gnorm(b, a)))
+
+
+def _ggv8(b, x, y):
+    lhs = b.nvs.lin(_gnorm(b, b.group.add(x, y)))
+    rhs = b.nvs.lin(b.nvs.nv_add(_gnorm(b, x), _gnorm(b, y)))
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------
 # Gyrogroup laws.
 # ---------------------------------------------------------------------------
 
-def _unit_laws(m, rng):
-    a = sample_point(m, rng)
-    g = m.group
-    res = metric_distance(m, oplus(g, g.identity, a), a)
-    res = worst_residual(res, metric_distance(m, oplus(g, ominus(g, a), a), g.identity))
-    return worst_residual(res, metric_distance(m, gyr_apply(g, g.identity, a, a), a))
+def _point_and_unit(m, rng):
+    return sample_point(m, rng), m.identity
 
 
-def _left_cancellation(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    g = m.group
-    return metric_distance(m, oplus(g, ominus(g, a), oplus(g, a, b)), b)
+def _unit_laws(b, a, e):
+    g = b.group
+    return worst_rows(
+        b.distance(g.add(e, a), a),
+        b.distance(g.add(g.inv(a), a), e),
+        b.distance(g.gyr(e, a, a), a),
+    )
 
 
-def _gyrocommutativity(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    g = m.group
-    return metric_distance(m, oplus(g, a, b), gyr_apply(g, a, b, oplus(g, b, a)))
+def _left_cancellation(b, x, y):
+    g = b.group
+    return b.distance(g.add(g.inv(x), g.add(x, y)), y)
 
 
-def _gyroautomorphism(m, rng):
-    u, v, a, b = (sample_point(m, rng) for _ in range(4))
-    g = m.group
-    lhs = gyr_apply(g, u, v, oplus(g, a, b))
-    rhs = oplus(g, gyr_apply(g, u, v, a), gyr_apply(g, u, v, b))
-    return metric_distance(m, lhs, rhs)
+def _gyrocommutativity(b, x, y):
+    g = b.group
+    return b.distance(g.add(x, y), g.gyr(x, y, g.add(y, x)))
 
 
-def _left_loop(m, rng):
-    u, v, a = (sample_point(m, rng) for _ in range(3))
-    g = m.group
-    return metric_distance(m, gyr_apply(g, oplus(g, u, v), v, a), gyr_apply(g, u, v, a))
+def _gyroautomorphism(b, u, v, x, y):
+    g = b.group
+    lhs = g.gyr(u, v, g.add(x, y))
+    rhs = g.add(g.gyr(u, v, x), g.gyr(u, v, y))
+    return b.distance(lhs, rhs)
 
 
-def _gyration_inversion(m, rng):
-    u, v, a = (sample_point(m, rng) for _ in range(3))
-    g = m.group
-    return metric_distance(m, gyr_apply(g, v, u, gyr_apply(g, u, v, a)), a)
+def _left_loop(b, u, v, a):
+    g = b.group
+    return b.distance(g.gyr(g.add(u, v), v, a), g.gyr(u, v, a))
 
 
-def _gyr_matches_composition(m, rng):
-    u, v, a = (sample_point(m, rng) for _ in range(3))
-    g = m.group
-    return metric_distance(m, gyr_apply(g, u, v, a), gyr_via_composition(g, u, v, a))
+def _gyration_inversion(b, u, v, a):
+    g = b.group
+    return b.distance(g.gyr(v, u, g.gyr(u, v, a)), a)
 
 
-def _coaddition_commutes(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    return metric_distance(m, coplus(m.group, a, b), coplus(m.group, b, a))
+def _gyr_matches_composition(b, u, v, a):
+    return b.distance(b.group.gyr(u, v, a), _gyr_via_composition(b.group, u, v, a))
+
+
+def _coaddition_commutes(b, x, y):
+    return b.distance(_coplus(b.group, x, y), _coplus(b.group, y, x))
 
 
 # ---------------------------------------------------------------------------
 # Unit and scalar facts.
 # ---------------------------------------------------------------------------
 
-def _unit_norm_is_zero(m, rng):
-    return _dn(m, gnorm(m, m.identity), m.nvs.zero)
+def _unit(m, rng):
+    return (m.identity,)
 
 
-def _scalars_fix_unit(m, rng):
-    return metric_distance(m, otimes(m, sample_scalar(rng, -4.0, 4.0), m.identity), m.identity)
+def _unit_norm_is_zero(b, e):
+    return _dn(b, _gnorm(b, e), b.nvs.zero)
 
 
-def _zero_scalar_gives_unit(m, rng):
-    return metric_distance(m, otimes(m, 0.0, sample_point(m, rng)), m.identity)
+def _wide_scalar_and_unit(m, rng):
+    return sample_scalar(rng, -4.0, 4.0), m.identity
 
 
-def _negation_is_inverse(m, rng):
-    a = sample_point(m, rng)
-    alpha = sample_scalar(rng)
-    g = m.group
-    return metric_distance(m, ominus(g, otimes(m, alpha, a)), otimes(m, -alpha, a))
+def _scalars_fix_unit(b, r, e):
+    return b.distance(b.otimes(r, e), e)
 
 
-def _nonzero_scaling_keeps_nonunit(m, rng):
+def _zero_scalar_gives_unit(b, a, e):
+    return b.distance(b.otimes(0.0, a), e)
+
+
+def _negation_is_inverse(b, a, alpha):
+    return b.distance(b.group.inv(b.otimes(alpha, a)), b.otimes(-alpha, a))
+
+
+def _nonzero_scaling_keeps_nonunit(b, a, r):
     # Contrapositive of "r (x) a == e implies r == 0 or a == e".
-    a = sample_point_away_from_identity(m, rng, SEPARATION)
-    r = sample_scalar_away_from(rng, 0.0, 0.1)
-    lin_norm = m.nvs.lin(gnorm(m, otimes(m, r, a)))
-    return 0.0 if lin_norm > MIN_DISTINGUISHABLE else 1.0
+    return _violated(b.nvs.lin(_gnorm(b, b.otimes(r, a))) > MIN_DISTINGUISHABLE)
 
 
-def _nonunit_norm_positive(m, rng):
-    a = sample_point_away_from_identity(m, rng, SEPARATION)
-    return 0.0 if abs(gnorm(m, a)) > MIN_DISTINGUISHABLE else 1.0
+def _nonunit_point(m, rng):
+    return (sample_point_away_from_identity(m, rng, SEPARATION),)
 
 
-def _scalar_norm_cancellation(m, rng):
-    # r (x)' |phi(a)| == s (x)' |phi(a)| forces r == s when a != e.
+def _nonunit_norm_positive(b, a):
+    return _violated(abs(_gnorm(b, a)) > MIN_DISTINGUISHABLE)
+
+
+def _nonunit_point_and_distinct_scalars(m, rng):
     a = sample_point_away_from_identity(m, rng, 1e-2)
     r = sample_scalar(rng)
-    s_ = sample_scalar_away_from(rng, r, 0.05)
-    A = gnorm(m, a)
-    gap = _dn(m, nv_smul(m.nvs, r, A), nv_smul(m.nvs, s_, A))
-    return 0.0 if gap > MIN_DISTINGUISHABLE else 1.0
+    return a, r, sample_scalar_away_from(rng, r, 0.05)
 
 
-def _phi_injective(m, rng):
-    a, b = sample_separated_pair(m, rng, 1e-9)
-    diff = tuple(x - y for x, y in zip(m.phi(a), m.phi(b)))
-    return 0.0 if m.ambient_norm(diff) > 0.0 else 1.0
+def _scalar_norm_cancellation(b, a, r, s_):
+    # r (x)' |phi(a)| == s (x)' |phi(a)| forces r == s when a != e.
+    A = _gnorm(b, a)
+    gap = _dn(b, b.nvs.nv_smul(r, A), b.nvs.nv_smul(s_, A))
+    return _violated(gap > MIN_DISTINGUISHABLE)
+
+
+def _barely_separated_pair(m, rng):
+    return sample_separated_pair(m, rng, 1e-9)
+
+
+def _phi_injective(b, x, y):
+    diff = tuple(p - q for p, q in zip(b.phi(x), b.phi(y)))
+    return _violated(b.ambient_norm(diff) > 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Gyrometric, midpoint, metric.
 # ---------------------------------------------------------------------------
 
-def _gyrometric_invariance(m, rng):
-    x, a, b = (sample_point(m, rng) for _ in range(3))
-    g = m.group
-    base = gyrometric(m, a, b)
-    res = _dn(m, gyrometric(m, oplus(g, x, a), oplus(g, x, b)), base)
-    res = worst_residual(res, _dn(m, gyrometric(m, ominus(g, a), ominus(g, b)), base))
-    return worst_residual(res, _dn(m, gyrometric(m, b, a), base))
+def _gyrometric_invariance(b, x, y, z):
+    g = b.group
+    base = _gyrometric(b, y, z)
+    return worst_rows(
+        _dn(b, _gyrometric(b, g.add(x, y), g.add(x, z)), base),
+        _dn(b, _gyrometric(b, g.inv(y), g.inv(z)), base),
+        _dn(b, _gyrometric(b, z, y), base),
+    )
 
 
-def _gyrotriangle(m, rng):
-    a, b, c = (sample_point(m, rng) for _ in range(3))
-    lhs = m.nvs.lin(gyrometric(m, a, b))
-    rhs = m.nvs.lin(nv_add(m.nvs, gyrometric(m, a, c), gyrometric(m, c, b)))
-    return worst_residual(0.0, lhs - rhs)
+def _gyrotriangle(b, x, y, z):
+    lhs = b.nvs.lin(_gyrometric(b, x, y))
+    rhs = b.nvs.lin(b.nvs.nv_add(_gyrometric(b, x, z), _gyrometric(b, z, y)))
+    return lhs - rhs
 
 
-def _midpoint_equidistant(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    p = gyromidpoint(m, a, b)
-    half = nv_smul(m.nvs, 0.5, gyrometric(m, a, b))
-    return worst_residual(_dn(m, gyrometric(m, a, p), half), _dn(m, gyrometric(m, b, p), half))
+def _midpoint_equidistant(b, x, y):
+    p = _midpoint(b, x, y)
+    half = b.nvs.nv_smul(0.5, _gyrometric(b, x, y))
+    return worst_rows(_dn(b, _gyrometric(b, x, p), half), _dn(b, _gyrometric(b, y, p), half))
 
 
-def _midpoint_forms_agree(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    via_coaddition = otimes(m, 0.5, coplus(m.group, a, b))
-    return metric_distance(m, gyromidpoint(m, a, b), via_coaddition)
+def _midpoint_forms_agree(b, x, y):
+    via_coaddition = b.otimes(0.5, _coplus(b.group, x, y))
+    return b.distance(_midpoint(b, x, y), via_coaddition)
 
 
-def _midpoint_symmetric(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    return metric_distance(m, gyromidpoint(m, a, b), gyromidpoint(m, b, a))
+def _midpoint_symmetric(b, x, y):
+    return b.distance(_midpoint(b, x, y), _midpoint(b, y, x))
 
 
-def _metric_self_zero(m, rng):
-    a = sample_point(m, rng)
-    return abs(metric_distance(m, a, a))
+def _metric_self_zero(b, a):
+    return abs(b.distance(a, a))
 
 
-def _metric_nonnegative(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    return worst_residual(0.0, -metric_distance(m, a, b))
+def _metric_nonnegative(b, x, y):
+    return -b.distance(x, y)
 
 
-def _metric_symmetric(m, rng):
-    a, b = sample_point(m, rng), sample_point(m, rng)
-    return abs(metric_distance(m, a, b) - metric_distance(m, b, a))
+def _metric_symmetric(b, x, y):
+    return abs(b.distance(x, y) - b.distance(y, x))
 
 
-def _metric_triangle(m, rng):
-    a, b, c = (sample_point(m, rng) for _ in range(3))
-    return worst_residual(0.0, metric_distance(m, a, b) - metric_distance(m, a, c) - metric_distance(m, c, b))
+def _metric_triangle(b, x, y, z):
+    return b.distance(x, y) - b.distance(x, z) - b.distance(z, y)
 
 
-def _metric_separates(m, rng):
+def _separated_pair_or_unit(m, rng):
     a, b = sample_separated_pair(m, rng, SEPARATION)
+    vacuous = False
     if rng.random() < 0.2:
         # also separate against the unit: its norm value is the zero element
         # of the norm-value line, but never at zero distance from other points
         b = m.identity
-        if sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) < SEPARATION ** 2:
-            return 0.0
-    return 0.0 if metric_distance(m, a, b) > MIN_DISTINGUISHABLE else 1.0
+        vacuous = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) < SEPARATION ** 2
+    return a, b, vacuous
 
 
-def _metric_matches_linearized_gyrometric(m, rng):
+def _metric_separates(b, x, y, vacuous):
+    return _violated(vacuous | (b.distance(x, y) > MIN_DISTINGUISHABLE))
+
+
+def _metric_matches_linearized_gyrometric(b, x, y):
     # The specialized distance kernel and the composed route lin(rho(a, b))
     # must agree where both are well conditioned.
-    a, b = sample_point(m, rng, 0.8), sample_point(m, rng, 0.8)
-    return abs(metric_distance(m, a, b) - m.nvs.lin(gyrometric(m, a, b)))
+    return abs(b.distance(x, y) - b.nvs.lin(_gyrometric(b, x, y)))
 
 
 # ---------------------------------------------------------------------------
 # Order machinery on the norm-value line.
 # ---------------------------------------------------------------------------
 
-def _scaling_order_equivalence(m, rng):
-    # 0 <= alpha < beta holds exactly when the scaled norm values of a
-    # non-unit point are nonnegative and strictly ordered the same way.
+def _nonunit_point_and_ordered_scalars(m, rng):
     a = sample_point_away_from_identity(m, rng, 1e-2)
     alpha = rng.uniform(0.0, 2.0)
-    beta = sample_scalar_away_from(rng, alpha, 1e-4, 0.0, 2.0)
-    A = gnorm(m, a)
-    va = nv_smul(m.nvs, alpha, A)
-    vb = nv_smul(m.nvs, beta, A)
-    ok = va >= 0.0 and vb >= 0.0 and ((alpha < beta) == (va < vb))
-    return 0.0 if ok else 1.0
+    return a, alpha, sample_scalar_away_from(rng, alpha, 1e-4, 0.0, 2.0)
 
 
-def _linear_additive(m, rng):
-    A, B = _sample_nv(m, rng), _sample_nv(m, rng)
-    return abs(m.nvs.lin(nv_add(m.nvs, A, B)) - (m.nvs.lin(A) + m.nvs.lin(B)))
+def _scaling_order_equivalence(b, a, alpha, beta):
+    # 0 <= alpha < beta holds exactly when the scaled norm values of a
+    # non-unit point are nonnegative and strictly ordered the same way.
+    A = _gnorm(b, a)
+    va = b.nvs.nv_smul(alpha, A)
+    vb = b.nvs.nv_smul(beta, A)
+    return _violated((va >= 0.0) & (vb >= 0.0) & ((alpha < beta) == (va < vb)))
 
 
-def _linear_homogeneous(m, rng):
-    A = _sample_nv(m, rng)
-    r = sample_scalar(rng)
-    return abs(m.nvs.lin(nv_smul(m.nvs, r, A)) - r * m.nvs.lin(A))
+def _two_norm_values(m, rng):
+    return _sample_nv(m, rng), _sample_nv(m, rng)
 
 
-def _linear_order(m, rng):
+def _linear_additive(b, A, B):
+    return abs(b.nvs.lin(b.nvs.nv_add(A, B)) - (b.nvs.lin(A) + b.nvs.lin(B)))
+
+
+def _norm_value_and_scalar(m, rng):
+    return _sample_nv(m, rng), sample_scalar(rng)
+
+
+def _linear_homogeneous(b, A, r):
+    return abs(b.nvs.lin(b.nvs.nv_smul(r, A)) - r * b.nvs.lin(A))
+
+
+def _distinct_reals(m, rng):
+    t1 = rng.uniform(0.0, 3.0)
+    return t1, sample_scalar_away_from(rng, t1, 1e-6, 0.0, 3.0)
+
+
+def _linear_order(b, t1, t2):
     # On the nonnegative part, A < B holds exactly when lin(A) < lin(B) with
     # both images nonnegative.
-    t1 = rng.uniform(0.0, 3.0)
-    t2 = sample_scalar_away_from(rng, t1, 1e-6, 0.0, 3.0)
-    A, B = m.nvs.lin_inv(t1), m.nvs.lin_inv(t2)
-    fa, fb = m.nvs.lin(A), m.nvs.lin(B)
-    ok = ((0.0 <= A < B) == (0.0 <= fa < fb)) and ((0.0 <= B < A) == (0.0 <= fb < fa))
-    ok = ok and nv_le_nonneg(m.nvs, A, B) == (fa <= fb)
-    return 0.0 if ok else 1.0
+    A, B = b.nvs.lin_inv(t1), b.nvs.lin_inv(t2)
+    fa, fb = b.nvs.lin(A), b.nvs.lin(B)
+    ok = ((0.0 <= A) & (A < B)) == ((0.0 <= fa) & (fa < fb))
+    ok &= ((0.0 <= B) & (B < A)) == ((0.0 <= fb) & (fb < fa))
+    return _violated(ok & (_row_wise(partial(nv_le_nonneg, b.nvs))(A, B) == (fa <= fb)))
 
 
-def _order_sum_monotone(m, rng):
-    # 0 <= A < B and 0 <= A' < B' imply 0 <= A (+)' A' < B (+)' B'.
+def _two_intervals(m, rng):
     lo_a = rng.uniform(0.0, 2.0)
     hi_a = lo_a + rng.uniform(1e-6, 1.0)
     lo_b = rng.uniform(0.0, 2.0)
     hi_b = lo_b + rng.uniform(1e-6, 1.0)
-    A, B = m.nvs.lin_inv(lo_a), m.nvs.lin_inv(hi_a)
-    A2, B2 = m.nvs.lin_inv(lo_b), m.nvs.lin_inv(hi_b)
-    small = nv_add(m.nvs, A, A2)
-    big = nv_add(m.nvs, B, B2)
-    ok = small >= 0.0 and small < big
-    return 0.0 if ok else 1.0
+    return lo_a, hi_a, lo_b, hi_b
 
 
-def _linearization_round_trip(m, rng):
-    t = rng.uniform(-3.0, 3.0)
-    res = abs(m.nvs.lin(m.nvs.lin_inv(t)) - t)
-    A = gnorm(m, sample_point(m, rng))
-    return worst_residual(res, _dn(m, m.nvs.lin_inv(m.nvs.lin(A)), A))
+def _order_sum_monotone(b, lo_a, hi_a, lo_b, hi_b):
+    # 0 <= A < B and 0 <= A' < B' imply 0 <= A (+)' A' < B (+)' B'.
+    lin_inv = b.nvs.lin_inv
+    small = b.nvs.nv_add(lin_inv(lo_a), lin_inv(lo_b))
+    big = b.nvs.nv_add(lin_inv(hi_a), lin_inv(hi_b))
+    return _violated((small >= 0.0) & (small < big))
 
 
-def _zero_linearizes_to_zero(m, rng):
-    return abs(m.nvs.lin(m.nvs.zero))
+def _real_and_point(m, rng):
+    return rng.uniform(-3.0, 3.0), sample_point(m, rng)
+
+
+def _linearization_round_trip(b, t, a):
+    lin, lin_inv = b.nvs.lin, b.nvs.lin_inv
+    A = _gnorm(b, a)
+    return worst_rows(abs(lin(lin_inv(t)) - t), _dn(b, lin_inv(lin(A)), A))
+
+
+def _zero(m, rng):
+    return (m.nvs.zero,)
+
+
+def _zero_linearizes_to_zero(b, zero):
+    return abs(b.nvs.lin(zero))
 
 
 # ---------------------------------------------------------------------------
 # Suite assembly.
 # ---------------------------------------------------------------------------
 
-GROUPS: dict[str, tuple[tuple[str, DrawFn], ...]] = {
+GROUPS: dict[str, tuple[tuple[str, Check], ...]] = {
     "axioms": (
-        ("GGV0", _ggv0),
-        ("GGV1", _ggv1),
-        ("GGV2", _ggv2),
-        ("GGV3", _ggv3),
-        ("GGV4", _ggv4),
-        ("GGV5", _ggv5),
-        ("GGV6", _ggv6),
-        ("GGV7", _ggv7),
-        ("GGV8", _ggv8),
+        ("GGV0", Check(_points(3), _ggv0)),
+        ("GGV1", Check(_points(1), _ggv1)),
+        ("GGV2", Check(_point_and_two_scalars, _ggv2)),
+        ("GGV3", Check(_point_and_two_scalars, _ggv3)),
+        ("GGV4", Check(_nonunit_point_and_nonzero_scalar, _ggv4)),
+        ("GGV5", Check(_three_points_and_scalar, _ggv5)),
+        ("GGV6", Check(_two_points_and_two_scalars, _ggv6)),
+        ("GGV7", Check(_point_and_scalar, _ggv7)),
+        ("GGV8", Check(_points(2), _ggv8)),
     ),
     "gyrogroup": (
-        ("unit_laws", _unit_laws),
-        ("left_cancellation", _left_cancellation),
-        ("gyrocommutativity", _gyrocommutativity),
-        ("gyroautomorphism", _gyroautomorphism),
-        ("left_loop", _left_loop),
-        ("gyration_inversion", _gyration_inversion),
-        ("gyr_matches_composition", _gyr_matches_composition),
-        ("coaddition_commutes", _coaddition_commutes),
+        ("unit_laws", Check(_point_and_unit, _unit_laws)),
+        ("left_cancellation", Check(_points(2), _left_cancellation)),
+        ("gyrocommutativity", Check(_points(2), _gyrocommutativity)),
+        ("gyroautomorphism", Check(_points(4), _gyroautomorphism)),
+        ("left_loop", Check(_points(3), _left_loop)),
+        ("gyration_inversion", Check(_points(3), _gyration_inversion)),
+        ("gyr_matches_composition", Check(_points(3), _gyr_matches_composition)),
+        ("coaddition_commutes", Check(_points(2), _coaddition_commutes)),
     ),
     "scalars": (
-        ("unit_norm_is_zero", _unit_norm_is_zero),
-        ("scalars_fix_unit", _scalars_fix_unit),
-        ("zero_scalar_gives_unit", _zero_scalar_gives_unit),
-        ("negation_is_inverse", _negation_is_inverse),
-        ("nonzero_scaling_keeps_nonunit", _nonzero_scaling_keeps_nonunit),
-        ("nonunit_norm_positive", _nonunit_norm_positive),
-        ("scalar_norm_cancellation", _scalar_norm_cancellation),
-        ("phi_injective", _phi_injective),
+        ("unit_norm_is_zero", Check(_unit, _unit_norm_is_zero)),
+        ("scalars_fix_unit", Check(_wide_scalar_and_unit, _scalars_fix_unit)),
+        ("zero_scalar_gives_unit", Check(_point_and_unit, _zero_scalar_gives_unit)),
+        ("negation_is_inverse", Check(_point_and_scalar, _negation_is_inverse)),
+        ("nonzero_scaling_keeps_nonunit", Check(_nonunit_point_and_nonzero_scalar, _nonzero_scaling_keeps_nonunit)),
+        ("nonunit_norm_positive", Check(_nonunit_point, _nonunit_norm_positive)),
+        ("scalar_norm_cancellation", Check(_nonunit_point_and_distinct_scalars, _scalar_norm_cancellation)),
+        ("phi_injective", Check(_barely_separated_pair, _phi_injective)),
     ),
     "gyrometric": (
-        ("gyrometric_invariance", _gyrometric_invariance),
-        ("gyrotriangle", _gyrotriangle),
-        ("midpoint_equidistant", _midpoint_equidistant),
-        ("midpoint_forms_agree", _midpoint_forms_agree),
-        ("midpoint_symmetric", _midpoint_symmetric),
+        ("gyrometric_invariance", Check(_points(3), _gyrometric_invariance)),
+        ("gyrotriangle", Check(_points(3), _gyrotriangle)),
+        ("midpoint_equidistant", Check(_points(2), _midpoint_equidistant)),
+        ("midpoint_forms_agree", Check(_points(2), _midpoint_forms_agree)),
+        ("midpoint_symmetric", Check(_points(2), _midpoint_symmetric)),
     ),
     "metric": (
-        ("metric_self_zero", _metric_self_zero),
-        ("metric_nonnegative", _metric_nonnegative),
-        ("metric_symmetric", _metric_symmetric),
-        ("metric_triangle", _metric_triangle),
-        ("metric_separates", _metric_separates),
-        ("metric_matches_linearized_gyrometric", _metric_matches_linearized_gyrometric),
+        ("metric_self_zero", Check(_points(1), _metric_self_zero)),
+        ("metric_nonnegative", Check(_points(2), _metric_nonnegative)),
+        ("metric_symmetric", Check(_points(2), _metric_symmetric)),
+        ("metric_triangle", Check(_points(3), _metric_triangle)),
+        ("metric_separates", Check(_separated_pair_or_unit, _metric_separates)),
+        ("metric_matches_linearized_gyrometric", Check(_points(2, 0.8), _metric_matches_linearized_gyrometric)),
     ),
     "order": (
-        ("scaling_order_equivalence", _scaling_order_equivalence),
-        ("linear_additive", _linear_additive),
-        ("linear_homogeneous", _linear_homogeneous),
-        ("linear_order", _linear_order),
-        ("order_sum_monotone", _order_sum_monotone),
-        ("linearization_round_trip", _linearization_round_trip),
-        ("zero_linearizes_to_zero", _zero_linearizes_to_zero),
+        ("scaling_order_equivalence", Check(_nonunit_point_and_ordered_scalars, _scaling_order_equivalence)),
+        ("linear_additive", Check(_two_norm_values, _linear_additive)),
+        ("linear_homogeneous", Check(_norm_value_and_scalar, _linear_homogeneous)),
+        ("linear_order", Check(_distinct_reals, _linear_order)),
+        ("order_sum_monotone", Check(_two_intervals, _order_sum_monotone)),
+        ("linearization_round_trip", Check(_real_and_point, _linearization_round_trip)),
+        ("zero_linearizes_to_zero", Check(_zero, _zero_linearizes_to_zero)),
     ),
 }
 
@@ -454,18 +534,27 @@ GROUPS: dict[str, tuple[tuple[str, DrawFn], ...]] = {
 def run_check(
     m: GgvModel,
     name: str,
-    draw: DrawFn,
+    draw: Check | DrawFn,
     seed: int,
     samples: int = DEFAULT_SAMPLES,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
-    """Run one named check for ``samples`` draws and report the worst residual."""
+    """Run one named check for ``samples`` draws and report the worst residual.
+
+    A :class:`Check` draws all its samples, then evaluates them in one pass
+    and reduces them with ``worst_of``, so a NaN or infinite residual fails.
+    Any other callable makes one draw per call, reduced with ``max``, which
+    drops a NaN draw.
+    """
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise PreconditionError("n_samples must be >= 1")
     rng = random.Random(f"{seed}:{name}")
-    worst = 0.0
-    # ``max`` still drops a draw that is NaN itself: perfbench/test_perfbench.py
-    # asserts that, so switching to worst_residual waits for that test to change.
-    for _ in range(samples):
-        worst = max(worst, draw(m, rng))
+    if isinstance(draw, Check):
+        worst = worst_of(draw.residuals(m, [draw.sample(m, rng) for _ in range(samples)]))
+    else:
+        worst = 0.0
+        for _ in range(samples):
+            worst = max(worst, draw(m, rng))
     return VerificationReport(name, m.tag, seed, samples, worst, tolerance, worst <= tolerance)
 
 

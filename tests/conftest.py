@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ggv import ModelConfig, make_model
@@ -44,3 +46,19 @@ def mobius2():
 @pytest.fixture
 def patho():
     return make_model(MODEL_CONFIGS["pathological"])
+
+
+def _without_blocks(m):
+    """``m`` with kernels that have no block form, so that everything is lifted row by row."""
+    g = m.group
+    group = dataclasses.replace(g, add=lambda a, b: g.add(a, b), inv=lambda a: g.inv(a),
+                                gyr=lambda u, v, a: g.gyr(u, v, a))
+    return dataclasses.replace(m, group=group, otimes=lambda r, a: m.otimes(r, a),
+                               distance=lambda a, b: m.distance(a, b), phi=lambda a: m.phi(a),
+                               ambient_norm=lambda vec: m.ambient_norm(vec))
+
+
+@pytest.fixture
+def without_blocks():
+    """Strips a model's kernels of their block forms (the forced row-wise lift)."""
+    return _without_blocks

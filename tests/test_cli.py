@@ -99,6 +99,16 @@ def test_a_radius_too_small_for_the_suite_is_a_usage_error(capsys):
     assert "the radius is too small for the suite's separation thresholds" in err
 
 
+def test_a_norm_value_off_the_line_is_a_domain_error(capsys):
+    # At s = 0.1 lin_inv of the order checks' reals rounds onto the edge of
+    # the rapidity line; the block pass reports it on one line, no traceback.
+    code, out, err = run_cli(capsys, "verify-axioms", "--model", "einstein", "--s", "0.1", "--samples", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggv: error:") and err.count("\n") == 1
+    assert "is not in the norm-value set of rapidity-line(s=0.1)" in err
+
+
 def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "--model", "klein", "--expr", "oplus 1 2"])

@@ -500,22 +500,13 @@ def test_construction_error_reports_diagnostics(einstein2):
 # Block evaluation.
 # ---------------------------------------------------------------------------
 
-def _without_blocks(m):
-    """``m`` with kernels that have no block form, so that everything is lifted row by row."""
-    g = m.group
-    group = dataclasses.replace(g, add=lambda a, b: g.add(a, b), inv=lambda a: g.inv(a),
-                                gyr=lambda u, v, a: g.gyr(u, v, a))
-    return dataclasses.replace(m, group=group, otimes=lambda r, a: m.otimes(r, a),
-                               distance=lambda a, b: m.distance(a, b))
-
-
 @pytest.mark.parametrize("cfg", [
     ModelConfig("normed", dim=3), ModelConfig("einstein", dim=3), ModelConfig("mobius", dim=2, s=2.5),
     ModelConfig("pathological"),
 ], ids=lambda cfg: cfg.tag)
-def test_block_experiments_match_the_row_wise_lift(cfg):
+def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
     m = make_model(cfg)
-    lifted = _without_blocks(m)
+    lifted = without_blocks(m)
     for seed in (0, 5):
         T = random_isometry(m, seed=seed, depth=6)
         T_lifted = random_isometry(lifted, seed=seed, depth=6)
@@ -528,12 +519,12 @@ def test_block_experiments_match_the_row_wise_lift(cfg):
             assert experiment(T, 60, seed).to_dict() == experiment(T_lifted, 60, seed).to_dict()
 
 
-def test_block_experiments_clamp_like_the_row_wise_lift(mobius2):
+def test_block_experiments_clamp_like_the_row_wise_lift(mobius2, without_blocks):
     # Translating by a point at the ball's edge pushes images onto the
     # boundary shell, where every kernel clamps.
     edge = make_point(mobius2, [1.0 - 1e-13, 0.0])
     results = []
-    for m in (mobius2, _without_blocks(mobius2)):
+    for m in (mobius2, without_blocks(mobius2)):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always", BoundaryClampWarning)
             residual = map_preservation_residual(left_translation(m, edge), 50, seed=2)

@@ -2,12 +2,20 @@
 
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 
-from ggv import ModelConfig, make_model
-from ggv.space import worst_residual
+from ggv import DomainError, ModelConfig, PreconditionError, make_model, nv_add, nv_smul
+from ggv.space import worst_residual, worst_rows
 from ggv.verify import GROUPS, run_all, run_check, run_group
+
+CHECKS = [check for group in GROUPS.values() for check in group]
+BLOCK_CONFIGS = (
+    ModelConfig("normed", dim=2), ModelConfig("einstein", dim=3, s=2.5), ModelConfig("mobius", dim=2),
+    ModelConfig("pathological"),
+)
 
 
 def test_group_names():
@@ -84,8 +92,78 @@ def test_a_nan_residual_reduces_to_inf_and_fails_its_check(mobius2):
     for pair in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (1e-12, math.inf), (-math.inf, 0.0)):
         assert worst_residual(*pair) == math.inf
     assert worst_residual(1e-12, 3e-12) == worst_residual(3e-12, 1e-12) == 3e-12
+    # Row by row over columns, the same rule.
+    rows = worst_rows(np.array([0.0, 1e-12, 2.0, 0.0]), np.array([-math.inf, 3e-12, math.nan, 1e-13]))
+    assert rows.tolist() == [math.inf, 3e-12, math.inf, 1e-13]
     # A draw that reduces its parts through the reducer fails on NaN.
     draws = iter([0.0, worst_residual(math.nan, 0.0)] + [0.0] * 8)
     report = run_check(mobius2, "late-nan", lambda m, r: next(draws), seed=0, samples=10)
     assert report.max_residual == math.inf
     assert not report.passed
+
+
+def test_a_nan_row_fails_a_built_in_check(mobius2):
+    # A distance kernel that is NaN wherever its first argument has x > 0.5:
+    # a reduction with max would drop those rows and pass.
+    distance = mobius2.distance
+    broken = dataclasses.replace(
+        mobius2, distance=lambda a, b: math.nan if a.coords[0] > 0.5 else distance(a, b))
+    table = dict(CHECKS)
+    for name in ("GGV1", "left_cancellation", "metric_self_zero", "metric_symmetric"):
+        report = run_check(broken, name, table[name], seed=0, samples=200)
+        assert report.max_residual == math.inf and not report.passed, name
+    # A plain callable keeps the reduction with max over its draws.
+    report = run_check(mobius2, "GGV0", lambda m, r: math.nan, seed=0, samples=5)
+    assert report.passed and report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True])
+def test_a_sample_count_below_one_is_refused(normed2, samples):
+    with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
+        run_check(normed2, "GGV1", dict(GROUPS["axioms"])["GGV1"], seed=0, samples=samples)
+    with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
+        run_all(normed2, seed=0, samples=samples)
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda cfg: cfg.tag)
+def test_every_check_reports_the_same_on_blocks_and_row_by_row(cfg, without_blocks):
+    m = make_model(cfg)
+    lifted = without_blocks(m)
+    for name, check in CHECKS:
+        on_blocks = run_check(m, name, check, seed=3, samples=40).to_dict()
+        assert on_blocks == run_check(lifted, name, check, seed=3, samples=40).to_dict(), name
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda cfg: cfg.tag)
+def test_each_row_of_an_evaluation_is_its_own_draw(cfg):
+    m = make_model(cfg)
+    for name, check in CHECKS:
+        rng = random.Random(f"4:{name}")
+        rows = [check.sample(m, rng) for _ in range(12)]
+        column = [x.hex() for x in check.residuals(m, rows).tolist()]
+        assert column == [check.residuals(m, [row])[0].hex() for row in rows], name
+        # Calling a check makes one draw from the same stream.
+        rng = random.Random(f"4:{name}")
+        assert column == [check(m, rng).hex() for _ in rows], name
+
+
+@pytest.mark.parametrize("name,public,rows", [
+    # the second row's B leaves the line; the third row's A does too
+    ("linear_additive", lambda nvs, A, B: nv_add(nvs, A, B), [(0.01, 0.02), (0.02, -0.1), (0.1, 0.02)]),
+    # the second row's A leaves the line, and so does the third's
+    ("linear_homogeneous", lambda nvs, A, r: nv_smul(nvs, r, A), [(0.01, 0.5), (0.1, 2.0), (-0.1, 1.0)]),
+])
+def test_a_norm_value_off_the_line_raises_the_error_of_the_first_row(name, public, rows):
+    # On a ball of radius 0.1, lin_inv rounds reals beyond about 1.9 onto
+    # the edge of the rapidity line, which is not a norm value.
+    m = make_model(ModelConfig("einstein", dim=2, s=0.1))
+    errors = []
+    for row in rows:
+        try:
+            public(m.nvs, *row)
+        except DomainError as exc:
+            errors.append(str(exc))
+    assert len(errors) == 2
+    with pytest.raises(DomainError) as excinfo:
+        dict(CHECKS)[name].residuals(m, rows)
+    assert str(excinfo.value) == errors[0]

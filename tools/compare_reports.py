@@ -4,13 +4,14 @@
 
 Each tree is a checkout of this repository (for instance an exported copy of
 the parent commit and the working tree).  A fixed corpus of ``ggv`` requests
-(``verify-mazur-ulam``, ``decompose`` and ``defect`` on all four kinds, dims
-1-3, seeds 0, 7 and 1234, ball radii 1, 0.5 and 2.5, plus the tolerances
-``1e-17``, which fails every map at construction, and ``5e-15``, which fails
-some checks inside the experiments, per command and kind) is run in-process
-against each tree, in a separate interpreter per tree.  Every request whose
-exit code, stdout or stderr differs is printed; the exit status is 1 if any
-differs.
+(``verify-axioms``, ``verify-mazur-ulam``, ``decompose`` and ``defect`` on
+all four kinds, dims 1-3, seeds 0, 7 and 1234, ball radii 1, 0.5, 2.5 and
+0.1, where ``verify-axioms`` stops on a norm value that leaves the
+norm-value set, plus the tolerances ``1e-17``, which fails every map at
+construction and most axiom checks, and ``5e-15``, which fails some checks,
+per command and kind) is run in-process against each tree, in a separate
+interpreter per tree.  Every request whose exit code, stdout or stderr
+differs is printed; the exit status is 1 if any differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
 line number and the echoed source line) are masked, since neither is part of
@@ -31,8 +32,9 @@ import warnings
 from pathlib import Path
 
 SEEDS = (0, 7, 1234)
-BALL_RADII = (None, "0.5", "2.5")
+BALL_RADII = (None, "0.5", "2.5", "0.1")
 COMMANDS = (
+    ("verify-axioms", ("--samples", "100")),
     ("verify-mazur-ulam", ("--maps", "3", "--samples", "60")),
     ("decompose", ("--samples", "100")),
     ("defect", ("--n-max", "8")),
