@@ -7,20 +7,25 @@ generated map is checked to preserve the gyrometric before it is handed out,
 and carries the record of that check so that the experiments need not repeat
 it.
 
-A package-built map validates its argument once per call, at the entry of
-``apply``/``inverse_apply``, however deep the composition; the steps inside
-trust the points their predecessors computed.  The experiments validate their
-inputs at entry and then run on points they sampled or computed themselves.
+Every direction of a package-built map carries two forms: ``coords``, the
+map on the coordinate tuple of a carrier point, and ``block``, the map on
+blocks.  ``apply``/``inverse_apply`` validates its argument once per call,
+however deep the composition, runs ``coords`` and builds one point; the
+steps inside trust the coordinates their predecessors computed.  The
+experiments validate their inputs at entry and then run on coordinates or
+blocks they sampled or computed themselves.
 
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
 check is one vectorized pass.  Every model kernel and every package-built map
 direction carries its block form as a ``block`` attribute, rounding each row
-exactly as the point form rounds it; a kernel or map without one (a user-built
-``GyroMap``, a kernel swapped in by hand) is lifted row by row through its
-point form, so the reports are the same either way.  Samples are drawn from
+exactly as the point form rounds it.  A kernel or map without a form (a
+user-built ``GyroMap``, a kernel swapped in by hand or wrapped from outside)
+is lifted through its point form, and the images of a user-built map are
+validated, so the reports are the same either way.  Samples are drawn from
 the same streams in the same order as a loop over points would draw them.
-The defect experiment's doubling chain is sequential and stays on points.
+The defect experiment's doubling chain is sequential and runs on coordinate
+tuples.
 
 Three experiments probe what such maps must do:
 
@@ -38,13 +43,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import Block, _block, _on_blocks, _row_wise, _same
+from .models import Block, _block, _coords_form, _dot, _on_blocks, _row_wise, _same
 from .sampling import sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_of, worst_residual
 
@@ -137,22 +144,24 @@ class DefectTrace(Report):
 # Primitive maps.
 # ---------------------------------------------------------------------------
 
-def _checked(
-    validate: Callable[[GyroPoint], None],
-    unchecked: Callable[[GyroPoint], GyroPoint],
-    block: Callable[[Block], Block] | None,
-) -> Callable[[GyroPoint], GyroPoint]:
-    """A map callable that validates its argument, then runs ``unchecked``.
+# A map on the coordinate tuples of carrier points.
+Coords = Callable[[tuple[float, ...]], tuple[float, ...]]
 
-    ``unchecked`` stays reachable as an attribute: compositions and the
-    experiments call it on points that package code sampled or computed.
+
+def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords,
+             block: Callable[[Block], Block] | None) -> Callable[[GyroPoint], GyroPoint]:
+    """A map direction: it validates its argument, runs ``coords`` on its
+    coordinates and returns one point of ``tag``.
+
+    ``coords`` stays reachable as an attribute: compositions and the
+    experiments run it on coordinates that package code sampled or computed.
     So does ``block``, the same map on blocks of such points, or ``None``.
     """
     def call(x: GyroPoint) -> GyroPoint:
         validate(x)
-        return unchecked(x)
+        return _point(tag, coords(x.coords))
 
-    call.unchecked = unchecked
+    call.coords = coords
     call.block = block
     return call
 
@@ -160,37 +169,39 @@ def _checked(
 def _package_map(
     domain: GgvModel,
     codomain: GgvModel,
-    apply: Callable[[GyroPoint], GyroPoint],
-    inverse_apply: Callable[[GyroPoint], GyroPoint],
     recipe: tuple[dict, ...],
-    blocks: tuple[Callable[[Block], Block], Callable[[Block], Block]] | None = None,
+    coords: tuple[Coords, Coords],
+    blocks: tuple[Callable[[Block], Block], Callable[[Block], Block]] | None,
 ) -> GyroMap:
     """A map whose directions validate their argument, then run the given steps.
 
-    ``blocks`` is the pair of directions on blocks; without it the
-    experiments lift the map row by row.
+    ``coords`` is the pair of directions on coordinates and ``blocks`` the
+    pair on blocks; without it the experiments lift the map row by row.
     """
+    apply, inverse_apply = coords
     apply_block, inverse_block = blocks or (None, None)
-    return GyroMap(domain, codomain, _checked(domain.group.validate, apply, apply_block),
-                   _checked(codomain.group.validate, inverse_apply, inverse_block), recipe)
+    return GyroMap(domain, codomain, _checked(domain.group.validate, codomain.tag, apply, apply_block),
+                   _checked(codomain.group.validate, domain.tag, inverse_apply, inverse_block), recipe)
 
 
-def _unchecked(T: GyroMap, inverse: bool = False) -> Callable[[GyroPoint], GyroPoint]:
-    """``T.apply`` (or ``T.inverse_apply``) for arguments known to be carrier points.
+def _unchecked(T: GyroMap, inverse: bool = False) -> Coords:
+    """``T.apply`` (or ``T.inverse_apply``) on the coordinates of carrier points.
 
-    A package-built map skips its entry check.  Any other callable runs as
-    given and its images are validated, since nothing vouches for them.
+    A package-built map runs its ``coords`` form and skips its entry check.
+    Any other callable runs on points, and its images are validated, since
+    nothing vouches for them.
     """
     fn = T.inverse_apply if inverse else T.apply
-    unchecked = getattr(fn, "unchecked", None)
-    if unchecked is not None:
-        return unchecked
-    validate = (T.domain_model if inverse else T.codomain_model).group.validate
+    coords = getattr(fn, "coords", None)
+    if coords is not None:
+        return coords
+    source, target = (T.codomain_model, T.domain_model) if inverse else (T.domain_model, T.codomain_model)
+    tag, validate = source.tag, target.group.validate
 
-    def checked_image(x: GyroPoint) -> GyroPoint:
-        y = fn(x)
+    def checked_image(x: tuple[float, ...]) -> tuple[float, ...]:
+        y = fn(_point(tag, x))
         validate(y)
-        return y
+        return y.coords
 
     return checked_image
 
@@ -205,7 +216,7 @@ def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
     The block form of a package-built map; otherwise ``_unchecked(T)`` row by
     row, which validates the images of a user-built map.
     """
-    return getattr(T.apply, "block", None) or _row_wise(_unchecked(T), T.domain_model.tag)
+    return getattr(T.apply, "block", None) or _row_wise(_unchecked(T))
 
 
 def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
@@ -216,7 +227,7 @@ def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tup
 
 def identity_map(m: GgvModel) -> GyroMap:
     """The identity of a carrier."""
-    return _package_map(m, m, _same, _same, ({"kind": "identity"},), (_same, _same))
+    return _package_map(m, m, ({"kind": "identity"},), (_same, _same), (_same, _same))
 
 
 def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
@@ -225,18 +236,15 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
     g = m.group
     neg_c = g.inv(c)
 
-    def apply(x: GyroPoint) -> GyroPoint:
-        return g.add(c, x)
+    def translations(add: Callable) -> tuple[Callable, Callable]:
+        # Left cancellation makes the second an exact two-sided inverse of the
+        # first.  On blocks, a point's coordinates broadcast against the columns.
+        return partial(add, c.coords), partial(add, neg_c.coords)
 
-    def inverse_apply(y: GyroPoint) -> GyroPoint:
-        # Left cancellation makes this an exact two-sided inverse.
-        return g.add(neg_c, y)
-
-    # On blocks, a point's coordinates broadcast against the columns.
-    add = getattr(g.add, "block", None)
-    blocks = (lambda x: add(c.coords, x), lambda y: add(neg_c.coords, y)) if add else None
+    add_block = getattr(g.add, "block", None)
     recipe = ({"kind": "left_translation", "center": list(c.coords)},)
-    return _package_map(m, m, apply, inverse_apply, recipe, blocks)
+    return _package_map(m, m, recipe, translations(_coords_form(g.add, m.tag)),
+                        add_block and translations(add_block))
 
 
 def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
@@ -247,19 +255,18 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     """
     m.group.validate(a)
     g = m.group
-    double_a = m.otimes(2.0, a)
+    double_a = m.otimes(2.0, a).coords
 
-    def reflect(x: GyroPoint) -> GyroPoint:
-        return g.add(double_a, g.inv(x))
+    def reflections(add: Callable, inv: Callable) -> tuple[Callable, Callable]:
+        def reflect(x):
+            return add(double_a, inv(x))
 
-    add, inv = getattr(g.add, "block", None), getattr(g.inv, "block", None)
+        return reflect, reflect
 
-    def reflect_block(x: Block) -> Block:
-        return add(double_a.coords, inv(x))
-
-    blocks = (reflect_block, reflect_block) if add and inv else None
+    add_block, inv_block = getattr(g.add, "block", None), getattr(g.inv, "block", None)
     recipe = ({"kind": "point_reflection", "center": list(a.coords)},)
-    return _package_map(m, m, reflect, reflect, recipe, blocks)
+    return _package_map(m, m, recipe, reflections(_coords_form(g.add, m.tag), _coords_form(g.inv, m.tag)),
+                        add_block and inv_block and reflections(add_block, inv_block))
 
 
 def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
@@ -281,22 +288,17 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
             gram = sum(rows[k][i] * rows[k][j] for k in range(dim))
             if abs(gram - (1.0 if i == j else 0.0)) > 1e-9:
                 raise PreconditionError("rotation matrix is not orthogonal")
-    tag = m.tag
+    columns = tuple(zip(*rows))
 
+    # The same coordinate formula serves points and blocks.
     def rotate(x: tuple) -> tuple:
-        return tuple(sum(r * cx for r, cx in zip(row, x)) for row in rows)
+        return tuple(map(_dot, rows, repeat(x)))
 
     def unrotate(y: tuple) -> tuple:
-        return tuple(sum(rows[k][i] * y[k] for k in range(dim)) for i in range(dim))
-
-    def apply(x: GyroPoint) -> GyroPoint:
-        return _point(tag, rotate(x.coords))
-
-    def inverse_apply(y: GyroPoint) -> GyroPoint:
-        return _point(tag, unrotate(y.coords))
+        return tuple(map(_dot, columns, repeat(y)))
 
     recipe = ({"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},)
-    return _package_map(m, m, apply, inverse_apply, recipe, (rotate, unrotate))
+    return _package_map(m, m, recipe, (rotate, unrotate), (rotate, unrotate))
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -310,22 +312,15 @@ def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
         raise PreconditionError(
             f"transport needs identically parametrized instances, got {domain.tag!r} and {codomain.tag!r}"
         )
-
-    def apply(x: GyroPoint) -> GyroPoint:
-        return _point(codomain.tag, x.coords)
-
-    def inverse_apply(y: GyroPoint) -> GyroPoint:
-        return _point(domain.tag, y.coords)
-
-    return _package_map(domain, codomain, apply, inverse_apply, ({"kind": "transport"},), (_same, _same))
+    return _package_map(domain, codomain, ({"kind": "transport"},), (_same, _same), (_same, _same))
 
 
 def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
     """Compose maps left to right: the first map is applied first.
 
-    The composition validates its argument once, on entry, and runs the
-    unchecked steps of its package-built maps.  It has a block form when
-    every step has one.
+    The composition validates its argument once, on entry, and chains the
+    coordinate forms of its maps.  It has a block form when every step has
+    one.
     """
     chain = list(maps)
     if not chain:
@@ -337,8 +332,8 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
             )
     if len(chain) == 1:
         return chain[0]
-    steps = [_unchecked(mp) for mp in chain]
-    inverse_steps = [_unchecked(mp, inverse=True) for mp in reversed(chain)]
+    coords = (_chain([_unchecked(mp) for mp in chain]),
+              _chain([_unchecked(mp, inverse=True) for mp in reversed(chain)]))
     block_steps = [getattr(mp.apply, "block", None) for mp in chain]
     inverse_block_steps = [getattr(mp.inverse_apply, "block", None) for mp in reversed(chain)]
     blocks = None
@@ -346,7 +341,7 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
         blocks = (_chain(block_steps), _chain(inverse_block_steps))
     domain, codomain = chain[0].domain_model, chain[-1].codomain_model
     recipe = tuple(step for mp in chain for step in mp.recipe)
-    return _package_map(domain, codomain, _chain(steps), _chain(inverse_steps), recipe, blocks)
+    return _package_map(domain, codomain, recipe, coords, blocks)
 
 
 def _chain(steps: list[Callable]) -> Callable:
@@ -529,7 +524,7 @@ def decompose_mazur_ulam(
     if n_samples < 1:
         raise PreconditionError("n_samples must be >= 1")
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    translation_part = _unchecked(T)(T.domain_model.identity)
+    translation_part = _point(T.codomain_model.tag, _unchecked(T)(T.domain_model.identity.coords))
     neg_te = T.codomain_model.group.inv(translation_part)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     g1, g2 = m1.group, m2.group
@@ -597,16 +592,20 @@ def defect_experiment(
     m1.group.validate(x2)
     apply, inverse_apply = _unchecked(T), _unchecked(T, inverse=True)
 
-    p = _midpoint(m1, x1, x2)
-    p_image = _midpoint(m2, apply(x1), apply(x2))
-    refl_p = _unchecked(point_reflection(m1, p))
-    refl_p_image = _unchecked(point_reflection(m2, p_image))
+    # The midpoints and reflections are built once on points; everything
+    # after runs on coordinate tuples.
+    mid = _midpoint(m1, x1, x2)
+    mid_image = _midpoint(m2, _point(m2.tag, apply(x1.coords)), _point(m2.tag, apply(x2.coords)))
+    refl_p = _unchecked(point_reflection(m1, mid))
+    refl_p_image = _unchecked(point_reflection(m2, mid_image))
+    distance1, distance2 = _coords_form(m1.distance, m1.tag), _coords_form(m2.distance, m2.tag)
+    a1, a2, p, p_image = x1.coords, x2.coords, mid.coords, mid_image.coords
 
-    def S(x: GyroPoint) -> GyroPoint:
+    def S(x: tuple[float, ...]) -> tuple[float, ...]:
         return refl_p(inverse_apply(refl_p_image(apply(x))))
 
-    defect = m2.distance(apply(p), p_image)
-    bound = 2.0 * m1.distance(x1, p)
+    defect = distance2(apply(p), p_image)
+    bound = 2.0 * distance1(a1, p)
 
     iterates = []
     current = p
@@ -616,9 +615,9 @@ def defect_experiment(
         while applied < target:
             current = S(current)
             applied += 1
-        iterates.append(m1.distance(current, p))
+        iterates.append(distance1(current, p))
 
-    fixed_point_residual = worst_residual(m1.distance(S(x1), x1), m1.distance(S(x2), x2))
+    fixed_point_residual = worst_residual(distance1(S(a1), a1), distance1(S(a2), a2))
     passed = (
         defect <= tolerance
         and fixed_point_residual <= tolerance

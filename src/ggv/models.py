@@ -32,10 +32,11 @@ Four constructions are provided, selected by :class:`ModelConfig.kind`:
     stress test for any code tempted to assume that unit norms vanish.
 
 Each kernel of a model (``group.add``, ``group.inv``, ``group.gyr``,
-``otimes``, ``distance``) evaluates one coordinate formula, and carries the
-same formula on blocks of points as its ``block`` attribute (see
-:func:`_model`); every row of a block rounds exactly as the point kernel
-rounds it.
+``otimes``, ``distance``) evaluates one coordinate formula.  The point kernel
+reads the coordinates of its arguments and builds a point from the result;
+it carries the formula on coordinate tuples as its ``coords`` attribute and
+on blocks of points as its ``block`` attribute (see :func:`_model`).  Every
+row of a block rounds exactly as the point kernel rounds it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
-from operator import attrgetter
+from operator import add, mul, neg, sub, truediv
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -244,28 +245,24 @@ def _block(points: Sequence[GyroPoint]) -> Block:
     return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
 
 
-def _row_wise(fn: Callable, tag: str | None = None) -> Callable:
-    """The block form of ``fn``, evaluated row by row through ``fn`` itself.
+def _row_wise(fn: Callable) -> Callable:
+    """The block form of ``fn``, a function of coordinate tuples, evaluated row by row.
 
-    A block argument is split into points of ``tag`` (into coordinate tuples
-    when ``tag`` is ``None``), a column into its entries, and a scalar
-    repeats.  A point-valued ``fn`` gives a block, a vector-valued one a
-    tuple of columns, a real-valued one a column and a truth-valued one a
-    column of bools.
+    A block argument is split into coordinate tuples, a column into its
+    entries, and a scalar repeats.  A vector-valued ``fn`` gives a tuple of
+    columns, a real-valued one a column and a truth-valued one a column of
+    bools.
     """
     def block(*args):
         rows = []
         for arg in args:
             if isinstance(arg, tuple):
-                coords = zip(*(column.tolist() for column in arg))
-                rows.append([_point(tag, row) for row in coords] if tag else list(coords))
+                rows.append(list(zip(*(column.tolist() for column in arg))))
             elif isinstance(arg, np.ndarray):
                 rows.append(arg.tolist())
             else:
                 rows.append(repeat(arg))
         out = [fn(*row) for row in zip(*rows)]
-        if isinstance(out[0], GyroPoint):
-            return _block(out)
         if isinstance(out[0], tuple):
             return tuple(np.array(column) for column in zip(*out))
         return np.array(out, dtype=bool if isinstance(out[0], bool) else np.float64)
@@ -273,31 +270,54 @@ def _row_wise(fn: Callable, tag: str | None = None) -> Callable:
     return block
 
 
+def _coords_form(kernel: Callable, tag: str) -> Callable:
+    """The coordinate form of ``kernel``, a point kernel of the model ``tag``.
+
+    That is its ``coords`` attribute, or else the kernel itself run on
+    points: coordinate tuples become points of ``tag``, and a point result
+    becomes its coordinates.
+    """
+    coords = getattr(kernel, "coords", None)
+    if coords is not None:
+        return coords
+
+    def lifted(*args):
+        out = kernel(*[_point(tag, arg) if isinstance(arg, tuple) else arg for arg in args])
+        return out.coords if isinstance(out, GyroPoint) else out
+
+    return lifted
+
+
+def _block_form(kernel: Callable, tag: str) -> Callable:
+    """The block form of ``kernel``: its ``block`` attribute, or else its
+    coordinate form lifted row by row."""
+    return getattr(kernel, "block", None) or _row_wise(_coords_form(kernel, tag))
+
+
 def _on_blocks(m: GgvModel) -> GgvModel:
     """``m`` with each kernel replaced by its block form.
 
     A kernel without a ``block`` attribute (one swapped in by hand, or
-    wrapped from outside) is lifted row by row through its point form.  The
+    wrapped from outside) is lifted row by row through its coordinate form,
+    which for a kernel without a ``coords`` attribute runs the point form.  The
     functions of the norm-value line are mapped over the column, as libm's
     are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over the
     rows, membership checks included, because norm values drawn through
     ``lin_inv`` can leave the norm-value set; the first row that does raises
     the error a loop over the rows would raise.
     """
-    g, nvs = m.group, m.nvs
-
-    def form(kernel: Callable, tag: str | None = m.tag) -> Callable:
-        return getattr(kernel, "block", None) or _row_wise(kernel, tag)
-
-    group = replace(g, add=form(g.add), inv=form(g.inv), gyr=form(g.gyr))
+    g, nvs, tag = m.group, m.nvs, m.tag
+    group = replace(g, add=_block_form(g.add, tag), inv=_block_form(g.inv, tag), gyr=_block_form(g.gyr, tag))
     line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
                    lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
-    return replace(m, group=group, otimes=form(m.otimes), distance=form(m.distance), phi=form(m.phi),
-                   ambient_norm=form(m.ambient_norm, None), nvs=line)
+    # ambient_norm takes coordinates already.
+    norm = getattr(m.ambient_norm, "block", None) or _row_wise(m.ambient_norm)
+    return replace(m, group=group, otimes=_block_form(m.otimes, tag), distance=_block_form(m.distance, tag),
+                   phi=_block_form(m.phi, tag), ambient_norm=norm, nvs=line)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _norm(u: Sequence[float], lib=math) -> float:
@@ -311,7 +331,7 @@ def _check_point(p: GyroPoint, tag: str, dim: int) -> None:
         raise DomainError(f"point of model {p.model_tag!r} fed to {tag!r}")
     if len(p.coords) != dim:
         raise DomainError(f"{tag}: expected dimension {dim}, got {len(p.coords)}")
-    if not all(math.isfinite(c) for c in p.coords):
+    if not all(map(math.isfinite, p.coords)):
         raise DomainError(f"{tag}: non-finite coordinates {p.coords!r}")
 
 
@@ -330,8 +350,7 @@ def _clamp_ball(coords: tuple[float, ...], s: float) -> tuple[float, ...]:
     limit = s * (1.0 - BALL_EDGE)
     if n >= limit:
         _warn_clamp(n, s)
-        scale = limit / n
-        return tuple(c * scale for c in coords)
+        return tuple(map(mul, coords, repeat(limit / n)))
     return coords
 
 
@@ -352,7 +371,7 @@ def _clamp_block(coords: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, 
 def _radial(r, u, n, s, lib):
     # r (x) u = s tanh(r artanh(|u|/s)) u/|u| for |u| = n > 0.
     t = s * lib.tanh(r * lib.atanh(n / s))
-    return tuple(t * x / n for x in u)
+    return tuple(map(truediv, map(mul, repeat(t), u), repeat(n)))
 
 
 def _scale_in_ball(r: float, u: tuple[float, ...], s: float) -> tuple[float, ...]:
@@ -384,6 +403,11 @@ _BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name))
                          clamp=_clamp_block, scale=_scale_block, each=_columnwise)
 
 
+def _combine(a, x, b, y, den):
+    # (a x + b y) / den, coordinate by coordinate.
+    return tuple(map(truediv, map(add, map(mul, repeat(a), x), map(mul, repeat(b), y)), repeat(den)))
+
+
 def _einstein_add(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> tuple[float, ...]:
     s2 = s * s
     uv = _dot(u, v) / s2
@@ -391,8 +415,7 @@ def _einstein_add(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> 
     gamma_u = 1.0 / lib.sqrt(1.0 - u2)
     coeff_u = 1.0 + (gamma_u / (1.0 + gamma_u)) * uv
     coeff_v = 1.0 / gamma_u
-    den = 1.0 + uv
-    return tuple((coeff_u * x + coeff_v * y) / den for x, y in zip(u, v))
+    return _combine(coeff_u, u, coeff_v, v, 1.0 + uv)
 
 
 def _mobius_add(u: tuple[float, ...], v: tuple[float, ...], c: float) -> tuple[float, ...]:
@@ -404,10 +427,9 @@ def _mobius_add(u: tuple[float, ...], v: tuple[float, ...], c: float) -> tuple[f
     # boundary, where the gamma factors diverge.
     pu = 1.0 - c * _dot(u, u)
     pv = 1.0 - c * _dot(v, v)
-    e = tuple(x + y for x, y in zip(u, v))
+    e = tuple(map(add, u, v))
     ce2 = c * _dot(e, e)
-    den = pu * pv + ce2
-    return tuple((pu * ei + ce2 * ui) / den for ei, ui in zip(e, u))
+    return _combine(pu, e, ce2, u, pu * pv + ce2)
 
 
 def _mobius_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) -> float:
@@ -418,7 +440,7 @@ def _mobius_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib) 
     c = 1.0 / (s * s)
     pu = 1.0 - c * _dot(u, u)
     pv = 1.0 - c * _dot(v, v)
-    diff = tuple(x - y for x, y in zip(u, v))
+    diff = tuple(map(sub, u, v))
     d2 = c * _dot(diff, diff)
     den = pu * pv + d2
     t = lib.sqrt(d2 / den)
@@ -439,7 +461,7 @@ def _einstein_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib
     c = 1.0 / (s * s)
     pu = 1.0 - c * _dot(u, u)
     pv = 1.0 - c * _dot(v, v)
-    diff = tuple(x - y for x, y in zip(u, v))
+    diff = tuple(map(sub, u, v))
     ud = _dot(u, diff)
     d2 = _dot(diff, diff)
     q = pu + c * ud
@@ -461,9 +483,10 @@ def _mobius_gyr(u: tuple[float, ...], v: tuple[float, ...], w: tuple[float, ...]
     vw = _dot(v, w)
     a = -c * c * uw * v2 + c * vw + 2.0 * c * c * uv * vw
     b = -c * c * vw * u2 - c * uw
-    e = tuple(x + y for x, y in zip(u, v))
+    e = tuple(map(add, u, v))
     den = (1.0 - c * u2) * (1.0 - c * v2) + c * _dot(e, e)
-    return tuple(wi + 2.0 * (a * ui + b * vi) / den for wi, ui, vi in zip(w, u, v))
+    turn = map(add, map(mul, repeat(a), u), map(mul, repeat(b), v))  # a u + b v
+    return tuple(map(add, w, map(truediv, map(mul, repeat(2.0), turn), repeat(den))))
 
 
 # ---------------------------------------------------------------------------
@@ -535,21 +558,40 @@ _coordinates.block = _same
 
 def _model(cfg: ModelConfig, identity: tuple[float, ...], validate: Callable[[GyroPoint], None],
            ops: Callable, ambient_norm: Callable, nvs: NormValueSpace) -> GgvModel:
-    """A model whose kernels are ``ops(lib, at, out)``.
+    """A model whose kernels are ``ops(lib)``.
 
-    ``ops`` returns the kernels ``add, inv, gyr, smul, distance``, each
-    written once over coordinates: ``at`` gives an argument's coordinates and
-    ``out`` makes the result from coordinates.  On points ``at`` reads
-    ``coords`` and ``out`` builds a point; on blocks, whose columns are the
-    coordinates, both pass their argument through.  ``ambient_norm(vec,
-    lib)`` is the norm of the ambient space, written the same way.  Each
-    point kernel carries its block form as its ``block`` attribute.
+    ``ops`` returns the kernels ``oplus, inv, gyr, smul, distance``, each
+    written once over coordinates: ``ops(_POINT)`` runs them on coordinate
+    tuples and ``ops(_BLOCK)`` on blocks, whose columns are the coordinates.
+    Each point kernel reads the coordinates of its point arguments, runs the
+    coordinate form, which it carries as its ``coords`` attribute, and makes
+    a point of the result; it carries the block form as its ``block``
+    attribute.  ``ambient_norm(vec, lib)`` is the norm of the ambient space,
+    written the same way.
     """
     tag = cfg.tag
-    kernels = ops(_POINT, attrgetter("coords"), partial(_point, tag))
-    for kernel, block in zip(kernels, ops(_BLOCK, _same, _same)):
+    forms = ops(_POINT)
+    oplus_coords, inv_coords, gyr_coords, smul_coords, distance_coords = forms
+
+    def add(a, b):
+        return _point(tag, oplus_coords(a.coords, b.coords))
+
+    def inv(a):
+        return _point(tag, inv_coords(a.coords))
+
+    def gyr(u, v, a):
+        return _point(tag, gyr_coords(u.coords, v.coords, a.coords))
+
+    def smul(r, a):
+        return _point(tag, smul_coords(r, a.coords))
+
+    def distance(a, b):
+        return distance_coords(a.coords, b.coords)
+
+    kernels = (add, inv, gyr, smul, distance)
+    for kernel, coords, block in zip(kernels, forms, ops(_BLOCK)):
+        kernel.coords = coords
         kernel.block = block
-    add, inv, gyr, smul, distance = kernels
     norm = partial(ambient_norm, lib=_POINT)
     norm.block = partial(ambient_norm, lib=_BLOCK)
     group = GyroGroupOps(tag, GyroPoint(tag, identity), add, inv, gyr, validate)
@@ -562,21 +604,21 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, dim)
 
-    def ops(lib, at, out):
-        def add(a, b):
-            return out(tuple(x + y for x, y in zip(at(a), at(b))))
+    def ops(lib):
+        def oplus(a, b):
+            return tuple(map(add, a, b))
 
         def inv(a):
-            return out(tuple(-x for x in at(a)))
+            return tuple(map(neg, a))
 
         def smul(r, a):
-            return out(tuple(r * x for x in at(a)))
+            return tuple(map(mul, repeat(r), a))
 
         def distance(a, b):
             # lin(rho(a, b)) = |a + (-b)|, and x + (-y) == x - y in IEEE arithmetic.
-            return _norm(tuple(x - y for x, y in zip(at(a), at(b))), lib)
+            return _norm(tuple(map(sub, a, b)), lib)
 
-        return add, inv, _no_gyration, smul, distance
+        return oplus, inv, _no_gyration, smul, distance
 
     return _model(cfg, (0.0,) * dim, validate, ops, _norm, _euclidean_line())
 
@@ -591,11 +633,11 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
         if n >= s:
             raise DomainError(f"{tag}: point of norm {n!r} is outside the open ball")
 
-    def ops(lib, at, out):
+    def ops(lib):
         clamp, scale = lib.clamp, lib.scale
         if cfg.kind == "einstein":
-            def add(a, b):
-                return out(clamp(_einstein_add(at(a), at(b), s, lib), s))
+            def oplus(a, b):
+                return clamp(_einstein_add(a, b, s, lib), s)
 
             def gyr(u, v, a):
                 # Einstein and Mobius gyrations agree after halving the first
@@ -603,27 +645,27 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
                 # the two additions and gyrations are linear, so the radial
                 # scalings cancel.  This keeps the closed form independent of
                 # the composition-of-sums oracle.
-                return out(clamp(_mobius_gyr(scale(0.5, at(u), s), scale(0.5, at(v), s), at(a), c), s))
+                return clamp(_mobius_gyr(scale(0.5, u, s), scale(0.5, v, s), a, c), s)
 
             def distance(a, b):
-                return _einstein_distance(at(a), at(b), s, lib)
+                return _einstein_distance(a, b, s, lib)
         else:
-            def add(a, b):
-                return out(clamp(_mobius_add(at(a), at(b), c), s))
+            def oplus(a, b):
+                return clamp(_mobius_add(a, b, c), s)
 
             def gyr(u, v, a):
-                return out(clamp(_mobius_gyr(at(u), at(v), at(a), c), s))
+                return clamp(_mobius_gyr(u, v, a, c), s)
 
             def distance(a, b):
-                return _mobius_distance(at(a), at(b), s, lib)
+                return _mobius_distance(a, b, s, lib)
 
         def inv(a):
-            return out(tuple(-x for x in at(a)))
+            return tuple(map(neg, a))
 
         def smul(r, a):
-            return out(clamp(scale(r, at(a), s), s))
+            return clamp(scale(r, a, s), s)
 
-        return add, inv, gyr, smul, distance
+        return oplus, inv, gyr, smul, distance
 
     return _model(cfg, (0.0,) * dim, validate, ops, _norm, _rapidity_line(s))
 
@@ -637,23 +679,23 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
         if not (a >= 1.0 or a < -1.0):
             raise DomainError(f"{tag}: {a!r} is outside (-inf, -1) union [1, inf)")
 
-    def ops(lib, at, out):
+    def ops(lib):
         Phi, Phi_inv = lib.each(path_Phi), lib.each(path_Phi_inv)
 
-        def add(a, b):
-            return out((Phi(Phi_inv(at(a)[0]) + Phi_inv(at(b)[0])),))
+        def oplus(a, b):
+            return (Phi(Phi_inv(a[0]) + Phi_inv(b[0])),)
 
         def inv(a):
-            return out((Phi(-Phi_inv(at(a)[0])),))
+            return (Phi(-Phi_inv(a[0])),)
 
         def smul(r, a):
-            return out((Phi(r * Phi_inv(at(a)[0])),))
+            return (Phi(r * Phi_inv(a[0])),)
 
         def distance(a, b):
             # lin(rho(a, b)) collapses to the transplanted-coordinate gap
-            return abs(Phi_inv(at(a)[0]) - Phi_inv(at(b)[0]))
+            return abs(Phi_inv(a[0]) - Phi_inv(b[0]))
 
-        return add, inv, _no_gyration, smul, distance
+        return oplus, inv, _no_gyration, smul, distance
 
     return _model(cfg, (1.0,), validate, ops, lambda vec, lib: abs(vec[0]), _transplanted_line())
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
+from operator import mul, sub
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
@@ -33,7 +35,7 @@ def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -
     if kind == "normed":
         return _point(m.tag, tuple(rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(dim)))
     direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-    n = math.sqrt(sum(x * x for x in direction))
+    n = math.sqrt(sum(map(mul, direction, direction)))
     if n == 0.0:
         direction, n = [1.0] + [0.0] * (dim - 1), 1.0
     radius = m.config.s * margin * rng.random() ** (1.0 / dim)
@@ -66,7 +68,7 @@ def sample_separated_pair(
     for _ in range(ATTEMPTS):
         a = sample_point(m, rng, margin)
         b = sample_point(m, rng, margin)
-        sep = math.sqrt(sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)))
+        sep = math.sqrt(sum(map(pow, map(sub, a.coords, b.coords), repeat(2))))
         if sep >= min_coord_sep:
             return a, b
     raise SamplingError(

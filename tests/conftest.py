@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ggv import ModelConfig, make_model
+from ggv import GyroMap, ModelConfig, make_model
 
 MODEL_CONFIGS = {
     "normed": ModelConfig("normed", dim=2),
@@ -48,17 +48,22 @@ def patho():
     return make_model(MODEL_CONFIGS["pathological"])
 
 
-def _without_blocks(m):
-    """``m`` with kernels that have no block form, so that everything is lifted row by row."""
-    g = m.group
+def _without_blocks(x):
+    """``x``, a model or a map, with callables that carry no block or coordinate
+    form, as the benchmark tracer's wrappers carry none: everything is lifted
+    through the point forms."""
+    if isinstance(x, GyroMap):
+        return dataclasses.replace(x, apply=lambda p: x.apply(p), inverse_apply=lambda p: x.inverse_apply(p))
+    g = x.group
     group = dataclasses.replace(g, add=lambda a, b: g.add(a, b), inv=lambda a: g.inv(a),
                                 gyr=lambda u, v, a: g.gyr(u, v, a))
-    return dataclasses.replace(m, group=group, otimes=lambda r, a: m.otimes(r, a),
-                               distance=lambda a, b: m.distance(a, b), phi=lambda a: m.phi(a),
-                               ambient_norm=lambda vec: m.ambient_norm(vec))
+    return dataclasses.replace(x, group=group, otimes=lambda r, a: x.otimes(r, a),
+                               distance=lambda a, b: x.distance(a, b), phi=lambda a: x.phi(a),
+                               ambient_norm=lambda vec: x.ambient_norm(vec))
 
 
 @pytest.fixture
 def without_blocks():
-    """Strips a model's kernels of their block forms (the forced row-wise lift)."""
+    """Strips a model's kernels, or a map's directions, of their block and
+    coordinate forms (the forced lift through the point forms)."""
     return _without_blocks

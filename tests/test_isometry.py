@@ -519,6 +519,43 @@ def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
             assert experiment(T, 60, seed).to_dict() == experiment(T_lifted, 60, seed).to_dict()
 
 
+def test_the_defect_chain_matches_its_lift(any_model, without_blocks):
+    m = any_model
+    lifted = without_blocks(m)
+    rng = random.Random(17)
+    x1, x2 = sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)
+    expected = defect_experiment(random_isometry(m, seed=6, depth=3), x1, x2, n_max=6).to_dict()
+    T_lifted = random_isometry(lifted, seed=6, depth=3)
+    stripped = without_blocks(T_lifted)
+    assert not hasattr(stripped.apply, "coords") and T_lifted.apply.block is None
+    for T in (T_lifted, stripped, compose_maps([identity_map(lifted), stripped, identity_map(lifted)])):
+        assert defect_experiment(T, x1, x2, n_max=6).to_dict() == expected
+
+
+def test_the_images_of_a_user_map_are_validated_on_coordinates(einstein2):
+    # The identity on the ball of radius 0.95, off the carrier beyond it.
+    def escape(x):
+        return x if math.hypot(*x.coords) < 0.95 else GyroPoint(x.model_tag, (2.0, 0.0))
+
+    user_map = GyroMap(einstein2, einstein2, escape, escape, ({"kind": "escape"},))
+    rng = random.Random(19)
+    shift = left_translation(einstein2, sample_point(einstein2, rng, 0.2))
+    chain = compose_maps([identity_map(einstein2), user_map, identity_map(einstein2)])
+    inside, outside = make_point(einstein2, [0.5, 0.0]), make_point(einstein2, [0.0, 0.97])
+    assert chain.apply(inside) == inside
+    for T in (chain, compose_maps([shift, user_map])):
+        with pytest.raises(DomainError):
+            T.apply(outside)
+        with pytest.raises(DomainError):
+            T.inverse_apply(outside)
+    # Sampled pairs stay within 0.9 of the center, so the map passes its
+    # preservation check and fails on the images of the defect's points.
+    for T in (user_map, chain):
+        assert map_preservation_residual(T, 100, seed=0) == 0.0
+        with pytest.raises(DomainError):
+            defect_experiment(T, outside, make_point(einstein2, [0.0, -0.97]), n_max=2)
+
+
 def test_block_experiments_clamp_like_the_row_wise_lift(mobius2, without_blocks):
     # Translating by a point at the ball's edge pushes images onto the
     # boundary shell, where every kernel clamps.

@@ -9,8 +9,10 @@ all four kinds, dims 1-3, seeds 0, 7 and 1234, ball radii 1, 0.5, 2.5 and
 0.1, where ``verify-axioms`` stops on a norm value that leaves the
 norm-value set, plus the tolerances ``1e-17``, which fails every map at
 construction and most axiom checks, and ``5e-15``, which fails some checks,
-per command and kind) is run in-process against each tree, in a separate
-interpreter per tree.  Every request whose exit code, stdout or stderr
+per command and kind, then the benchmark's ``defect`` shapes at its doubling
+depths and a ball-model seed whose fixed-point residual drifts past the
+tolerance) is run in-process against each tree, in a separate interpreter
+per tree.  Every request whose exit code, stdout or stderr
 differs is printed; the exit status is 1 if any differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
@@ -41,6 +43,12 @@ COMMANDS = (
 )
 KINDS = ("normed", "einstein", "mobius", "pathological")
 FAILING_TOLERANCES = ("1e-17", "5e-15")
+# The shapes of the benchmark's defect_chain workload, as (kind, dim, n_max).
+DEFECT_SHAPES = (("normed", 2, 14), ("einstein", 2, 13), ("mobius", 2, 13), ("mobius", 3, 13),
+                 ("pathological", 1, 14))
+# Exits 1: its fixed-point residual is 1.5e-9 although its defect is 5e-13.
+DRIFTING_DEFECT = ["defect", "--model", "mobius", "--dim", "2", "--seed", "1656955186", "--depth", "4",
+                   "--n-max", "12"]
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning): ")
@@ -60,6 +68,11 @@ def corpus() -> list[list[str]]:
                         requests.append(argv + (["--s", s] if s else []))
             for tolerance in FAILING_TOLERANCES:
                 requests.append([command, "--model", kind, "--seed", "0", "--tolerance", tolerance, *options])
+    for kind, dim, n_max in DEFECT_SHAPES:
+        for seed in SEEDS:
+            requests.append(["defect", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--depth", "2",
+                             "--n-max", str(n_max)])
+    requests.append(DRIFTING_DEFECT)
     return requests
 
 
