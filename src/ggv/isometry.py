@@ -7,25 +7,28 @@ generated map is checked to preserve the gyrometric before it is handed out,
 and carries the record of that check so that the experiments need not repeat
 it.
 
-Every direction of a package-built map carries two forms: ``coords``, the
-map on the coordinate tuple of a carrier point, and ``block``, the map on
-blocks.  ``apply``/``inverse_apply`` validates its argument once per call,
-however deep the composition, runs ``coords`` and builds one point; the
-steps inside trust the coordinates their predecessors computed.  The
-experiments validate their inputs at entry and then run on coordinates or
-blocks they sampled or computed themselves.
+A package-built map holds its primitives as data: ``steps``, each with its
+recipe entries and one ``directions(form)`` that writes the primitive forward
+and backward once over a kernel form, on coordinate tuples
+(``models._coords_form``) or on blocks (``models._block_form``).  The map's
+coordinate form, block form and ``recipe`` are derived from its steps, and a
+composition is the flat chain of the steps of its maps.  ``apply`` and
+``inverse_apply`` validate their argument once per call, however deep the
+composition, run the coordinate form and build one point; the steps inside
+trust the coordinates their predecessors computed.  A map built by hand, or
+rebuilt with ``dataclasses.replace``, has no steps: it is one opaque step,
+its point form lifted to coordinates or blocks, and its images are
+validated.  A model kernel without a coordinate or block form is lifted
+through its point form inside the steps that use it, so the reports are the
+same either way.
 
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
-check is one vectorized pass.  Every model kernel and every package-built map
-direction carries its block form as a ``block`` attribute, rounding each row
-exactly as the point form rounds it.  A kernel or map without a form (a
-user-built ``GyroMap``, a kernel swapped in by hand or wrapped from outside)
-is lifted through its point form, and the images of a user-built map are
-validated, so the reports are the same either way.  Samples are drawn from
-the same streams in the same order as a loop over points would draw them.
-The defect experiment's doubling chain is sequential and runs on coordinate
-tuples.
+check is one vectorized pass.  Every row rounds exactly as the point form
+rounds it, and samples are drawn from the same streams in the same order as
+a loop over points would draw them.  The experiments validate their inputs
+at entry.  The defect experiment's doubling chain is sequential and runs on
+coordinate tuples.
 
 Three experiments probe what such maps must do:
 
@@ -51,9 +54,9 @@ import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import Block, _block, _coords_form, _dot, _on_blocks, _row_wise, _same
+from .models import Block, _block, _block_form, _coords_form, _dot, _on_blocks, _same
 from .sampling import sample_point
-from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, worst_of, worst_residual
+from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, _sample_count, worst_of, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
 # handed out.
@@ -77,9 +80,15 @@ class GyroMap:
 
     ``recipe`` lists the primitive maps of the composition as JSON-friendly
     descriptors; it exists for diagnostics and reproducibility only.
+    ``steps`` holds the primitives of a package-built map as data, and its
+    ``apply``, ``inverse_apply`` and ``recipe`` are derived from them.
     ``preservation`` is ``(seed, residual)`` of the ``CONSTRUCTION_PAIRS``-pair
-    check a generated map passed.  It is not a constructor argument, so a map
-    rebuilt with ``dataclasses.replace`` carries none.
+    check a generated map passed.
+
+    Neither ``steps`` nor ``preservation`` is a constructor argument, so a
+    map built by hand or rebuilt with ``dataclasses.replace`` has no steps
+    and carries no record: it runs as one opaque step, its own ``apply`` and
+    ``inverse_apply``, whatever field was replaced.
     """
 
     domain_model: GgvModel
@@ -87,6 +96,7 @@ class GyroMap:
     apply: Callable[[GyroPoint], GyroPoint]
     inverse_apply: Callable[[GyroPoint], GyroPoint]
     recipe: tuple[dict, ...]
+    steps: tuple[_Step, ...] = field(default=(), init=False, repr=False)
     preservation: tuple[int, float] | None = field(default=None, init=False, repr=False)
 
 
@@ -141,93 +151,118 @@ class DefectTrace(Report):
 
 
 # ---------------------------------------------------------------------------
-# Primitive maps.
+# Steps.
 # ---------------------------------------------------------------------------
 
 # A map on the coordinate tuples of carrier points.
 Coords = Callable[[tuple[float, ...]], tuple[float, ...]]
+# The form of a model kernel: ``models._coords_form`` or ``models._block_form``.
+Form = Callable[[Callable, str], Callable]
 
 
-def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords,
-             block: Callable[[Block], Block] | None) -> Callable[[GyroPoint], GyroPoint]:
-    """A map direction: it validates its argument, runs ``coords`` on its
-    coordinates and returns one point of ``tag``.
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One primitive of a map: its recipe entries and its two directions.
 
-    ``coords`` stays reachable as an attribute: compositions and the
-    experiments run it on coordinates that package code sampled or computed.
-    So does ``block``, the same map on blocks of such points, or ``None``.
+    ``directions(form)`` returns the map forward and backward, written once
+    over the kernels in ``form``: on coordinate tuples or on blocks.
     """
+
+    recipe: tuple[dict, ...]
+    directions: Callable[[Form], tuple[Callable, Callable]]
+
+
+def _steps(T: GyroMap) -> tuple[_Step, ...]:
+    """The steps of ``T``; a map built by hand, or rebuilt with
+    ``dataclasses.replace``, is one opaque step."""
+    return T.steps or (_Step(T.recipe, partial(_opaque_directions, T)),)
+
+
+def _opaque_directions(T: GyroMap, form: Form) -> tuple[Callable, Callable]:
+    """``T.apply`` and ``T.inverse_apply`` lifted to ``form`` through points, with
+    every image validated, since nothing vouches for them."""
+    return (form(_validated(T.apply, T.codomain_model), T.domain_model.tag),
+            form(_validated(T.inverse_apply, T.domain_model), T.codomain_model.tag))
+
+
+def _validated(fn: Callable[[GyroPoint], GyroPoint], target: GgvModel) -> Callable[[GyroPoint], GyroPoint]:
+    validate = target.group.validate
+
+    def image(x: GyroPoint) -> GyroPoint:
+        y = fn(x)
+        validate(y)
+        return y
+
+    return image
+
+
+def _directions(steps: Sequence[_Step], form: Form) -> tuple[Callable, Callable]:
+    """The map of ``steps`` in ``form``: the steps forward in order, then backward in reverse."""
+    pairs = [step.directions(form) for step in steps]
+    return _chain([forward for forward, _ in pairs]), _chain([backward for _, backward in reversed(pairs)])
+
+
+def _chain(fns: list[Callable]) -> Callable:
+    """Run ``fns`` in order, each on the result of the one before."""
+    # A single step runs without the loop: the defect chain calls its
+    # reflections once per step of S.
+    if len(fns) == 1:
+        return fns[0]
+
+    def run(x):
+        for fn in fns:
+            x = fn(x)
+        return x
+
+    return run
+
+
+def _unchecked(T: GyroMap) -> tuple[Coords, Coords]:
+    """``T.apply`` and ``T.inverse_apply`` on the coordinates of carrier points,
+    without the entry check."""
+    return _directions(_steps(T), _coords_form)
+
+
+def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
+    """``T.apply`` on blocks of carrier points."""
+    return _directions(_steps(T), _block_form)[0]
+
+
+def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) -> Callable[[GyroPoint], GyroPoint]:
+    """A map direction: it validates its argument, runs ``coords`` on its
+    coordinates and returns one point of ``tag``."""
     def call(x: GyroPoint) -> GyroPoint:
         validate(x)
         return _point(tag, coords(x.coords))
 
-    call.coords = coords
-    call.block = block
     return call
 
 
-def _package_map(
-    domain: GgvModel,
-    codomain: GgvModel,
-    recipe: tuple[dict, ...],
-    coords: tuple[Coords, Coords],
-    blocks: tuple[Callable[[Block], Block], Callable[[Block], Block]] | None,
-) -> GyroMap:
-    """A map whose directions validate their argument, then run the given steps.
-
-    ``coords`` is the pair of directions on coordinates and ``blocks`` the
-    pair on blocks; without it the experiments lift the map row by row.
-    """
-    apply, inverse_apply = coords
-    apply_block, inverse_block = blocks or (None, None)
-    return GyroMap(domain, codomain, _checked(domain.group.validate, codomain.tag, apply, apply_block),
-                   _checked(codomain.group.validate, domain.tag, inverse_apply, inverse_block), recipe)
+def _package_map(domain: GgvModel, codomain: GgvModel, steps: tuple[_Step, ...]) -> GyroMap:
+    """The map of ``steps``; its directions validate their argument once, then run the steps."""
+    forward, backward = _directions(steps, _coords_form)
+    T = GyroMap(domain, codomain, _checked(domain.group.validate, codomain.tag, forward),
+                _checked(codomain.group.validate, domain.tag, backward),
+                tuple(entry for step in steps for entry in step.recipe))
+    object.__setattr__(T, "steps", steps)
+    return T
 
 
-def _unchecked(T: GyroMap, inverse: bool = False) -> Coords:
-    """``T.apply`` (or ``T.inverse_apply``) on the coordinates of carrier points.
+def _primitive(m: GgvModel, recipe: dict, directions: Callable[[Form], tuple[Callable, Callable]]) -> GyroMap:
+    return _package_map(m, m, (_Step((recipe,), directions),))
 
-    A package-built map runs its ``coords`` form and skips its entry check.
-    Any other callable runs on points, and its images are validated, since
-    nothing vouches for them.
-    """
-    fn = T.inverse_apply if inverse else T.apply
-    coords = getattr(fn, "coords", None)
-    if coords is not None:
-        return coords
-    source, target = (T.codomain_model, T.domain_model) if inverse else (T.domain_model, T.codomain_model)
-    tag, validate = source.tag, target.group.validate
 
-    def checked_image(x: tuple[float, ...]) -> tuple[float, ...]:
-        y = fn(_point(tag, x))
-        validate(y)
-        return y.coords
-
-    return checked_image
+def _identities(form: Form) -> tuple[Callable, Callable]:
+    return _same, _same
 
 
 # ---------------------------------------------------------------------------
-# Blocks.
+# Primitive maps.
 # ---------------------------------------------------------------------------
-
-def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
-    """``T.apply`` on blocks of carrier points.
-
-    The block form of a package-built map; otherwise ``_unchecked(T)`` row by
-    row, which validates the images of a user-built map.
-    """
-    return getattr(T.apply, "block", None) or _row_wise(_unchecked(T))
-
-
-def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
-    """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
-    points = [sample_point(m, rng, margin) for _ in range(2 * n)]
-    return _block(points[0::2]), _block(points[1::2])
-
 
 def identity_map(m: GgvModel) -> GyroMap:
     """The identity of a carrier."""
-    return _package_map(m, m, ({"kind": "identity"},), (_same, _same), (_same, _same))
+    return _primitive(m, {"kind": "identity"}, _identities)
 
 
 def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
@@ -236,15 +271,13 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
     g = m.group
     neg_c = g.inv(c)
 
-    def translations(add: Callable) -> tuple[Callable, Callable]:
+    def translations(form: Form) -> tuple[Callable, Callable]:
         # Left cancellation makes the second an exact two-sided inverse of the
         # first.  On blocks, a point's coordinates broadcast against the columns.
+        add = form(g.add, m.tag)
         return partial(add, c.coords), partial(add, neg_c.coords)
 
-    add_block = getattr(g.add, "block", None)
-    recipe = ({"kind": "left_translation", "center": list(c.coords)},)
-    return _package_map(m, m, recipe, translations(_coords_form(g.add, m.tag)),
-                        add_block and translations(add_block))
+    return _primitive(m, {"kind": "left_translation", "center": list(c.coords)}, translations)
 
 
 def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
@@ -257,16 +290,15 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     g = m.group
     double_a = m.otimes(2.0, a).coords
 
-    def reflections(add: Callable, inv: Callable) -> tuple[Callable, Callable]:
+    def reflections(form: Form) -> tuple[Callable, Callable]:
+        add, inv = form(g.add, m.tag), form(g.inv, m.tag)
+
         def reflect(x):
             return add(double_a, inv(x))
 
         return reflect, reflect
 
-    add_block, inv_block = getattr(g.add, "block", None), getattr(g.inv, "block", None)
-    recipe = ({"kind": "point_reflection", "center": list(a.coords)},)
-    return _package_map(m, m, recipe, reflections(_coords_form(g.add, m.tag), _coords_form(g.inv, m.tag)),
-                        add_block and inv_block and reflections(add_block, inv_block))
+    return _primitive(m, {"kind": "point_reflection", "center": list(a.coords)}, reflections)
 
 
 def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
@@ -297,8 +329,8 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
     def unrotate(y: tuple) -> tuple:
         return tuple(map(_dot, columns, repeat(y)))
 
-    recipe = ({"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},)
-    return _package_map(m, m, recipe, (rotate, unrotate), (rotate, unrotate))
+    return _primitive(m, {"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},
+                      lambda form: (rotate, unrotate))
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -312,15 +344,14 @@ def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
         raise PreconditionError(
             f"transport needs identically parametrized instances, got {domain.tag!r} and {codomain.tag!r}"
         )
-    return _package_map(domain, codomain, ({"kind": "transport"},), (_same, _same), (_same, _same))
+    return _package_map(domain, codomain, (_Step(({"kind": "transport"},), _identities),))
 
 
 def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
     """Compose maps left to right: the first map is applied first.
 
-    The composition validates its argument once, on entry, and chains the
-    coordinate forms of its maps.  It has a block form when every step has
-    one.
+    The composition is the flat chain of the steps of its maps, and
+    validates its argument once, on entry.
     """
     chain = list(maps)
     if not chain:
@@ -332,26 +363,8 @@ def compose_maps(maps: Iterable[GyroMap]) -> GyroMap:
             )
     if len(chain) == 1:
         return chain[0]
-    coords = (_chain([_unchecked(mp) for mp in chain]),
-              _chain([_unchecked(mp, inverse=True) for mp in reversed(chain)]))
-    block_steps = [getattr(mp.apply, "block", None) for mp in chain]
-    inverse_block_steps = [getattr(mp.inverse_apply, "block", None) for mp in reversed(chain)]
-    blocks = None
-    if None not in block_steps + inverse_block_steps:
-        blocks = (_chain(block_steps), _chain(inverse_block_steps))
-    domain, codomain = chain[0].domain_model, chain[-1].codomain_model
-    recipe = tuple(step for mp in chain for step in mp.recipe)
-    return _package_map(domain, codomain, recipe, coords, blocks)
-
-
-def _chain(steps: list[Callable]) -> Callable:
-    """Run ``steps`` in order, each on the result of the one before."""
-    def run(x):
-        for step in steps:
-            x = step(x)
-        return x
-
-    return run
+    steps = tuple(step for mp in chain for step in _steps(mp))
+    return _package_map(chain[0].domain_model, chain[-1].codomain_model, steps)
 
 
 def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, ...], ...]:
@@ -370,14 +383,19 @@ def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, .
 # Preservation checks and random map generation.
 # ---------------------------------------------------------------------------
 
+def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
+    """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
+    points = [sample_point(m, rng, margin) for _ in range(2 * n)]
+    return _block(points[0::2]), _block(points[1::2])
+
+
 def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
     """Worst linearized gap between image distances and source distances.
 
     The pairs are drawn in a fixed order from ``seed``, so the pairs of a
     shorter check are a prefix of those of a longer one.
     """
-    if n_pairs < 1:
-        return 0.0
+    _sample_count(n_pairs, "n_pairs")
     rng = random.Random(f"{seed}:preservation")
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     apply = _apply_block(T)
@@ -395,6 +413,7 @@ def require_gyrometric_preserving(
     recorded ones and their worst gap cannot exceed the recorded residual,
     which is within ``tolerance``.
     """
+    _sample_count(n_pairs, "n_pairs")
     if T.preservation is not None and n_pairs <= CONSTRUCTION_PAIRS:
         recorded_seed, recorded_residual = T.preservation
         if recorded_seed == seed and recorded_residual <= tolerance:
@@ -499,8 +518,7 @@ def verify_midpoint_preservation(
     T: GyroMap, n_samples: int, seed: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> MidpointReport:
     """Check ``T(P(a, b)) == P(T(a), T(b))`` over seeded sample pairs."""
-    if n_samples < 1:
-        raise PreconditionError("n_samples must be >= 1")
+    _sample_count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     apply = _apply_block(T)
@@ -521,10 +539,9 @@ def decompose_mazur_ulam(
     preserves addition, coaddition, scalar action (dyadic ladder first, then
     general scalars), and the gyrometric.
     """
-    if n_samples < 1:
-        raise PreconditionError("n_samples must be >= 1")
+    _sample_count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    translation_part = _point(T.codomain_model.tag, _unchecked(T)(T.domain_model.identity.coords))
+    translation_part = _point(T.codomain_model.tag, _unchecked(T)[0](T.domain_model.identity.coords))
     neg_te = T.codomain_model.group.inv(translation_part)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     g1, g2 = m1.group, m2.group
@@ -590,14 +607,14 @@ def defect_experiment(
     m1, m2 = T.domain_model, T.codomain_model
     m1.group.validate(x1)
     m1.group.validate(x2)
-    apply, inverse_apply = _unchecked(T), _unchecked(T, inverse=True)
+    apply, inverse_apply = _unchecked(T)
 
     # The midpoints and reflections are built once on points; everything
     # after runs on coordinate tuples.
     mid = _midpoint(m1, x1, x2)
     mid_image = _midpoint(m2, _point(m2.tag, apply(x1.coords)), _point(m2.tag, apply(x2.coords)))
-    refl_p = _unchecked(point_reflection(m1, mid))
-    refl_p_image = _unchecked(point_reflection(m2, mid_image))
+    refl_p = _unchecked(point_reflection(m1, mid))[0]
+    refl_p_image = _unchecked(point_reflection(m2, mid_image))[0]
     distance1, distance2 = _coords_form(m1.distance, m1.tag), _coords_form(m2.distance, m2.tag)
     a1, a2, p, p_image = x1.coords, x2.coords, mid.coords, mid_image.coords
 

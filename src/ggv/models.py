@@ -249,14 +249,14 @@ def _row_wise(fn: Callable) -> Callable:
     """The block form of ``fn``, a function of coordinate tuples, evaluated row by row.
 
     A block argument is split into coordinate tuples, a column into its
-    entries, and a scalar repeats.  A vector-valued ``fn`` gives a tuple of
-    columns, a real-valued one a column and a truth-valued one a column of
-    bools.
+    entries, and a scalar or a coordinate tuple (a translation's centre)
+    repeats.  A vector-valued ``fn`` gives a tuple of columns, a real-valued
+    one a column and a truth-valued one a column of bools.
     """
     def block(*args):
         rows = []
         for arg in args:
-            if isinstance(arg, tuple):
+            if isinstance(arg, tuple) and isinstance(arg[0], np.ndarray):
                 rows.append(list(zip(*(column.tolist() for column in arg))))
             elif isinstance(arg, np.ndarray):
                 rows.append(arg.tolist())

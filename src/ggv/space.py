@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .gyrogroup import GyroGroupOps, GyroPoint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,6 +100,13 @@ def _finite_scalar(r: float) -> float:
     if not math.isfinite(r):
         raise DomainError(f"scalar {r!r} is not a finite real")
     return r
+
+
+def _sample_count(n: int, name: str = "n_samples") -> None:
+    """Raise :class:`PreconditionError` unless the sample count ``n`` is an
+    integer >= 1: a check over no samples would pass vacuously."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise PreconditionError(f"{name} must be >= 1 and an integer, got {n!r}")
 
 
 def otimes(m: GgvModel, r: float, a: GyroPoint) -> GyroPoint:

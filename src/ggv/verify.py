@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _gyr_via_composition
 from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads verify.oplus)
 from .models import _block, _on_blocks, _row_wise
@@ -47,6 +46,7 @@ from .space import (
     _gnorm,
     _gyrometric,
     _midpoint,
+    _sample_count,
     nv_le_nonneg,
     worst_of,
     worst_rows,
@@ -546,8 +546,7 @@ def run_check(
     Any other callable makes one draw per call, reduced with ``max``, which
     drops a NaN draw.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise PreconditionError("n_samples must be >= 1")
+    _sample_count(samples)
     rng = random.Random(f"{seed}:{name}")
     if isinstance(draw, Check):
         worst = worst_of(draw.residuals(m, [draw.sample(m, rng) for _ in range(samples)]))

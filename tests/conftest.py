@@ -49,9 +49,10 @@ def patho():
 
 
 def _without_blocks(x):
-    """``x``, a model or a map, with callables that carry no block or coordinate
-    form, as the benchmark tracer's wrappers carry none: everything is lifted
-    through the point forms."""
+    """``x``, a model or a map, as the benchmark tracer wraps it: a model's
+    kernels carry no block or coordinate form, and a map rebuilt with
+    ``dataclasses.replace`` has no steps, so it runs as one opaque step.
+    Everything is lifted through the point forms."""
     if isinstance(x, GyroMap):
         return dataclasses.replace(x, apply=lambda p: x.apply(p), inverse_apply=lambda p: x.inverse_apply(p))
     g = x.group
@@ -64,6 +65,6 @@ def _without_blocks(x):
 
 @pytest.fixture
 def without_blocks():
-    """Strips a model's kernels, or a map's directions, of their block and
-    coordinate forms (the forced lift through the point forms)."""
+    """Strips a model's kernels of their block and coordinate forms, or a map
+    of its steps (the forced lift through the point forms)."""
     return _without_blocks

@@ -218,6 +218,42 @@ def test_compose_maps_rejects_mismatched_chains(einstein2, mobius2):
         compose_maps([])
 
 
+def test_a_composition_is_the_flat_chain_of_its_steps(mobius2):
+    first = random_isometry(mobius2, seed=3, depth=4)
+    second = compose_maps([random_isometry(mobius2, seed=5, depth=2), identity_map(mobius2)])
+    user_map = GyroMap(mobius2, mobius2, first.apply, first.inverse_apply, ({"kind": "user"},))
+    assert (len(first.steps), len(second.steps), user_map.steps) == (4, 3, ())
+    chain = compose_maps([first, second, user_map])
+    assert len(chain.steps) == 4 + 3 + 1
+    assert chain.steps[:7] == first.steps + second.steps
+    assert chain.recipe == first.recipe + second.recipe + user_map.recipe
+    assert chain.recipe == tuple(entry for step in chain.steps for entry in step.recipe)
+
+
+def test_a_replaced_direction_is_the_one_the_experiments_run(einstein2):
+    T = random_isometry(einstein2, seed=8, depth=3)
+    calls = []
+
+    def counting(fn):
+        def counted(x):
+            calls.append(x)
+            return fn(x)
+
+        return counted
+
+    residual = map_preservation_residual(T, 40, seed=2)
+    assert map_preservation_residual(dataclasses.replace(T, apply=counting(T.apply)), 40, seed=2) == residual
+    assert len(calls) == 2 * 40
+    rng = random.Random(23)
+    x1, x2 = sample_point(einstein2, rng, 0.7), sample_point(einstein2, rng, 0.7)
+    expected = defect_experiment(T, x1, x2, n_max=3).to_dict()
+    calls.clear()
+    rebuilt = dataclasses.replace(T, inverse_apply=counting(T.inverse_apply))
+    assert defect_experiment(rebuilt, x1, x2, n_max=3).to_dict() == expected
+    # One inverse image per application of S: 2^3 iterates, then x1 and x2.
+    assert len(calls) == 2 ** 3 + 2
+
+
 def _counting_validate(m):
     """``m`` with a validate that counts its calls, and the count."""
     calls = []
@@ -510,7 +546,7 @@ def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
     for seed in (0, 5):
         T = random_isometry(m, seed=seed, depth=6)
         T_lifted = random_isometry(lifted, seed=seed, depth=6)
-        assert T.apply.block is not None and T_lifted.apply.block is None
+        assert len(T.steps) == len(T_lifted.steps) == 6 and not hasattr(lifted.group.add, "block")
         assert T.recipe == T_lifted.recipe
         assert T.preservation == T_lifted.preservation
         assert (map_preservation_residual(T, 150, seed + 1)
@@ -527,7 +563,7 @@ def test_the_defect_chain_matches_its_lift(any_model, without_blocks):
     expected = defect_experiment(random_isometry(m, seed=6, depth=3), x1, x2, n_max=6).to_dict()
     T_lifted = random_isometry(lifted, seed=6, depth=3)
     stripped = without_blocks(T_lifted)
-    assert not hasattr(stripped.apply, "coords") and T_lifted.apply.block is None
+    assert stripped.steps == () and len(T_lifted.steps) == 3
     for T in (T_lifted, stripped, compose_maps([identity_map(lifted), stripped, identity_map(lifted)])):
         assert defect_experiment(T, x1, x2, n_max=6).to_dict() == expected
 

@@ -7,7 +7,19 @@ import random
 import numpy as np
 import pytest
 
-from ggv import DomainError, ModelConfig, PreconditionError, make_model, nv_add, nv_smul
+from ggv import (
+    DomainError,
+    ModelConfig,
+    PreconditionError,
+    decompose_mazur_ulam,
+    make_model,
+    map_preservation_residual,
+    nv_add,
+    nv_smul,
+    random_isometry,
+    require_gyrometric_preserving,
+    verify_midpoint_preservation,
+)
 from ggv.space import worst_residual, worst_rows
 from ggv.verify import GROUPS, run_all, run_check, run_group
 
@@ -117,12 +129,21 @@ def test_a_nan_row_fails_a_built_in_check(mobius2):
     assert report.passed and report.max_residual == 0.0
 
 
-@pytest.mark.parametrize("samples", [0, -5, 2.5, True])
+@pytest.mark.parametrize("samples", [0, -1, -5, 2.5, True])
 def test_a_sample_count_below_one_is_refused(normed2, samples):
     with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
         run_check(normed2, "GGV1", dict(GROUPS["axioms"])["GGV1"], seed=0, samples=samples)
     with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
         run_all(normed2, seed=0, samples=samples)
+    # The map's record of its construction check must not settle a vacuous count.
+    T = random_isometry(normed2, seed=0, depth=2)
+    for experiment in (verify_midpoint_preservation, decompose_mazur_ulam):
+        with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
+            experiment(T, samples, 0)
+    with pytest.raises(PreconditionError, match="n_pairs must be >= 1"):
+        map_preservation_residual(T, samples, 0)
+    with pytest.raises(PreconditionError, match="n_pairs must be >= 1"):
+        require_gyrometric_preserving(T, n_pairs=samples, seed=0)
 
 
 @pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda cfg: cfg.tag)
