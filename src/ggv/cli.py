@@ -64,9 +64,10 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
+    # An infinite tolerance passes every residual, NaN included; a NaN one is not valid JSON.
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -113,7 +114,7 @@ def _load_model(args: argparse.Namespace) -> GgvModel:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 cfg = ModelConfig.from_json(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     else:
         cfg = ModelConfig(kind=args.model, dim=args.dim, s=args.s)
@@ -191,8 +192,11 @@ def _emit_report(report: dict, output: str | None) -> int:
     """Write the report; return its exit code."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report {output!r}: {exc}") from exc
     else:
         print(text)
     return 0 if report["pass"] else 1

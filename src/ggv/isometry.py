@@ -8,19 +8,19 @@ and carries the record of that check so that the experiments need not repeat
 it.
 
 A package-built map holds its primitives as data: ``steps``, each with its
-recipe entries and one ``directions(form)`` that writes the primitive forward
-and backward once over a kernel form, on coordinate tuples
-(``models._coords_form``) or on blocks (``models._block_form``).  The map's
-coordinate form, block form and ``recipe`` are derived from its steps, and a
-composition is the flat chain of the steps of its maps.  ``apply`` and
-``inverse_apply`` validate their argument once per call, however deep the
-composition, run the coordinate form and build one point; the steps inside
-trust the coordinates their predecessors computed.  A map built by hand, or
-rebuilt with ``dataclasses.replace``, has no steps: it is one opaque step,
-its point form lifted to coordinates or blocks, and its images are
-validated.  A model kernel without a coordinate or block form is lifted
-through its point form inside the steps that use it, so the reports are the
-same either way.
+recipe entries and one ``directions(lib)`` that writes the primitive forward
+and backward once over the model kernels in ``lib``'s form
+(``models._kernels``): on coordinate tuples (``_POINT``) or on blocks
+(``_BLOCK``).  The map's coordinate form, block form and ``recipe`` are
+derived from its steps, and a composition is the flat chain of the steps of
+its maps.  ``apply`` and ``inverse_apply`` validate their argument once per
+call, however deep the composition, run the coordinate form and build one
+point; the steps inside trust the coordinates their predecessors computed.
+A map built by hand, or rebuilt with ``dataclasses.replace``, has no steps:
+it is one opaque step, its point form lifted with ``models._lift``, and its
+images are validated.  A model without ``ops`` has its point kernels lifted
+the same way inside the steps that use them, so the reports are the same
+either way.
 
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
@@ -48,13 +48,14 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import Block, _block, _block_form, _coords_form, _dot, _on_blocks, _same
+from .models import _BLOCK, _POINT, Block, _block, _dot, _kernels, _lift, _on_blocks, _same
 from .sampling import sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, _sample_count, worst_of, worst_residual
 
@@ -156,20 +157,20 @@ class DefectTrace(Report):
 
 # A map on the coordinate tuples of carrier points.
 Coords = Callable[[tuple[float, ...]], tuple[float, ...]]
-# The form of a model kernel: ``models._coords_form`` or ``models._block_form``.
-Form = Callable[[Callable, str], Callable]
+# A primitive's two directions in the form of a lib, ``models._POINT`` or ``models._BLOCK``.
+Directions = Callable[[SimpleNamespace], tuple[Callable, Callable]]
 
 
 @dataclass(frozen=True, eq=False)
 class _Step:
     """One primitive of a map: its recipe entries and its two directions.
 
-    ``directions(form)`` returns the map forward and backward, written once
-    over the kernels in ``form``: on coordinate tuples or on blocks.
+    ``directions(lib)`` returns the map forward and backward, written once
+    over the kernels in ``lib``'s form: on coordinate tuples or on blocks.
     """
 
     recipe: tuple[dict, ...]
-    directions: Callable[[Form], tuple[Callable, Callable]]
+    directions: Directions
 
 
 def _steps(T: GyroMap) -> tuple[_Step, ...]:
@@ -178,11 +179,11 @@ def _steps(T: GyroMap) -> tuple[_Step, ...]:
     return T.steps or (_Step(T.recipe, partial(_opaque_directions, T)),)
 
 
-def _opaque_directions(T: GyroMap, form: Form) -> tuple[Callable, Callable]:
-    """``T.apply`` and ``T.inverse_apply`` lifted to ``form`` through points, with
-    every image validated, since nothing vouches for them."""
-    return (form(_validated(T.apply, T.codomain_model), T.domain_model.tag),
-            form(_validated(T.inverse_apply, T.domain_model), T.codomain_model.tag))
+def _opaque_directions(T: GyroMap, lib: SimpleNamespace) -> tuple[Callable, Callable]:
+    """``T.apply`` and ``T.inverse_apply`` lifted to ``lib``'s form through points,
+    with every image validated, since nothing vouches for them."""
+    return (_lift(_validated(T.apply, T.codomain_model), T.domain_model.tag, lib),
+            _lift(_validated(T.inverse_apply, T.domain_model), T.codomain_model.tag, lib))
 
 
 def _validated(fn: Callable[[GyroPoint], GyroPoint], target: GgvModel) -> Callable[[GyroPoint], GyroPoint]:
@@ -196,9 +197,9 @@ def _validated(fn: Callable[[GyroPoint], GyroPoint], target: GgvModel) -> Callab
     return image
 
 
-def _directions(steps: Sequence[_Step], form: Form) -> tuple[Callable, Callable]:
-    """The map of ``steps`` in ``form``: the steps forward in order, then backward in reverse."""
-    pairs = [step.directions(form) for step in steps]
+def _directions(steps: Sequence[_Step], lib: SimpleNamespace) -> tuple[Callable, Callable]:
+    """The map of ``steps`` in ``lib``'s form: the steps forward in order, then backward in reverse."""
+    pairs = [step.directions(lib) for step in steps]
     return _chain([forward for forward, _ in pairs]), _chain([backward for _, backward in reversed(pairs)])
 
 
@@ -220,12 +221,12 @@ def _chain(fns: list[Callable]) -> Callable:
 def _unchecked(T: GyroMap) -> tuple[Coords, Coords]:
     """``T.apply`` and ``T.inverse_apply`` on the coordinates of carrier points,
     without the entry check."""
-    return _directions(_steps(T), _coords_form)
+    return _directions(_steps(T), _POINT)
 
 
 def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
     """``T.apply`` on blocks of carrier points."""
-    return _directions(_steps(T), _block_form)[0]
+    return _directions(_steps(T), _BLOCK)[0]
 
 
 def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) -> Callable[[GyroPoint], GyroPoint]:
@@ -240,7 +241,7 @@ def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) ->
 
 def _package_map(domain: GgvModel, codomain: GgvModel, steps: tuple[_Step, ...]) -> GyroMap:
     """The map of ``steps``; its directions validate their argument once, then run the steps."""
-    forward, backward = _directions(steps, _coords_form)
+    forward, backward = _directions(steps, _POINT)
     T = GyroMap(domain, codomain, _checked(domain.group.validate, codomain.tag, forward),
                 _checked(codomain.group.validate, domain.tag, backward),
                 tuple(entry for step in steps for entry in step.recipe))
@@ -248,11 +249,11 @@ def _package_map(domain: GgvModel, codomain: GgvModel, steps: tuple[_Step, ...])
     return T
 
 
-def _primitive(m: GgvModel, recipe: dict, directions: Callable[[Form], tuple[Callable, Callable]]) -> GyroMap:
+def _primitive(m: GgvModel, recipe: dict, directions: Directions) -> GyroMap:
     return _package_map(m, m, (_Step((recipe,), directions),))
 
 
-def _identities(form: Form) -> tuple[Callable, Callable]:
+def _identities(lib: SimpleNamespace) -> tuple[Callable, Callable]:
     return _same, _same
 
 
@@ -268,13 +269,12 @@ def identity_map(m: GgvModel) -> GyroMap:
 def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
     """``x -> c (+) x``; gyrometric preserving, inverted by translating by ``(-)c``."""
     m.group.validate(c)
-    g = m.group
-    neg_c = g.inv(c)
+    neg_c = m.group.inv(c)
 
-    def translations(form: Form) -> tuple[Callable, Callable]:
+    def translations(lib: SimpleNamespace) -> tuple[Callable, Callable]:
         # Left cancellation makes the second an exact two-sided inverse of the
         # first.  On blocks, a point's coordinates broadcast against the columns.
-        add = form(g.add, m.tag)
+        add = _kernels(m, lib).add
         return partial(add, c.coords), partial(add, neg_c.coords)
 
     return _primitive(m, {"kind": "left_translation", "center": list(c.coords)}, translations)
@@ -287,11 +287,11 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     distances from its center.
     """
     m.group.validate(a)
-    g = m.group
     double_a = m.otimes(2.0, a).coords
 
-    def reflections(form: Form) -> tuple[Callable, Callable]:
-        add, inv = form(g.add, m.tag), form(g.inv, m.tag)
+    def reflections(lib: SimpleNamespace) -> tuple[Callable, Callable]:
+        k = _kernels(m, lib)
+        add, inv = k.add, k.inv
 
         def reflect(x):
             return add(double_a, inv(x))
@@ -330,7 +330,7 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
         return tuple(map(_dot, columns, repeat(y)))
 
     return _primitive(m, {"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},
-                      lambda form: (rotate, unrotate))
+                      lambda lib: (rotate, unrotate))
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -615,7 +615,7 @@ def defect_experiment(
     mid_image = _midpoint(m2, _point(m2.tag, apply(x1.coords)), _point(m2.tag, apply(x2.coords)))
     refl_p = _unchecked(point_reflection(m1, mid))[0]
     refl_p_image = _unchecked(point_reflection(m2, mid_image))[0]
-    distance1, distance2 = _coords_form(m1.distance, m1.tag), _coords_form(m2.distance, m2.tag)
+    distance1, distance2 = _kernels(m1, _POINT).distance, _kernels(m2, _POINT).distance
     a1, a2, p, p_image = x1.coords, x2.coords, mid.coords, mid_image.coords
 
     def S(x: tuple[float, ...]) -> tuple[float, ...]:

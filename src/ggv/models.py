@@ -31,12 +31,14 @@ Four constructions are provided, selected by :class:`ModelConfig.kind`:
     norm-value line is the real number ``1``, which makes this model the
     stress test for any code tempted to assume that unit norms vanish.
 
-Each kernel of a model (``group.add``, ``group.inv``, ``group.gyr``,
-``otimes``, ``distance``) evaluates one coordinate formula.  The point kernel
-reads the coordinates of its arguments and builds a point from the result;
-it carries the formula on coordinate tuples as its ``coords`` attribute and
-on blocks of points as its ``block`` attribute (see :func:`_model`).  Every
-row of a block rounds exactly as the point kernel rounds it.
+A model holds its kernels as data: ``ops(lib)`` returns ``add``, ``inv``,
+``gyr``, ``otimes``, ``distance``, ``phi`` and ``ambient_norm``, each written
+once over coordinates, in the form of ``lib``: on coordinate tuples
+(``_POINT``) or on blocks of points (``_BLOCK``).  The point kernels of the
+model (``group.add``, ``otimes`` and so on) read the coordinates of their
+arguments, run the ``_POINT`` form and build a point from the result (see
+:func:`_model`).  Every row of a block rounds exactly as the point kernel
+rounds it.
 """
 
 from __future__ import annotations
@@ -270,50 +272,45 @@ def _row_wise(fn: Callable) -> Callable:
     return block
 
 
-def _coords_form(kernel: Callable, tag: str) -> Callable:
-    """The coordinate form of ``kernel``, a point kernel of the model ``tag``.
+def _lift(fn: Callable, tag: str, lib) -> Callable:
+    """``fn``, a function of points of the model ``tag``, in ``lib``'s form.
 
-    That is its ``coords`` attribute, or else the kernel itself run on
-    points: coordinate tuples become points of ``tag``, and a point result
-    becomes its coordinates.
+    Coordinate tuples become points of ``tag`` and a point result becomes its
+    coordinates; ``lib.rows`` runs that on each row of a block.
     """
-    coords = getattr(kernel, "coords", None)
-    if coords is not None:
-        return coords
-
     def lifted(*args):
-        out = kernel(*[_point(tag, arg) if isinstance(arg, tuple) else arg for arg in args])
+        out = fn(*[_point(tag, arg) if isinstance(arg, tuple) else arg for arg in args])
         return out.coords if isinstance(out, GyroPoint) else out
 
-    return lifted
+    return lib.rows(lifted)
 
 
-def _block_form(kernel: Callable, tag: str) -> Callable:
-    """The block form of ``kernel``: its ``block`` attribute, or else its
-    coordinate form lifted row by row."""
-    return getattr(kernel, "block", None) or _row_wise(_coords_form(kernel, tag))
+def _kernels(m: GgvModel, lib) -> SimpleNamespace:
+    """The kernels of ``m`` in ``lib``'s form: ``m.ops(lib)``, or else, for a
+    model without ``ops``, its own kernels lifted one by one (``ambient_norm``
+    takes coordinates already)."""
+    if m.ops is not None:
+        return m.ops(lib)
+    g, lift = m.group, partial(_lift, tag=m.tag, lib=lib)
+    return SimpleNamespace(add=lift(g.add), inv=lift(g.inv), gyr=lift(g.gyr), otimes=lift(m.otimes),
+                           distance=lift(m.distance), phi=lift(m.phi), ambient_norm=lib.rows(m.ambient_norm))
 
 
 def _on_blocks(m: GgvModel) -> GgvModel:
-    """``m`` with each kernel replaced by its block form.
+    """``m`` with each kernel replaced by its block form, from ``_kernels(m, _BLOCK)``.
 
-    A kernel without a ``block`` attribute (one swapped in by hand, or
-    wrapped from outside) is lifted row by row through its coordinate form,
-    which for a kernel without a ``coords`` attribute runs the point form.  The
-    functions of the norm-value line are mapped over the column, as libm's
-    are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over the
-    rows, membership checks included, because norm values drawn through
+    The functions of the norm-value line are mapped over the column, as
+    libm's are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over
+    the rows, membership checks included, because norm values drawn through
     ``lin_inv`` can leave the norm-value set; the first row that does raises
     the error a loop over the rows would raise.
     """
-    g, nvs, tag = m.group, m.nvs, m.tag
-    group = replace(g, add=_block_form(g.add, tag), inv=_block_form(g.inv, tag), gyr=_block_form(g.gyr, tag))
+    k, nvs = _kernels(m, _BLOCK), m.nvs
+    group = replace(m.group, add=k.add, inv=k.inv, gyr=k.gyr)
     line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
                    lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
-    # ambient_norm takes coordinates already.
-    norm = getattr(m.ambient_norm, "block", None) or _row_wise(m.ambient_norm)
-    return replace(m, group=group, otimes=_block_form(m.otimes, tag), distance=_block_form(m.distance, tag),
-                   phi=_block_form(m.phi, tag), ambient_norm=norm, nvs=line)
+    return replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi,
+                   ambient_norm=k.ambient_norm, nvs=line)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -391,16 +388,17 @@ def _scale_block(r, u: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, ..
 
 # What the formulas take as ``lib``: the square root and transcendental
 # functions, the boundary clamp and the ball scaling (which branch per row),
-# and ``each``, which lifts a scalar function to the coordinate type.  NumPy's
+# ``each``, which lifts a scalar function to the coordinate type, and ``rows``,
+# which lifts a function of coordinate tuples to the same.  NumPy's
 # square root is correctly rounded, as libm's is.  The transcendental
 # functions of a block are libm's own mapped over the column: NumPy's differ
 # from libm in the last ulp on a sizable share of arguments, and each row of a
 # block must round exactly like its point.
 _TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p")
 _POINT = SimpleNamespace(sqrt=math.sqrt, **{name: getattr(math, name) for name in _TRANSCENDENTAL},
-                         clamp=_clamp_ball, scale=_scale_in_ball, each=_same)
+                         clamp=_clamp_ball, scale=_scale_in_ball, each=_same, rows=_same)
 _BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name)) for name in _TRANSCENDENTAL},
-                         clamp=_clamp_block, scale=_scale_block, each=_columnwise)
+                         clamp=_clamp_block, scale=_scale_block, each=_columnwise, rows=_row_wise)
 
 
 def _combine(a, x, b, y, den):
@@ -549,53 +547,52 @@ def _no_gyration(u, v, w):
 
 
 def _coordinates(a: GyroPoint) -> tuple[float, ...]:
-    # The injection phi of every model: a block's columns are its coordinates.
+    # The injection phi of every model.
     return a.coords
-
-
-_coordinates.block = _same
 
 
 def _model(cfg: ModelConfig, identity: tuple[float, ...], validate: Callable[[GyroPoint], None],
            ops: Callable, ambient_norm: Callable, nvs: NormValueSpace) -> GgvModel:
-    """A model whose kernels are ``ops(lib)``.
+    """The model of the formulas ``ops``, which it holds as data.
 
-    ``ops`` returns the kernels ``oplus, inv, gyr, smul, distance``, each
-    written once over coordinates: ``ops(_POINT)`` runs them on coordinate
-    tuples and ``ops(_BLOCK)`` on blocks, whose columns are the coordinates.
-    Each point kernel reads the coordinates of its point arguments, runs the
-    coordinate form, which it carries as its ``coords`` attribute, and makes
-    a point of the result; it carries the block form as its ``block``
-    attribute.  ``ambient_norm(vec, lib)`` is the norm of the ambient space,
-    written the same way.
+    ``ops(lib)`` returns the kernels ``oplus, inv, gyr, smul, distance``, each
+    written once over coordinates, and ``ambient_norm(vec, lib)`` is the norm
+    of the ambient space, written the same way.  The model's ``ops`` is
+    ``kernels``: ``kernels(lib)`` returns them in ``lib``'s form as one
+    namespace, with ``phi``, which is the coordinates themselves.
+    ``kernels(_POINT)`` runs on coordinate tuples and ``kernels(_BLOCK)`` on
+    blocks, whose columns are the coordinates.  Each point kernel reads the
+    coordinates of its point arguments, runs the ``_POINT`` form and makes a
+    point of the result.
     """
     tag = cfg.tag
-    forms = ops(_POINT)
-    oplus_coords, inv_coords, gyr_coords, smul_coords, distance_coords = forms
+
+    def kernels(lib) -> SimpleNamespace:
+        add, inv, gyr, otimes, distance = ops(lib)
+        return SimpleNamespace(add=add, inv=inv, gyr=gyr, otimes=otimes, distance=distance, phi=_same,
+                               ambient_norm=partial(ambient_norm, lib=lib))
+
+    point = kernels(_POINT)
 
     def add(a, b):
-        return _point(tag, oplus_coords(a.coords, b.coords))
+        return _point(tag, point.add(a.coords, b.coords))
 
     def inv(a):
-        return _point(tag, inv_coords(a.coords))
+        return _point(tag, point.inv(a.coords))
 
     def gyr(u, v, a):
-        return _point(tag, gyr_coords(u.coords, v.coords, a.coords))
+        return _point(tag, point.gyr(u.coords, v.coords, a.coords))
 
     def smul(r, a):
-        return _point(tag, smul_coords(r, a.coords))
+        return _point(tag, point.otimes(r, a.coords))
 
     def distance(a, b):
-        return distance_coords(a.coords, b.coords)
+        return point.distance(a.coords, b.coords)
 
-    kernels = (add, inv, gyr, smul, distance)
-    for kernel, coords, block in zip(kernels, forms, ops(_BLOCK)):
-        kernel.coords = coords
-        kernel.block = block
-    norm = partial(ambient_norm, lib=_POINT)
-    norm.block = partial(ambient_norm, lib=_BLOCK)
     group = GyroGroupOps(tag, GyroPoint(tag, identity), add, inv, gyr, validate)
-    return GgvModel(cfg, group, smul, _coordinates, norm, nvs, distance)
+    m = GgvModel(cfg, group, smul, _coordinates, point.ambient_norm, nvs, distance)
+    object.__setattr__(m, "ops", kernels)
+    return m
 
 
 def _normed_model(cfg: ModelConfig) -> GgvModel:

@@ -22,7 +22,7 @@ Distances come in two flavours:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
@@ -69,6 +69,11 @@ class GgvModel:
     ``lin o gyrometric`` (the suite cross-checks this), but may be formulated
     to avoid the cancellation that the composed route suffers near a ball
     boundary.
+
+    ``ops(lib)`` returns the model's kernels in ``lib``'s form (see
+    :func:`ggv.models._model`).  It is not a constructor argument, so a model
+    built by hand or rebuilt with ``dataclasses.replace`` has none, and its
+    own kernels are lifted wherever another form is needed.
     """
 
     config: "ModelConfig"
@@ -78,6 +83,7 @@ class GgvModel:
     ambient_norm: Callable[[tuple[float, ...]], float]
     nvs: NormValueSpace
     distance: Callable[[GyroPoint, GyroPoint], float]
+    ops: Callable | None = field(default=None, init=False, repr=False)
 
     @property
     def tag(self) -> str:

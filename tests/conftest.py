@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ggv import GyroMap, ModelConfig, make_model
+from ggv import ModelConfig, make_model
 
 MODEL_CONFIGS = {
     "normed": ModelConfig("normed", dim=2),
@@ -48,23 +48,9 @@ def patho():
     return make_model(MODEL_CONFIGS["pathological"])
 
 
-def _without_blocks(x):
-    """``x``, a model or a map, as the benchmark tracer wraps it: a model's
-    kernels carry no block or coordinate form, and a map rebuilt with
-    ``dataclasses.replace`` has no steps, so it runs as one opaque step.
-    Everything is lifted through the point forms."""
-    if isinstance(x, GyroMap):
-        return dataclasses.replace(x, apply=lambda p: x.apply(p), inverse_apply=lambda p: x.inverse_apply(p))
-    g = x.group
-    group = dataclasses.replace(g, add=lambda a, b: g.add(a, b), inv=lambda a: g.inv(a),
-                                gyr=lambda u, v, a: g.gyr(u, v, a))
-    return dataclasses.replace(x, group=group, otimes=lambda r, a: x.otimes(r, a),
-                               distance=lambda a, b: x.distance(a, b), phi=lambda a: x.phi(a),
-                               ambient_norm=lambda vec: x.ambient_norm(vec))
-
-
 @pytest.fixture
 def without_blocks():
-    """Strips a model's kernels of their block and coordinate forms, or a map
-    of its steps (the forced lift through the point forms)."""
-    return _without_blocks
+    """Rebuilds a model or a map with ``dataclasses.replace``, as the benchmark
+    tracer does: the model has no ``ops`` and the map no steps, so everything
+    is lifted through the point forms."""
+    return dataclasses.replace

@@ -116,9 +116,10 @@ def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-axioms", "--samples", "0"])
     assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify-axioms", "--tolerance", "-1"])
-    assert excinfo.value.code == 2
+    for bad in ("-1", "inf", "nan"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-axioms", "--tolerance", bad])
+        assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,10 @@ def test_bad_config_file_is_a_usage_error(capsys, tmp_path):
     assert "error" in err
     code, _, _ = run_cli(capsys, "verify-axioms", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+    config.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "verify-axioms", "--config", str(config))
+    assert code == 2
+    assert err.startswith("ggv: error: cannot read config") and err.count("\n") == 1
 
 
 def test_output_file_receives_the_report(capsys, tmp_path):
@@ -178,6 +183,12 @@ def test_output_file_receives_the_report(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["pass"] is True
+    for unwritable in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, out, err = run_cli(
+            capsys, "verify-axioms", "--model", "normed", "--samples", "5", "--output", str(unwritable),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ggv: error: cannot write report") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,28 @@ def test_a_replaced_direction_is_the_one_the_experiments_run(einstein2):
     assert len(calls) == 2 ** 3 + 2
 
 
+def test_a_kernel_swapped_in_with_replace_is_the_one_evaluated(einstein2):
+    # A model rebuilt with replace holds no ops, so its block form runs the
+    # kernel it holds, once per row.
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return einstein2.distance(a, b)
+
+    m = dataclasses.replace(einstein2, distance=counted)
+    assert einstein2.ops is not None and m.ops is None
+    ggv1 = dict(GROUPS["axioms"])["GGV1"]
+    assert run_check(m, "GGV1", ggv1, seed=4, samples=30) == run_check(einstein2, "GGV1", ggv1, seed=4, samples=30)
+    assert len(calls) == 30
+    calls.clear()
+    center = [0.3, -0.2]
+    expected = map_preservation_residual(left_translation(einstein2, make_point(einstein2, center)), 25, seed=1)
+    assert map_preservation_residual(left_translation(m, make_point(m, center)), 25, seed=1) == expected
+    # Source and image distances: one call per pair each.
+    assert len(calls) == 2 * 25
+
+
 def _counting_validate(m):
     """``m`` with a validate that counts its calls, and the count."""
     calls = []
@@ -546,7 +568,7 @@ def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
     for seed in (0, 5):
         T = random_isometry(m, seed=seed, depth=6)
         T_lifted = random_isometry(lifted, seed=seed, depth=6)
-        assert len(T.steps) == len(T_lifted.steps) == 6 and not hasattr(lifted.group.add, "block")
+        assert len(T.steps) == len(T_lifted.steps) == 6 and m.ops is not None and lifted.ops is None
         assert T.recipe == T_lifted.recipe
         assert T.preservation == T_lifted.preservation
         assert (map_preservation_residual(T, 150, seed + 1)

@@ -27,6 +27,7 @@ from ggv import (
     path_T,
     path_T_inv,
 )
+from ggv.models import _on_blocks
 from ggv.sampling import sample_point
 
 line_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -314,6 +315,9 @@ def test_block_kernels_match_the_point_kernels_bit_for_bit(cfg):
     def block_of(points):
         return tuple(np.array(x) for x in zip(*(p.coords for p in points)))
 
+    blocks = _on_blocks(m)
+    block_form = {g.add: blocks.group.add, g.inv: blocks.group.inv, g.gyr: blocks.group.gyr,
+                  m.distance: blocks.distance, m.otimes: blocks.otimes}
     cases = [
         (g.add, (a, b)), (g.add, (b, a)), (g.inv, (a,)), (g.gyr, (a, b, c)), (g.gyr, (b, a, a)),
         (m.distance, (a, b)), (m.distance, (a, a)),
@@ -325,7 +329,7 @@ def test_block_kernels_match_the_point_kernels_bit_for_bit(cfg):
         block_args = [np.array(arg) if isinstance(arg[0], float) else block_of(arg) for arg in args]
         if kernel is m.otimes and len(set(args[0])) == 1:
             block_args[0] = args[0][0]  # a scalar, not a column
-        got, block_warnings = _block_results(kernel.block, block_args)
+        got, block_warnings = _block_results(block_form[kernel], block_args)
         assert got == expected, kernel.__name__
         assert [str(w.message) for w in block_warnings] == [str(w.message) for w in point_warnings]
         assert all(w.category is BoundaryClampWarning for w in block_warnings)
@@ -342,7 +346,7 @@ def test_a_block_warns_once_per_clamped_row_with_the_point_message():
         expected = [m.otimes(1.0, p).coords for p in points]
     block = tuple(np.array(x) for x in zip(*rows))
     with pytest.warns(BoundaryClampWarning) as block_record:
-        got = m.otimes.block(1.0, block)
+        got = _on_blocks(m).otimes(1.0, block)
     assert len(block_record) == len(point_record) == 2
     assert [str(w.message) for w in block_record] == [str(w.message) for w in point_record]
     assert [tuple(row) for row in zip(*(x.tolist() for x in got))] == expected
