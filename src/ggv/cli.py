@@ -10,10 +10,14 @@ Subcommands:
 * ``defect``: run the doubling-iteration defect experiment for one map.
 * ``decompose``: report the decomposition residuals for one map.
 
-All verification subcommands emit a JSON report (stdout or ``--output``) that
-is byte-identical for identical commands and seeds, apart from the timestamp
-field.  Exit status is 0 when every check passes, 1 on a verification
-failure, and 2 on usage or configuration errors.
+Every subcommand takes the model options ``--model``, ``--dim``, ``--s`` and
+``--config``.  ``eval`` takes ``--expr`` besides and prints one value.  The
+other four take ``--seed``, ``--tolerance`` and ``--output`` and emit a JSON
+report (stdout or ``--output``) that is byte-identical for identical commands
+and seeds, apart from the timestamp field; of them only ``defect``, which
+draws no samples, takes no ``--samples``.  Exit status is 0 when every check
+passes, 1 on a verification failure, and 2 on usage or configuration errors,
+an option a subcommand does not take included.
 """
 
 from __future__ import annotations
@@ -72,40 +76,47 @@ def _positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=KINDS, default="einstein", help="model kind (default: einstein)")
-    common.add_argument("--dim", type=_positive_int, default=2, help="ambient dimension (default: 2)")
-    common.add_argument("--s", type=_positive_float, default=1.0, help="ball radius (default: 1)")
-    common.add_argument("--config", metavar="PATH", help="JSON model config file; overrides the model flags")
-    common.add_argument("--seed", type=int, default=0, help="seed for all sampling (default: 0)")
-    common.add_argument("--samples", type=_positive_int, default=1000,
-                        help="samples per property (default: 1000)")
-    common.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
-                        help=f"residual tolerance (default: {DEFAULT_TOLERANCE:g})")
-    common.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", choices=KINDS, default="einstein", help="model kind (default: einstein)")
+    model.add_argument("--dim", type=_positive_int, default=2, help="ambient dimension (default: 2)")
+    model.add_argument("--s", type=_positive_float, default=1.0, help="ball radius (default: 1)")
+    model.add_argument("--config", metavar="PATH", help="JSON model config file; overrides the model flags")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0, help="seed for all sampling (default: 0)")
+    run.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
+                     help=f"residual tolerance (default: {DEFAULT_TOLERANCE:g})")
+    run.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=_positive_int, default=1000,
+                         help="samples per property (default: 1000)")
 
     parser = argparse.ArgumentParser(prog="ggv", description="Generalized gyrovector space toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one operation")
+    p_eval = sub.add_parser("eval", parents=[model], help="evaluate one operation")
     p_eval.add_argument("--expr", required=True,
                         help='flat prefix expression, e.g. "oplus 2 3" or "midpoint 0.3,0 0,0.4"')
+    p_eval.set_defaults(run=_cmd_eval)
 
-    sub.add_parser("verify-axioms", parents=[common], help="run the full axiom and identity suite")
+    sub.add_parser("verify-axioms", parents=[model, run, samples],
+                   help="run the full axiom and identity suite").set_defaults(run=_cmd_verify_axioms)
 
-    p_mu = sub.add_parser("verify-mazur-ulam", parents=[common],
+    p_mu = sub.add_parser("verify-mazur-ulam", parents=[model, run, samples],
                           help="midpoint preservation and decomposition for random maps")
     p_mu.add_argument("--maps", type=_positive_int, default=50, help="number of random maps (default: 50)")
     p_mu.add_argument("--max-depth", type=_positive_int, default=6,
                       help="maximum composition depth (default: 6)")
+    p_mu.set_defaults(run=_cmd_verify_mazur_ulam)
 
-    p_defect = sub.add_parser("defect", parents=[common], help="defect doubling experiment for one map")
+    p_defect = sub.add_parser("defect", parents=[model, run], help="defect doubling experiment for one map")
     p_defect.add_argument("--depth", type=_positive_int, default=4, help="composition depth (default: 4)")
     p_defect.add_argument("--n-max", type=int, default=8,
                           help=f"iterate exponent in [0, {N_MAX_LIMIT}]: records distances at powers 2^0..2^n (default: 8)")
+    p_defect.set_defaults(run=_cmd_defect)
 
-    p_dec = sub.add_parser("decompose", parents=[common], help="decomposition residuals for one map")
+    p_dec = sub.add_parser("decompose", parents=[model, run, samples], help="decomposition residuals for one map")
     p_dec.add_argument("--depth", type=_positive_int, default=4, help="composition depth (default: 4)")
+    p_dec.set_defaults(run=_cmd_decompose)
     return parser
 
 
@@ -202,20 +213,27 @@ def _emit_report(report: dict, output: str | None) -> int:
     return 0 if report["pass"] else 1
 
 
-def _base_report(command: str, m: GgvModel, args: argparse.Namespace) -> dict:
-    return {
-        "command": command,
+def _base_report(m: GgvModel, args: argparse.Namespace) -> dict:
+    report = {
+        "command": args.command,
         "model": m.config.to_dict(),
         "seed": args.seed,
-        "samples": args.samples,
         "tolerance": args.tolerance,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if "samples" in args:
+        report["samples"] = args.samples
+    return report
+
+
+def _cmd_eval(m: GgvModel, args: argparse.Namespace) -> int:
+    print(evaluate_expression(m, args.expr))
+    return 0
 
 
 def _cmd_verify_axioms(m: GgvModel, args: argparse.Namespace) -> int:
     reports = run_all(m, seed=args.seed, samples=args.samples, tolerance=args.tolerance)
-    document = _base_report("verify-axioms", m, args)
+    document = _base_report(m, args)
     document["results"] = [r.to_dict() for r in reports]
     document["pass"] = all(r.passed for r in reports)
     return _emit_report(document, args.output)
@@ -239,7 +257,7 @@ def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
                 "decomposition": decomposition.to_dict(),
             }
         )
-    document = _base_report("verify-mazur-ulam", m, args)
+    document = _base_report(m, args)
     document["maps"] = args.maps
     document["max_depth"] = args.max_depth
     document["results"] = results
@@ -254,7 +272,7 @@ def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
     rng = random.Random(f"{args.seed}:defect-points")
     x1, x2 = sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)
     trace = defect_experiment(T, x1, x2, args.n_max, args.tolerance)
-    document = _base_report("defect", m, args)
+    document = _base_report(m, args)
     document["depth"] = args.depth
     document["n_max"] = args.n_max
     document["x1"] = list(x1.coords)
@@ -267,7 +285,7 @@ def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
 def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
     T = random_isometry(m, args.seed, args.depth, tolerance=args.tolerance)
     report = decompose_mazur_ulam(T, args.samples, args.seed, args.tolerance)
-    document = _base_report("decompose", m, args)
+    document = _base_report(m, args)
     document["depth"] = args.depth
     document["recipe"] = [step["kind"] for step in T.recipe]
     document["result"] = report.to_dict()
@@ -276,22 +294,9 @@ def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        m = _load_model(args)
-        if args.command == "eval":
-            print(evaluate_expression(m, args.expr))
-            return 0
-        if args.command == "verify-axioms":
-            return _cmd_verify_axioms(m, args)
-        if args.command == "verify-mazur-ulam":
-            return _cmd_verify_mazur_ulam(m, args)
-        if args.command == "defect":
-            return _cmd_defect(m, args)
-        if args.command == "decompose":
-            return _cmd_decompose(m, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(_load_model(args), args)
     except (UsageError, ConfigError, DomainError, SamplingError) as exc:
         print(f"ggv: error: {exc}", file=sys.stderr)
         return 2

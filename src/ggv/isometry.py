@@ -548,7 +548,7 @@ def decompose_mazur_ulam(
     apply = _apply_block(T)
 
     def T0(x: Block) -> Block:
-        return g2.add(tuple(np.full(len(x[0]), c) for c in neg_te.coords), apply(x))
+        return g2.add(neg_te.coords, apply(x))
 
     rng = random.Random(f"{seed}:decomposition")
     a, b = _sample_pairs(T.domain_model, rng, 0.8, n_samples)
@@ -568,7 +568,7 @@ def decompose_mazur_ulam(
     tx = tuple(np.tile(column, len(scalars)) for column in T0(base))
     gaps = m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx))
     dyadic = worst_of(gaps[:n_base * len(DYADIC_SCALARS)])
-    homogeneity = worst_of(gaps[n_base * len(DYADIC_SCALARS):], dyadic)
+    homogeneity = worst_of(gaps)
 
     # The dyadic residual is part of the homogeneity residual.
     worst = max(additivity, homogeneity, isometry, coaddition)

@@ -10,7 +10,7 @@ from operator import mul, sub
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
 from .models import path_Phi
-from .space import GgvModel, gnorm
+from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
 # diverge at the boundary and double precision dies with them.
@@ -42,32 +42,22 @@ def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -
     return _point(m.tag, tuple(radius * x / n for x in direction))
 
 
-def sample_point_away_from_identity(
-    m: GgvModel,
-    rng: random.Random,
-    min_lin_norm: float = 1e-3,
-    margin: float = BALL_MARGIN,
-) -> GyroPoint:
+def sample_point_away_from_identity(m: GgvModel, rng: random.Random, min_lin_norm: float = 1e-3) -> GyroPoint:
     """Draw a point whose linearized norm is at least ``min_lin_norm``."""
     for _ in range(ATTEMPTS):
-        p = sample_point(m, rng, margin)
-        if m.nvs.lin(gnorm(m, p)) >= min_lin_norm:
+        p = sample_point(m, rng)
+        if m.nvs.lin(_gnorm(m, p)) >= min_lin_norm:
             return p
     raise SamplingError(
         f"no point of {m.tag} at linearized norm >= {min_lin_norm:g} in {ATTEMPTS} draws: {_TOO_SMALL}"
     )
 
 
-def sample_separated_pair(
-    m: GgvModel,
-    rng: random.Random,
-    min_coord_sep: float = 1e-3,
-    margin: float = BALL_MARGIN,
-) -> tuple[GyroPoint, GyroPoint]:
+def sample_separated_pair(m: GgvModel, rng: random.Random, min_coord_sep: float = 1e-3) -> tuple[GyroPoint, GyroPoint]:
     """Draw a pair separated by at least ``min_coord_sep`` in carrier coordinates."""
     for _ in range(ATTEMPTS):
-        a = sample_point(m, rng, margin)
-        b = sample_point(m, rng, margin)
+        a = sample_point(m, rng)
+        b = sample_point(m, rng)
         sep = math.sqrt(sum(map(pow, map(sub, a.coords, b.coords), repeat(2))))
         if sep >= min_coord_sep:
             return a, b

@@ -237,11 +237,11 @@ def worst_rows(*columns: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(columns).all(axis=0), worst, np.inf)
 
 
-def worst_of(residuals: np.ndarray, worst: float = 0.0) -> float:
-    """``worst_residual`` folded over a column of residuals, from ``worst``."""
+def worst_of(residuals: np.ndarray) -> float:
+    """``worst_residual`` folded over a column of residuals, from ``0``."""
     if not np.isfinite(residuals).all():
         return math.inf
-    return worst_residual(worst, float(residuals.max())) if residuals.size else worst
+    return worst_residual(0.0, float(residuals.max())) if residuals.size else 0.0
 
 
 class Report:

@@ -84,8 +84,7 @@ class Check:
     ``sample(m, rng)`` draws the inputs of one sample: points, scalars, norm
     values and flags.  ``evaluate(b, *columns)`` takes them stacked, points
     as blocks and the rest as columns, on the block form ``b`` of the model
-    and returns one residual per row.  Calling a check makes one draw, as a
-    plain :data:`DrawFn` does.
+    and returns one residual per row.
     """
 
     sample: SampleFn
@@ -95,9 +94,6 @@ class Check:
         """The residuals of sampled rows, evaluated in one pass."""
         columns = [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
         return self.evaluate(_on_blocks(m), *columns)
-
-    def __call__(self, m: GgvModel, rng: random.Random) -> float:
-        return float(self.residuals(m, [self.sample(m, rng)])[0])
 
 
 def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
@@ -112,10 +108,10 @@ def _dn(b: GgvModel, A, B):
     return abs(b.nvs.lin(A) - b.nvs.lin(B))
 
 
-def _sample_nv(m: GgvModel, rng: random.Random, lo: float = -3.0, hi: float = 3.0):
+def _sample_nv(m: GgvModel, rng: random.Random):
     # Members of the norm-value set, including its negative part, obtained by
     # pulling uniformly sampled reals back through the linearization.
-    return m.nvs.lin_inv(rng.uniform(lo, hi))
+    return m.nvs.lin_inv(rng.uniform(-3.0, 3.0))
 
 
 def _violated(ok):

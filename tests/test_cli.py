@@ -122,6 +122,36 @@ def test_usage_errors_exit_with_two(capsys):
         assert excinfo.value.code == 2
 
 
+EVAL = ("eval", "--model", "normed", "--expr", "oplus 1,2 3,4")
+
+
+@pytest.mark.parametrize("argv", [
+    (*EVAL, "--seed", "1"),
+    (*EVAL, "--samples", "5"),
+    (*EVAL, "--tolerance", "1e-3"),
+    (*EVAL, "--output", "{report}"),
+    ("defect", "--model", "normed", "--depth", "1", "--n-max", "1", "--samples", "5", "--output", "{report}"),
+])
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, argv):
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(report=report) for arg in argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not report.exists()
+
+
+def test_only_the_subcommands_that_draw_samples_echo_them(capsys):
+    code, out, _ = run_cli(capsys, "defect", "--model", "normed", "--depth", "1", "--n-max", "1")
+    assert code == 0 and "samples" not in json.loads(out)
+    for argv in (("verify-axioms", "--samples", "5"), ("verify-mazur-ulam", "--maps", "1", "--samples", "5"),
+                 ("decompose", "--depth", "1", "--samples", "5")):
+        code, out, _ = run_cli(capsys, *argv, "--model", "normed")
+        assert code == 0 and json.loads(out)["samples"] == 5, argv
+
+
 # ---------------------------------------------------------------------------
 # verify-axioms
 # ---------------------------------------------------------------------------

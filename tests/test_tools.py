@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from ggv.cli import _OPERATIONS, main
+from ggv.models import KINDS
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -41,3 +44,23 @@ def test_count_lines_counts_code_lines_only(tmp_path, capsys):
     assert count_lines.count_tree(tmp_path / "new") == {"pkg/mod.py": 6}
     assert count_lines.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "5", "6", "+1"]
+
+
+def test_count_lines_rejects_a_tree_without_src(tmp_path, capsys):
+    count_lines = _load("count_lines")
+    (tmp_path / "src").mkdir()
+    assert count_lines.main([str(tmp_path), str(tmp_path / "missing")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "has no src directory" in captured.err
+
+
+def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
+    compare_reports = _load("compare_reports")
+    assert compare_reports.EVAL_OPERATIONS == {op: kinds for op, (kinds, _) in _OPERATIONS.items()}
+    requests = [argv for argv in compare_reports.corpus() if argv[0] == "eval"]
+    assert sorted((argv[2], argv[-1].split()[0]) for argv in requests) == sorted(
+        (kind, op) for kind in KINDS for op in _OPERATIONS)
+    for argv in requests:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.count("\n") == 1

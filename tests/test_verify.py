@@ -163,9 +163,6 @@ def test_each_row_of_an_evaluation_is_its_own_draw(cfg):
         rows = [check.sample(m, rng) for _ in range(12)]
         column = [x.hex() for x in check.residuals(m, rows).tolist()]
         assert column == [check.residuals(m, [row])[0].hex() for row in rows], name
-        # Calling a check makes one draw from the same stream.
-        rng = random.Random(f"4:{name}")
-        assert column == [check(m, rng).hex() for _ in rows], name
 
 
 @pytest.mark.parametrize("name,public,rows", [

@@ -10,9 +10,10 @@ all four kinds, dims 1-3, seeds 0, 7 and 1234, ball radii 1, 0.5, 2.5 and
 norm-value set, plus the tolerances ``1e-17``, which fails every map at
 construction and most axiom checks, and ``5e-15``, which fails some checks,
 per command and kind, then the benchmark's ``defect`` shapes at its doubling
-depths and a ball-model seed whose fixed-point residual drifts past the
-tolerance) is run in-process against each tree, in a separate interpreter
-per tree.  Every request whose exit code, stdout or stderr
+depths, a ball-model seed whose fixed-point residual drifts past the
+tolerance, and one ``eval`` request per operation of the expression language
+and kind, on fixed arguments) is run in-process against each tree, in a
+separate interpreter per tree.  Every request whose exit code, stdout or stderr
 differs is printed; the exit status is 1 if any differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
@@ -50,6 +51,16 @@ DEFECT_SHAPES = (("normed", 2, 14), ("einstein", 2, 13), ("mobius", 2, 13), ("mo
 DRIFTING_DEFECT = ["defect", "--model", "mobius", "--dim", "2", "--seed", "1656955186", "--depth", "4",
                    "--n-max", "12"]
 
+# The argument kinds of each eval operation ("p" a point, "r" a real), as in
+# ggv.cli._OPERATIONS, and per kind three points and two reals that are norm
+# values of that kind.
+EVAL_OPERATIONS = {"oplus": "pp", "ominus": "p", "gyr": "ppp", "coplus": "pp", "otimes": "rp", "gnorm": "p",
+                   "gyrometric": "pp", "midpoint": "pp", "metric": "pp", "linearize": "r", "delinearize": "r",
+                   "nvadd": "rr", "nvsmul": "rr"}
+BALL_ARGUMENTS = (("0.3,-0.2", "0.1,0.5", "-0.4,0.1"), ("0.5", "0.25"))
+EVAL_ARGUMENTS = {"normed": (("1.5,-2", "0.5,0.25", "-1,3"), ("0.5", "0.25")), "einstein": BALL_ARGUMENTS,
+                  "mobius": BALL_ARGUMENTS, "pathological": (("2", "-1.5", "3"), ("1.5", "2.5"))}
+
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning): ")
 
@@ -73,6 +84,12 @@ def corpus() -> list[list[str]]:
             requests.append(["defect", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--depth", "2",
                              "--n-max", str(n_max)])
     requests.append(DRIFTING_DEFECT)
+    for kind, (points, reals) in EVAL_ARGUMENTS.items():
+        dim = "1" if kind == "pathological" else "2"
+        for op, kinds in EVAL_OPERATIONS.items():
+            p, r = iter(points), iter(reals)
+            expr = " ".join([op, *(next(p if k == "p" else r) for k in kinds)])
+            requests.append(["eval", "--model", kind, "--dim", dim, "--expr", expr])
     return requests
 
 

@@ -6,7 +6,8 @@ A code line is a line that holds a Python token other than a comment.  Blank
 lines, comment lines and the docstrings of modules, classes and functions do
 not count; a statement or expression that spans several lines counts each of
 its lines.  The tool prints the count of every ``.py`` file under ``src/`` in
-either tree, then the totals and their difference.
+either tree, then the totals and their difference; it exits 2 when a tree has
+no ``src`` directory.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -53,6 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     args = parser.parse_args(argv)
+    for tree in (args.old, args.new):
+        if not (tree / "src").is_dir():
+            print(f"count_lines.py: error: {tree} has no src directory", file=sys.stderr)
+            return 2
     old, new = count_tree(args.old), count_tree(args.new)
     width = max(map(len, old | new))
     for name in sorted(old | new):
