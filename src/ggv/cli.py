@@ -15,9 +15,12 @@ Every subcommand takes the model options ``--model``, ``--dim``, ``--s`` and
 other four take ``--seed``, ``--tolerance`` and ``--output`` and emit a JSON
 report (stdout or ``--output``) that is byte-identical for identical commands
 and seeds, apart from the timestamp field; of them only ``defect``, which
-draws no samples, takes no ``--samples``.  Exit status is 0 when every check
-passes, 1 on a verification failure, and 2 on usage or configuration errors,
-an option a subcommand does not take included.
+draws no samples, takes no ``--samples``.  One writer builds every report:
+the command, the model, the seed, the tolerance, the timestamp, ``pass``,
+``samples`` where the subcommand takes it, and the subcommand's own fields.
+Exit status is 0 when every check passes, 1 on a verification failure, and 2
+on usage or configuration errors, an option a subcommand does not take
+included.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .space import (
     nv_smul,
     otimes,
 )
-from .verify import run_all
+from .verify import DEFAULT_SAMPLES, run_all
 
 
 class UsageError(Exception):
@@ -87,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"residual tolerance (default: {DEFAULT_TOLERANCE:g})")
     run.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
     samples = argparse.ArgumentParser(add_help=False)
-    samples.add_argument("--samples", type=_positive_int, default=1000,
-                         help="samples per property (default: 1000)")
+    samples.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
+                         help=f"samples per property (default: {DEFAULT_SAMPLES})")
 
     parser = argparse.ArgumentParser(prog="ggv", description="Generalized gyrovector space toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,31 +202,24 @@ def evaluate_expression(m: GgvModel, expr: str) -> str:
 # Report plumbing.
 # ---------------------------------------------------------------------------
 
-def _emit_report(report: dict, output: str | None) -> int:
-    """Write the report; return its exit code."""
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write report {output!r}: {exc}") from exc
-    else:
-        print(text)
-    return 0 if report["pass"] else 1
-
-
-def _base_report(m: GgvModel, args: argparse.Namespace) -> dict:
-    report = {
-        "command": args.command,
-        "model": m.config.to_dict(),
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+def _report(m: GgvModel, args: argparse.Namespace, passed: bool, **fields) -> int:
+    """Write the JSON report of a verification command, made of the run's
+    settings and ``fields``, to stdout or ``--output``; return its exit code."""
+    report = {"command": args.command, "model": m.config.to_dict(), "seed": args.seed,
+              "tolerance": args.tolerance, "timestamp": datetime.now(timezone.utc).isoformat(),
+              "pass": passed, **fields}
     if "samples" in args:
         report["samples"] = args.samples
-    return report
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.output!r}: {exc}") from exc
+    else:
+        print(text)
+    return 0 if passed else 1
 
 
 def _cmd_eval(m: GgvModel, args: argparse.Namespace) -> int:
@@ -233,10 +229,7 @@ def _cmd_eval(m: GgvModel, args: argparse.Namespace) -> int:
 
 def _cmd_verify_axioms(m: GgvModel, args: argparse.Namespace) -> int:
     reports = run_all(m, seed=args.seed, samples=args.samples, tolerance=args.tolerance)
-    document = _base_report(m, args)
-    document["results"] = [r.to_dict() for r in reports]
-    document["pass"] = all(r.passed for r in reports)
-    return _emit_report(document, args.output)
+    return _report(m, args, all(r.passed for r in reports), results=[r.to_dict() for r in reports])
 
 
 def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
@@ -257,12 +250,8 @@ def _cmd_verify_mazur_ulam(m: GgvModel, args: argparse.Namespace) -> int:
                 "decomposition": decomposition.to_dict(),
             }
         )
-    document = _base_report(m, args)
-    document["maps"] = args.maps
-    document["max_depth"] = args.max_depth
-    document["results"] = results
-    document["pass"] = all(r["midpoint"]["pass"] and r["decomposition"]["pass"] for r in results)
-    return _emit_report(document, args.output)
+    passed = all(r["midpoint"]["pass"] and r["decomposition"]["pass"] for r in results)
+    return _report(m, args, passed, maps=args.maps, max_depth=args.max_depth, results=results)
 
 
 def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
@@ -272,25 +261,15 @@ def _cmd_defect(m: GgvModel, args: argparse.Namespace) -> int:
     rng = random.Random(f"{args.seed}:defect-points")
     x1, x2 = sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)
     trace = defect_experiment(T, x1, x2, args.n_max, args.tolerance)
-    document = _base_report(m, args)
-    document["depth"] = args.depth
-    document["n_max"] = args.n_max
-    document["x1"] = list(x1.coords)
-    document["x2"] = list(x2.coords)
-    document["result"] = trace.to_dict()
-    document["pass"] = trace.passed
-    return _emit_report(document, args.output)
+    return _report(m, args, trace.passed, depth=args.depth, n_max=args.n_max, x1=list(x1.coords),
+                   x2=list(x2.coords), result=trace.to_dict())
 
 
 def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
     T = random_isometry(m, args.seed, args.depth, tolerance=args.tolerance)
     report = decompose_mazur_ulam(T, args.samples, args.seed, args.tolerance)
-    document = _base_report(m, args)
-    document["depth"] = args.depth
-    document["recipe"] = [step["kind"] for step in T.recipe]
-    document["result"] = report.to_dict()
-    document["pass"] = report.passed
-    return _emit_report(document, args.output)
+    return _report(m, args, report.passed, depth=args.depth, recipe=[step["kind"] for step in T.recipe],
+                   result=report.to_dict())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

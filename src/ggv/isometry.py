@@ -57,7 +57,7 @@ from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
 from .models import _BLOCK, _POINT, Block, _block, _dot, _kernels, _lift, _on_blocks, _same
 from .sampling import sample_point
-from .space import DEFAULT_TOLERANCE, GgvModel, Report, _midpoint, _sample_count, worst_of, worst_residual
+from .space import DEFAULT_TOLERANCE, GgvModel, Report, _count, _midpoint, worst_of, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
 # handed out.
@@ -218,15 +218,10 @@ def _chain(fns: list[Callable]) -> Callable:
     return run
 
 
-def _unchecked(T: GyroMap) -> tuple[Coords, Coords]:
-    """``T.apply`` and ``T.inverse_apply`` on the coordinates of carrier points,
-    without the entry check."""
-    return _directions(_steps(T), _POINT)
-
-
-def _apply_block(T: GyroMap) -> Callable[[Block], Block]:
-    """``T.apply`` on blocks of carrier points."""
-    return _directions(_steps(T), _BLOCK)[0]
+def _form(T: GyroMap, lib: SimpleNamespace) -> tuple[Callable, Callable]:
+    """``T.apply`` and ``T.inverse_apply`` in ``lib``'s form, without the entry
+    check: the map counterpart of ``models._kernels``."""
+    return _directions(_steps(T), lib)
 
 
 def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) -> Callable[[GyroPoint], GyroPoint]:
@@ -302,10 +297,11 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
 
 
 def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
-    """Rotate ball coordinates by an orthogonal matrix with determinant one.
+    """Map ball coordinates through an orthogonal matrix, a rotation or a reflection.
 
-    Only ball models of dimension >= 2 support this primitive; both ball
-    additions are equivariant under ambient rotations.
+    Only ball models of dimension >= 2 support this primitive.  Both ball
+    additions are equivariant under the whole orthogonal group, so every
+    orthogonal matrix gives an isometry and no determinant is required.
     """
     if m.config.kind not in ("einstein", "mobius"):
         raise PreconditionError(f"ambient rotations are a ball-model primitive, not {m.config.kind!r}")
@@ -318,7 +314,7 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
     for i in range(dim):
         for j in range(dim):
             gram = sum(rows[k][i] * rows[k][j] for k in range(dim))
-            if abs(gram - (1.0 if i == j else 0.0)) > 1e-9:
+            if not abs(gram - (1.0 if i == j else 0.0)) <= 1e-9:  # NaN and inf entries fail
                 raise PreconditionError("rotation matrix is not orthogonal")
     columns = tuple(zip(*rows))
 
@@ -395,10 +391,10 @@ def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
     The pairs are drawn in a fixed order from ``seed``, so the pairs of a
     shorter check are a prefix of those of a longer one.
     """
-    _sample_count(n_pairs, "n_pairs")
+    _count(n_pairs, "n_pairs")
     rng = random.Random(f"{seed}:preservation")
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
-    apply = _apply_block(T)
+    apply = _form(T, _BLOCK)[0]
     a, b = _sample_pairs(T.domain_model, rng, 0.9, n_pairs)
     return worst_of(abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)))
 
@@ -413,7 +409,7 @@ def require_gyrometric_preserving(
     recorded ones and their worst gap cannot exceed the recorded residual,
     which is within ``tolerance``.
     """
-    _sample_count(n_pairs, "n_pairs")
+    _count(n_pairs, "n_pairs")
     if T.preservation is not None and n_pairs <= CONSTRUCTION_PAIRS:
         recorded_seed, recorded_residual = T.preservation
         if recorded_seed == seed and recorded_residual <= tolerance:
@@ -425,27 +421,20 @@ def require_gyrometric_preserving(
         )
 
 
-_PRIMITIVE_KINDS = ("left_translation", "point_reflection", "ambient_rotation", "identity")
+# The random primitives, each drawn from the composition's stream.  Centers
+# stay well inside the ball: a depth-six chain of translations compounds
+# rapidity, and the checks downstream need headroom.
+_RANDOM_PRIMITIVES = {
+    "left_translation": lambda m, rng: left_translation(m, sample_point(m, rng, 0.7)),
+    "point_reflection": lambda m, rng: point_reflection(m, sample_point(m, rng, 0.7)),
+    "ambient_rotation": lambda m, rng: ambient_rotation(m, random_rotation_matrix(m.config.dim, rng)),
+    "identity": lambda m, rng: identity_map(m),
+}
 
 
 def _available_kinds(m: GgvModel) -> tuple[str, ...]:
-    if m.config.kind in ("einstein", "mobius") and m.config.dim >= 2:
-        return _PRIMITIVE_KINDS
-    return ("left_translation", "point_reflection", "identity")
-
-
-def _random_primitive(m: GgvModel, kind: str, rng: random.Random) -> GyroMap:
-    # Centers stay well inside the ball: a depth-six chain of translations
-    # compounds rapidity, and the checks downstream need headroom.
-    if kind == "left_translation":
-        return left_translation(m, sample_point(m, rng, 0.7))
-    if kind == "point_reflection":
-        return point_reflection(m, sample_point(m, rng, 0.7))
-    if kind == "ambient_rotation":
-        return ambient_rotation(m, random_rotation_matrix(m.config.dim, rng))
-    if kind == "identity":
-        return identity_map(m)
-    raise PreconditionError(f"unknown primitive kind {kind!r}")
+    rotations = m.config.kind in ("einstein", "mobius") and m.config.dim >= 2
+    return tuple(kind for kind in _RANDOM_PRIMITIVES if rotations or kind != "ambient_rotation")
 
 
 def random_isometry(
@@ -466,15 +455,16 @@ def random_isometry(
 
 def _random_composition(m: GgvModel, seed: int, depth: int, kinds: Sequence[str] | None = None) -> GyroMap:
     """The seeded composition behind :func:`random_isometry`, not yet verified."""
-    if depth < 1:
-        raise PreconditionError(f"depth must be >= 1, got {depth}")
-    palette = tuple(kinds) if kinds is not None else _available_kinds(m)
+    _count(depth, "depth")
     allowed = _available_kinds(m)
+    palette = tuple(kinds) if kinds is not None else allowed
+    if not palette:
+        raise PreconditionError("kinds must name at least one primitive")
     for kind in palette:
         if kind not in allowed:
             raise PreconditionError(f"primitive {kind!r} is not available for {m.tag}")
     rng = random.Random(f"{seed}:isometry")
-    return compose_maps([_random_primitive(m, rng.choice(palette), rng) for _ in range(depth)])
+    return compose_maps([_RANDOM_PRIMITIVES[rng.choice(palette)](m, rng) for _ in range(depth)])
 
 
 def _verified(T: GyroMap, seed: int, tolerance: float) -> GyroMap:
@@ -502,6 +492,7 @@ def random_isometry_between(
     the codomain.  Only the whole map is verified, once, and it carries the
     record of that check.
     """
+    _count(depth, "depth")
     if depth < 2:
         raise PreconditionError("cross-instance maps need depth >= 2 to act on both sides")
     d1 = depth // 2
@@ -518,10 +509,10 @@ def verify_midpoint_preservation(
     T: GyroMap, n_samples: int, seed: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> MidpointReport:
     """Check ``T(P(a, b)) == P(T(a), T(b))`` over seeded sample pairs."""
-    _sample_count(n_samples)
+    _count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
-    apply = _apply_block(T)
+    apply = _form(T, _BLOCK)[0]
     rng = random.Random(f"{seed}:midpoint")
     a, b = _sample_pairs(T.domain_model, rng, 0.9, n_samples)
     image_of_mid = apply(_midpoint(m1, a, b))
@@ -539,13 +530,13 @@ def decompose_mazur_ulam(
     preserves addition, coaddition, scalar action (dyadic ladder first, then
     general scalars), and the gyrometric.
     """
-    _sample_count(n_samples)
+    _count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    translation_part = _point(T.codomain_model.tag, _unchecked(T)[0](T.domain_model.identity.coords))
+    translation_part = _point(T.codomain_model.tag, _form(T, _POINT)[0](T.domain_model.identity.coords))
     neg_te = T.codomain_model.group.inv(translation_part)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     g1, g2 = m1.group, m2.group
-    apply = _apply_block(T)
+    apply = _form(T, _BLOCK)[0]
 
     def T0(x: Block) -> Block:
         return g2.add(neg_te.coords, apply(x))
@@ -601,20 +592,20 @@ def defect_experiment(
     under the bound ``2 lin(rho(x1, p))`` is only possible when the defect
     vanishes.
     """
-    if not isinstance(n_max, int) or n_max < 0 or n_max > N_MAX_LIMIT:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= N_MAX_LIMIT:
         raise PreconditionError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
     require_gyrometric_preserving(T, tolerance=tolerance)
     m1, m2 = T.domain_model, T.codomain_model
     m1.group.validate(x1)
     m1.group.validate(x2)
-    apply, inverse_apply = _unchecked(T)
+    apply, inverse_apply = _form(T, _POINT)
 
     # The midpoints and reflections are built once on points; everything
     # after runs on coordinate tuples.
     mid = _midpoint(m1, x1, x2)
     mid_image = _midpoint(m2, _point(m2.tag, apply(x1.coords)), _point(m2.tag, apply(x2.coords)))
-    refl_p = _unchecked(point_reflection(m1, mid))[0]
-    refl_p_image = _unchecked(point_reflection(m2, mid_image))[0]
+    refl_p = _form(point_reflection(m1, mid), _POINT)[0]
+    refl_p_image = _form(point_reflection(m2, mid_image), _POINT)[0]
     distance1, distance2 = _kernels(m1, _POINT).distance, _kernels(m2, _POINT).distance
     a1, a2, p, p_image = x1.coords, x2.coords, mid.coords, mid_image.coords
 

@@ -317,7 +317,7 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(map(mul, u, v))
 
 
-def _norm(u: Sequence[float], lib=math) -> float:
+def _norm(u: Sequence[float], lib) -> float:
     return lib.sqrt(_dot(u, u))
 
 
@@ -343,7 +343,7 @@ def _warn_clamp(n: float, s: float) -> None:
 
 
 def _clamp_ball(coords: tuple[float, ...], s: float) -> tuple[float, ...]:
-    n = _norm(coords)
+    n = _norm(coords, math)
     limit = s * (1.0 - BALL_EDGE)
     if n >= limit:
         _warn_clamp(n, s)
@@ -365,40 +365,37 @@ def _clamp_block(coords: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, 
     return tuple(c * scale for c in coords)
 
 
-def _radial(r, u, n, s, lib):
-    # r (x) u = s tanh(r artanh(|u|/s)) u/|u| for |u| = n > 0.
-    t = s * lib.tanh(r * lib.atanh(n / s))
-    return tuple(map(truediv, map(mul, repeat(t), u), repeat(n)))
-
-
-def _scale_in_ball(r: float, u: tuple[float, ...], s: float) -> tuple[float, ...]:
-    # The removable singularity at the origin returns the origin exactly.
-    n = _norm(u)
-    return u if n == 0.0 else _radial(r, u, n, s, math)
-
-
-def _scale_block(r, u: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, ...]:
-    # _scale_in_ball on each row; ``r`` is a scalar or a column.
-    n = _norm(u, _BLOCK)
-    with np.errstate(invalid="ignore"):  # 0/0 on the origin rows, kept as they are
-        scaled = _radial(r, u, n, s, _BLOCK)
+def _scale(r, u, s: float, lib):
+    # r (x) u = s tanh(r artanh(|u|/s)) u/|u|; ``r`` is a scalar or, on a
+    # block, a column.  The removable singularity at the origin, and a point
+    # whose squared norm underflows to 0, return ``u`` exactly: those rows
+    # divide by 1, then keep ``u``.
+    n = _norm(u, lib)
     origin = n == 0.0
-    return tuple(np.where(origin, x, y) for x, y in zip(u, scaled))
+    t = s * lib.tanh(r * lib.atanh(n / s))
+    n = lib.where(origin, 1.0, n)
+    return tuple(lib.where(origin, x, t * x / n) for x in u)
+
+
+def _pick(condition: bool, x, y):
+    return x if condition else y
 
 
 # What the formulas take as ``lib``: the square root and transcendental
-# functions, the boundary clamp and the ball scaling (which branch per row),
-# ``each``, which lifts a scalar function to the coordinate type, and ``rows``,
-# which lifts a function of coordinate tuples to the same.  NumPy's
-# square root is correctly rounded, as libm's is.  The transcendental
-# functions of a block are libm's own mapped over the column: NumPy's differ
-# from libm in the last ulp on a sizable share of arguments, and each row of a
-# block must round exactly like its point.
+# functions, ``where``, which picks between two values row by row, the
+# boundary clamp, which warns once per clamped row, ``each``, which lifts a
+# scalar function to the coordinate type, and ``rows``, which lifts a function
+# of coordinate tuples to the same.  Everything else, the ball scaling
+# included, is written once over these.  NumPy's square root is correctly
+# rounded, as libm's is.  The transcendental functions of a block are libm's
+# own mapped over the column: NumPy's differ from libm in the last ulp on a
+# sizable share of arguments, and each row of a block must round exactly like
+# its point.
 _TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p")
 _POINT = SimpleNamespace(sqrt=math.sqrt, **{name: getattr(math, name) for name in _TRANSCENDENTAL},
-                         clamp=_clamp_ball, scale=_scale_in_ball, each=_same, rows=_same)
+                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same)
 _BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name)) for name in _TRANSCENDENTAL},
-                         clamp=_clamp_block, scale=_scale_block, each=_columnwise, rows=_row_wise)
+                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise)
 
 
 def _combine(a, x, b, y, den):
@@ -626,12 +623,12 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
 
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, dim)
-        n = _norm(p.coords)
+        n = _norm(p.coords, math)
         if n >= s:
             raise DomainError(f"{tag}: point of norm {n!r} is outside the open ball")
 
     def ops(lib):
-        clamp, scale = lib.clamp, lib.scale
+        clamp = lib.clamp
         if cfg.kind == "einstein":
             def oplus(a, b):
                 return clamp(_einstein_add(a, b, s, lib), s)
@@ -642,7 +639,7 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
                 # the two additions and gyrations are linear, so the radial
                 # scalings cancel.  This keeps the closed form independent of
                 # the composition-of-sums oracle.
-                return clamp(_mobius_gyr(scale(0.5, u, s), scale(0.5, v, s), a, c), s)
+                return clamp(_mobius_gyr(_scale(0.5, u, s, lib), _scale(0.5, v, s, lib), a, c), s)
 
             def distance(a, b):
                 return _einstein_distance(a, b, s, lib)
@@ -660,7 +657,7 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
             return tuple(map(neg, a))
 
         def smul(r, a):
-            return clamp(scale(r, a, s), s)
+            return clamp(_scale(r, a, s, lib), s)
 
         return oplus, inv, gyr, smul, distance
 

@@ -108,9 +108,10 @@ def _finite_scalar(r: float) -> float:
     return r
 
 
-def _sample_count(n: int, name: str = "n_samples") -> None:
-    """Raise :class:`PreconditionError` unless the sample count ``n`` is an
-    integer >= 1: a check over no samples would pass vacuously."""
+def _count(n: int, name: str = "n_samples") -> None:
+    """Raise :class:`PreconditionError` unless the count ``n``, of samples or
+    of a map's primitives, is an integer >= 1: a check over no samples would
+    pass vacuously."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionError(f"{name} must be >= 1 and an integer, got {n!r}")
 

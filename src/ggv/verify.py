@@ -43,10 +43,10 @@ from .space import (
     DEFAULT_TOLERANCE,
     GgvModel,
     Report,
+    _count,
     _gnorm,
     _gyrometric,
     _midpoint,
-    _sample_count,
     nv_le_nonneg,
     worst_of,
     worst_rows,
@@ -542,7 +542,7 @@ def run_check(
     Any other callable makes one draw per call, reduced with ``max``, which
     drops a NaN draw.
     """
-    _sample_count(samples)
+    _count(samples)
     rng = random.Random(f"{seed}:{name}")
     if isinstance(draw, Check):
         worst = worst_of(draw.residuals(m, [draw.sample(m, rng) for _ in range(samples)]))

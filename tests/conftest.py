@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from ggv import ModelConfig, make_model
@@ -46,11 +44,3 @@ def mobius2():
 @pytest.fixture
 def patho():
     return make_model(MODEL_CONFIGS["pathological"])
-
-
-@pytest.fixture
-def without_blocks():
-    """Rebuilds a model or a map with ``dataclasses.replace``, as the benchmark
-    tracer does: the model has no ``ops`` and the map no steps, so everything
-    is lifted through the point forms."""
-    return dataclasses.replace

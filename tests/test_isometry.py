@@ -161,8 +161,19 @@ def test_rotation_is_a_ball_primitive_only(normed2, patho):
 
 
 def test_rotation_rejects_non_orthogonal_matrices(einstein2):
-    with pytest.raises(PreconditionError):
-        ambient_rotation(einstein2, ((1.0, 0.5), (0.0, 1.0)))
+    # Non-finite entries too: every comparison with NaN is false.
+    for bad in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            ambient_rotation(einstein2, ((1.0, bad), (0.0, 1.0)))
+        with pytest.raises(PreconditionError):
+            ambient_rotation(einstein2, ((bad, 0.0), (0.0, 1.0)))
+
+
+def test_rotation_accepts_any_orthogonal_matrix(einstein2):
+    # Both ball additions are equivariant under reflections as well.
+    flip = ambient_rotation(einstein2, ((1.0, 0.0), (0.0, -1.0)))
+    assert map_preservation_residual(flip, 100, seed=1) <= TOL
+    assert flip.apply(make_point(einstein2, [0.3, 0.2])).coords == (0.3, -0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,16 @@ def test_random_isometry_is_seed_deterministic(einstein2):
 
 
 def test_random_isometry_rejects_zero_depth(einstein2):
-    with pytest.raises(PreconditionError):
-        random_isometry(einstein2, seed=1, depth=0)
+    # A depth is a count, so a bool or a float is refused as well.
+    for depth in (0, -1, 2.5, True, "2"):
+        with pytest.raises(PreconditionError, match="depth"):
+            random_isometry(einstein2, seed=1, depth=depth)
+    domain, codomain = make_model(ModelConfig("mobius", dim=2)), make_model(ModelConfig("mobius", dim=2))
+    for depth in (1, 2.5, True):
+        with pytest.raises(PreconditionError, match="depth"):
+            random_isometry_between(domain, codomain, seed=1, depth=depth)
+    with pytest.raises(PreconditionError, match="at least one primitive"):
+        random_isometry(einstein2, seed=1, depth=2, kinds=())
 
 
 def test_random_isometry_with_forced_translations(any_model):
@@ -477,6 +496,9 @@ def test_defect_iterate_count_is_guarded(einstein2):
         defect_experiment(identity_map(einstein2), x1, x2, n_max=21)
     with pytest.raises(PreconditionError):
         defect_experiment(identity_map(einstein2), x1, x2, n_max=-1)
+    for n_max in (True, False, 2.0):
+        with pytest.raises(PreconditionError):
+            defect_experiment(identity_map(einstein2), x1, x2, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +584,9 @@ def test_construction_error_reports_diagnostics(einstein2):
     ModelConfig("normed", dim=3), ModelConfig("einstein", dim=3), ModelConfig("mobius", dim=2, s=2.5),
     ModelConfig("pathological"),
 ], ids=lambda cfg: cfg.tag)
-def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
+def test_block_experiments_match_the_row_wise_lift(cfg):
     m = make_model(cfg)
-    lifted = without_blocks(m)
+    lifted = dataclasses.replace(m)
     for seed in (0, 5):
         T = random_isometry(m, seed=seed, depth=6)
         T_lifted = random_isometry(lifted, seed=seed, depth=6)
@@ -577,14 +599,14 @@ def test_block_experiments_match_the_row_wise_lift(cfg, without_blocks):
             assert experiment(T, 60, seed).to_dict() == experiment(T_lifted, 60, seed).to_dict()
 
 
-def test_the_defect_chain_matches_its_lift(any_model, without_blocks):
+def test_the_defect_chain_matches_its_lift(any_model):
     m = any_model
-    lifted = without_blocks(m)
+    lifted = dataclasses.replace(m)
     rng = random.Random(17)
     x1, x2 = sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)
     expected = defect_experiment(random_isometry(m, seed=6, depth=3), x1, x2, n_max=6).to_dict()
     T_lifted = random_isometry(lifted, seed=6, depth=3)
-    stripped = without_blocks(T_lifted)
+    stripped = dataclasses.replace(T_lifted)
     assert stripped.steps == () and len(T_lifted.steps) == 3
     for T in (T_lifted, stripped, compose_maps([identity_map(lifted), stripped, identity_map(lifted)])):
         assert defect_experiment(T, x1, x2, n_max=6).to_dict() == expected
@@ -614,12 +636,12 @@ def test_the_images_of_a_user_map_are_validated_on_coordinates(einstein2):
             defect_experiment(T, outside, make_point(einstein2, [0.0, -0.97]), n_max=2)
 
 
-def test_block_experiments_clamp_like_the_row_wise_lift(mobius2, without_blocks):
+def test_block_experiments_clamp_like_the_row_wise_lift(mobius2):
     # Translating by a point at the ball's edge pushes images onto the
     # boundary shell, where every kernel clamps.
     edge = make_point(mobius2, [1.0 - 1e-13, 0.0])
     results = []
-    for m in (mobius2, without_blocks(mobius2)):
+    for m in (mobius2, dataclasses.replace(mobius2)):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always", BoundaryClampWarning)
             residual = map_preservation_residual(left_translation(m, edge), 50, seed=2)

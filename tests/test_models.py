@@ -268,6 +268,9 @@ def _block_rows(m, n=40):
         s, dim = m.config.s, m.config.dim
         rows += [tuple(s * (1.0 - 1e-13) * (i == j) for j in range(dim)) for i in range(dim)]
         rows += [tuple(-s * (1.0 - 5e-13) / math.sqrt(dim) for _ in range(dim))]
+        # A nonzero point whose squared norm underflows to 0: the ball
+        # scaling returns it as it returns the origin.
+        rows += [(1e-170,) + (0.0,) * (dim - 1)]
     return rows
 
 

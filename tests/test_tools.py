@@ -1,9 +1,11 @@
 """The repository tools under ``tools/``."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 from ggv.cli import _OPERATIONS, main
+from ggv.errors import BoundaryClampWarning
 from ggv.models import KINDS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -58,9 +60,15 @@ def test_count_lines_rejects_a_tree_without_src(tmp_path, capsys):
 def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
     compare_reports = _load("compare_reports")
     assert compare_reports.EVAL_OPERATIONS == {op: kinds for op, (kinds, _) in _OPERATIONS.items()}
-    requests = [argv for argv in compare_reports.corpus() if argv[0] == "eval"]
+    edges = compare_reports.BALL_EDGE_EXPRESSIONS
+    requests = [argv for argv in compare_reports.corpus() if argv[0] == "eval" and argv[-1] not in edges]
     assert sorted((argv[2], argv[-1].split()[0]) for argv in requests) == sorted(
         (kind, op) for kind in KINDS for op in _OPERATIONS)
-    for argv in requests:
-        assert main(argv) == 0, argv
+    edge_requests = [argv for argv in compare_reports.corpus() if argv[-1] in edges]
+    assert edge_requests == [["eval", "--model", kind, "--dim", "2", "--expr", expr]
+                             for kind in ("einstein", "mobius") for expr in edges]
+    for argv in requests + edge_requests:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryClampWarning)
+            assert main(argv) == 0, argv
         assert capsys.readouterr().out.count("\n") == 1

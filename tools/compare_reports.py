@@ -11,10 +11,13 @@ norm-value set, plus the tolerances ``1e-17``, which fails every map at
 construction and most axiom checks, and ``5e-15``, which fails some checks,
 per command and kind, then the benchmark's ``defect`` shapes at its doubling
 depths, a ball-model seed whose fixed-point residual drifts past the
-tolerance, and one ``eval`` request per operation of the expression language
-and kind, on fixed arguments) is run in-process against each tree, in a
-separate interpreter per tree.  Every request whose exit code, stdout or stderr
-differs is printed; the exit status is 1 if any differs.
+tolerance, one ``eval`` request per operation of the expression language
+and kind, on fixed arguments, and per ball kind the ``eval`` requests of
+``BALL_EDGE_EXPRESSIONS``, which clamp a result at the boundary, scale the
+origin and scale a point whose squared norm underflows) is run in-process
+against each tree, in a separate interpreter per tree.  Every request whose
+exit code, stdout or stderr differs is printed; the exit status is 1 if any
+differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
 line number and the echoed source line) are masked, since neither is part of
@@ -61,6 +64,11 @@ BALL_ARGUMENTS = (("0.3,-0.2", "0.1,0.5", "-0.4,0.1"), ("0.5", "0.25"))
 EVAL_ARGUMENTS = {"normed": (("1.5,-2", "0.5,0.25", "-1,3"), ("0.5", "0.25")), "einstein": BALL_ARGUMENTS,
                   "mobius": BALL_ARGUMENTS, "pathological": (("2", "-1.5", "3"), ("1.5", "2.5"))}
 
+# Ball-model expressions at the edges of the kernels: two results clamped
+# back inside the ball, the scaling of the origin, and the scaling of a
+# nonzero point whose squared norm underflows to 0.
+BALL_EDGE_EXPRESSIONS = ("oplus 0.9999999999999,0 0.5,0", "otimes 40 0.5,0", "otimes 2 0,0", "otimes 2 1e-170,0")
+
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning): ")
 
@@ -90,6 +98,9 @@ def corpus() -> list[list[str]]:
             p, r = iter(points), iter(reals)
             expr = " ".join([op, *(next(p if k == "p" else r) for k in kinds)])
             requests.append(["eval", "--model", kind, "--dim", dim, "--expr", expr])
+    for kind in ("einstein", "mobius"):
+        for expr in BALL_EDGE_EXPRESSIONS:
+            requests.append(["eval", "--model", kind, "--dim", "2", "--expr", expr])
     return requests
 
 
