@@ -11,11 +11,12 @@ Subcommands:
 * ``decompose``: report the decomposition residuals for one map.
 
 Every subcommand takes the model options ``--model``, ``--dim``, ``--s`` and
-``--config``.  ``eval`` takes ``--expr`` besides and prints one value.  The
-other four take ``--seed``, ``--tolerance`` and ``--output`` and emit a JSON
-report (stdout or ``--output``) that is byte-identical for identical commands
-and seeds, apart from the timestamp field; of them only ``defect``, which
-draws no samples, takes no ``--samples``.  One writer builds every report:
+``--config``, which replaces the other three and is not combined with them.
+``eval`` takes ``--expr`` besides and prints one value.  The other four take
+``--seed``, ``--tolerance`` and ``--output`` and emit a JSON report (stdout
+or ``--output``) that is byte-identical for identical commands and seeds,
+apart from the timestamp field; of them only ``defect``, which draws no
+samples, takes no ``--samples``.  One writer builds every report:
 the command, the model, the seed, the tolerance, the timestamp, ``pass``,
 ``samples`` where the subcommand takes it, and the subcommand's own fields.
 Exit status is 0 when every check passes, 1 on a verification failure, and 2
@@ -80,10 +81,11 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", choices=KINDS, default="einstein", help="model kind (default: einstein)")
-    model.add_argument("--dim", type=_positive_int, default=2, help="ambient dimension (default: 2)")
-    model.add_argument("--s", type=_positive_float, default=1.0, help="ball radius (default: 1)")
-    model.add_argument("--config", metavar="PATH", help="JSON model config file; overrides the model flags")
+    model.add_argument("--model", choices=KINDS, help="model kind (default: einstein)")
+    model.add_argument("--dim", type=_positive_int, help="ambient dimension (default: 2)")
+    model.add_argument("--s", type=_positive_float, help="ball radius (default: 1)")
+    model.add_argument("--config", metavar="PATH",
+                       help="JSON model config file; not combined with --model, --dim or --s")
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--seed", type=int, default=0, help="seed for all sampling (default: 0)")
     run.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
@@ -125,13 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(args: argparse.Namespace) -> GgvModel:
     if args.config:
+        flags = [flag for flag, value in (("--model", args.model), ("--dim", args.dim), ("--s", args.s))
+                 if value is not None]
+        if flags:
+            raise UsageError(f"--config cannot be combined with {', '.join(flags)}")
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 cfg = ModelConfig.from_json(handle.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     else:
-        cfg = ModelConfig(kind=args.model, dim=args.dim, s=args.s)
+        cfg = ModelConfig(kind=args.model or "einstein", dim=args.dim or 2, s=args.s or 1.0)
     return make_model(cfg)
 
 

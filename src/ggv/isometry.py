@@ -138,7 +138,8 @@ class DefectTrace(Report):
 
     ``iterates[n]`` is the linearized gyrometric between ``S^(2^n)(p)`` and
     ``p``; every entry must stay below ``bound`` (up to tolerance), which
-    forces the defect to vanish.
+    forces the defect to vanish.  Once an iterate is an exact fixed point of
+    ``S`` the later entries repeat its distance.
     """
 
     PROPERTY = "midpoint_defect"
@@ -590,7 +591,8 @@ def defect_experiment(
     of their images, the composition ``S = refl_p o T^-1 o refl_p' o T``
     fixes ``x1`` and ``x2`` while its iterates double the defect; staying
     under the bound ``2 lin(rho(x1, p))`` is only possible when the defect
-    vanishes.
+    vanishes.  The chain stops at the first exact fixed point of ``S``, which
+    leaves the trace unchanged.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= N_MAX_LIMIT:
         raise PreconditionError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
@@ -615,13 +617,19 @@ def defect_experiment(
     defect = distance2(apply(p), p_image)
     bound = 2.0 * distance1(a1, p)
 
+    # S is a pure function of its coordinates, so once S(current) is current
+    # bit for bit (repr tells -0.0 from 0.0; NaN never compares equal) every
+    # later iterate is current and the chain stops.
     iterates = []
     current = p
     applied = 0
     for n in range(n_max + 1):
-        target = 2 ** n
-        while applied < target:
-            current = S(current)
+        while applied < 2 ** n:
+            following = S(current)
+            if following == current and repr(following) == repr(current):
+                applied = 2 ** n_max
+                break
+            current = following
             applied += 1
         iterates.append(distance1(current, p))
 

@@ -204,6 +204,18 @@ def test_bad_config_file_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("ggv: error: cannot read config") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [("--model", "mobius", "--dim", "3"), ("--model", "einstein"), ("--dim", "2"),
+                                   ("--s", "1")])
+def test_config_file_is_not_combined_with_model_flags(capsys, tmp_path, flags):
+    # A flag equal to its default is refused too: it is still given.
+    config = tmp_path / "model.json"
+    config.write_text('{"kind": "normed", "dim": 2}')
+    code, out, err = run_cli(capsys, "eval", "--config", str(config), *flags, "--expr", "oplus 0.5,0 0.5,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("ggv: error: --config cannot be combined with --") and err.count("\n") == 1
+    assert run_cli(capsys, "eval", "--config", str(config), "--expr", "oplus 0.5,0 0.5,0")[:2] == (0, "1,0\n")
+
+
 def test_output_file_receives_the_report(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -10,6 +10,7 @@ import pytest
 import ggv.isometry
 from ggv import (
     BoundaryClampWarning,
+    DefectTrace,
     DomainError,
     GyroMap,
     GyroPoint,
@@ -37,7 +38,7 @@ from ggv import (
 )
 from ggv.isometry import CONSTRUCTION_PAIRS
 from ggv.sampling import sample_point
-from ggv.space import gyrometric, nv_smul
+from ggv.space import DEFAULT_TOLERANCE, gyrometric, nv_smul, worst_residual
 from ggv.verify import GROUPS, run_check
 
 TOL = 1e-9
@@ -499,6 +500,64 @@ def test_defect_iterate_count_is_guarded(einstein2):
     for n_max in (True, False, 2.0):
         with pytest.raises(PreconditionError):
             defect_experiment(identity_map(einstein2), x1, x2, n_max=n_max)
+
+
+def _defect_request(kind, dim, seed):
+    """The map and points of ``ggv defect --model kind --dim dim --seed seed --depth 2``."""
+    m = make_model(ModelConfig(kind, dim=dim))
+    rng = random.Random(f"{seed}:defect-points")
+    return random_isometry(m, seed, depth=2), sample_point(m, rng, 0.7), sample_point(m, rng, 0.7)
+
+
+def _naive_defect_trace(T, x1, x2, n_max):
+    """The defect trace of ``T`` with ``S`` applied all ``2^n_max`` times, on points."""
+    m = T.domain_model
+    p = gyromidpoint(m, x1, x2)
+    p_image = gyromidpoint(m, T.apply(x1), T.apply(x2))
+    refl_p, refl_p_image = point_reflection(m, p), point_reflection(m, p_image)
+
+    def S(x):
+        return refl_p.apply(T.inverse_apply(refl_p_image.apply(T.apply(x))))
+
+    iterates, current, applied = [], p, 0
+    for n in range(n_max + 1):
+        while applied < 2 ** n:
+            current, applied = S(current), applied + 1
+        iterates.append(metric_distance(m, current, p))
+    defect = metric_distance(m, T.apply(p), p_image)
+    bound = 2.0 * metric_distance(m, x1, p)
+    residual = worst_residual(metric_distance(m, S(x1), x1), metric_distance(m, S(x2), x2))
+    passed = (defect <= DEFAULT_TOLERANCE and residual <= DEFAULT_TOLERANCE
+              and all(it <= bound + DEFAULT_TOLERANCE for it in iterates))
+    return DefectTrace(defect, tuple(iterates), bound, residual, passed, DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("kind, dim, seed", [
+    ("pathological", 1, 0),  # p is a fixed point of S
+    ("mobius", 2, 1034930103),  # S^4524(p) is a fixed point of S
+    ("einstein", 2, 996517196),  # S^14(p) starts a 2-cycle, which runs to the end
+    ("mobius", 3, 1),  # no iterate up to 2^13 is fixed
+])
+def test_the_defect_chain_stops_at_a_fixed_point_with_the_naive_trace(kind, dim, seed):
+    T, x1, x2 = _defect_request(kind, dim, seed)
+    expected = _naive_defect_trace(T, x1, x2, 13).to_dict()
+    assert defect_experiment(T, x1, x2, 13).to_dict() == expected
+
+
+def test_a_fixed_orbit_applies_s_only_until_it_is_fixed():
+    # p is a fixed point of S: one application finds it, then S runs on x1
+    # and x2 for the fixed-point residual; 2^12 iterates are recorded.
+    T, x1, x2 = _defect_request("pathological", 1, 0)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return T.inverse_apply(x)
+
+    trace = defect_experiment(dataclasses.replace(T, inverse_apply=counted), x1, x2, n_max=12)
+    assert trace.to_dict() == defect_experiment(T, x1, x2, n_max=12).to_dict()
+    assert len(trace.iterates) == 13
+    assert len(calls) == 1 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ norm-value set, plus the tolerances ``1e-17``, which fails every map at
 construction and most axiom checks, and ``5e-15``, which fails some checks,
 per command and kind, then the benchmark's ``defect`` shapes at its doubling
 depths, a ball-model seed whose fixed-point residual drifts past the
-tolerance, one ``eval`` request per operation of the expression language
-and kind, on fixed arguments, and per ball kind the ``eval`` requests of
-``BALL_EDGE_EXPRESSIONS``, which clamp a result at the boundary, scale the
-origin and scale a point whose squared norm underflows) is run in-process
-against each tree, in a separate interpreter per tree.  Every request whose
-exit code, stdout or stderr differs is printed; the exit status is 1 if any
-differs.
+tolerance, three ``defect`` orbits whose doubling chain reaches an exact
+fixed point of ``S`` late or enters a 2-cycle, one ``eval`` request per
+operation of the expression language and kind, on fixed arguments, and per
+ball kind the ``eval`` requests of ``BALL_EDGE_EXPRESSIONS``, which clamp a
+result at the boundary, scale the origin and scale a point whose squared
+norm underflows) is run in-process against each tree, in a separate
+interpreter per tree.  Every request whose exit code, stdout or stderr
+differs is printed; the exit status is 1 if any differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
 line number and the echoed source line) are masked, since neither is part of
@@ -53,6 +54,9 @@ DEFECT_SHAPES = (("normed", 2, 14), ("einstein", 2, 13), ("mobius", 2, 13), ("mo
 # Exits 1: its fixed-point residual is 1.5e-9 although its defect is 5e-13.
 DRIFTING_DEFECT = ["defect", "--model", "mobius", "--dim", "2", "--seed", "1656955186", "--depth", "4",
                    "--n-max", "12"]
+# Doubling chains at --depth 2 --n-max 13, as (kind, dim, seed): S^6074(p) and
+# S^4524(p) are fixed points of S, S^14(p) starts a 2-cycle.
+LATE_FIXED_DEFECTS = (("einstein", 2, 1472491609), ("mobius", 2, 1034930103), ("einstein", 2, 996517196))
 
 # The argument kinds of each eval operation ("p" a point, "r" a real), as in
 # ggv.cli._OPERATIONS, and per kind three points and two reals that are norm
@@ -92,6 +96,9 @@ def corpus() -> list[list[str]]:
             requests.append(["defect", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--depth", "2",
                              "--n-max", str(n_max)])
     requests.append(DRIFTING_DEFECT)
+    for kind, dim, seed in LATE_FIXED_DEFECTS:
+        requests.append(["defect", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--depth", "2",
+                         "--n-max", "13"])
     for kind, (points, reals) in EVAL_ARGUMENTS.items():
         dim = "1" if kind == "pathological" else "2"
         for op, kinds in EVAL_OPERATIONS.items():
