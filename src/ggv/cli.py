@@ -12,7 +12,8 @@ Subcommands:
 
 Every subcommand takes the model options ``--model``, ``--dim``, ``--s`` and
 ``--config``, which replaces the other three and is not combined with them.
-``eval`` takes ``--expr`` besides and prints one value.  The other four take
+``eval`` takes ``--expr`` besides and prints one value, which must be finite:
+a result that overflows a double is a domain error.  The other four take
 ``--seed``, ``--tolerance`` and ``--output`` and emit a JSON report (stdout
 or ``--output``) that is byte-identical for identical commands and seeds,
 apart from the timestamp field; of them only ``defect``, which draws no
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from datetime import datetime, timezone
@@ -82,7 +84,8 @@ def _positive_float(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--model", choices=KINDS, help="model kind (default: einstein)")
-    model.add_argument("--dim", type=_positive_int, help="ambient dimension (default: 2)")
+    model.add_argument("--dim", type=_positive_int,
+                       help=f"ambient dimension, at most {ModelConfig.MAX_DIM} (default: 2)")
     model.add_argument("--s", type=_positive_float, help="ball radius (default: 1)")
     model.add_argument("--config", metavar="PATH",
                        help="JSON model config file; not combined with --model, --dim or --s")
@@ -162,14 +165,6 @@ def _parse_scalar(token: str) -> float:
         raise UsageError(f"cannot parse number {token!r}") from exc
 
 
-def _format_value(value) -> str:
-    if isinstance(value, GyroPoint):
-        return ",".join(f"{c:.12g}" for c in value.coords)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}"
-
-
 # Each operation: its argument kinds ("p" a point, "r" a real) and the
 # function that evaluates it.
 _OPERATIONS = {
@@ -201,7 +196,13 @@ def evaluate_expression(m: GgvModel, expr: str) -> str:
     if len(args) != len(kinds):
         raise UsageError(f"{op!r} expects {len(kinds)} arguments, got {len(args)}")
     values = [_parse_point(m, t) if kind == "p" else _parse_scalar(t) for kind, t in zip(kinds, args)]
-    return _format_value(evaluate(m, *values))
+    value = evaluate(m, *values)
+    numbers = value.coords if isinstance(value, GyroPoint) else (value,)
+    text = ",".join(f"{x:.12g}" for x in numbers)
+    # The library returns IEEE values, overflow included; the CLI prints only finite ones.
+    if not all(map(math.isfinite, numbers)):
+        raise DomainError(f"{op!r} leaves the finite doubles: it evaluates to {text}")
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import _BLOCK, _POINT, Block, _block, _dot, _kernels, _lift, _on_blocks, _same
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _block, _dot, _kernels, _lift, _on_blocks, _same
 from .sampling import sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _count, _midpoint, worst_of, worst_residual
 
@@ -198,9 +198,11 @@ def _validated(fn: Callable[[GyroPoint], GyroPoint], target: GgvModel) -> Callab
     return image
 
 
-def _directions(steps: Sequence[_Step], lib: SimpleNamespace) -> tuple[Callable, Callable]:
-    """The map of ``steps`` in ``lib``'s form: the steps forward in order, then backward in reverse."""
-    pairs = [step.directions(lib) for step in steps]
+def _form(T: GyroMap | tuple[_Step, ...], lib: SimpleNamespace) -> tuple[Callable, Callable]:
+    """``T.apply`` and ``T.inverse_apply`` in ``lib``'s form, without the entry
+    check: the map counterpart of ``models._kernels``.  ``T`` is a map or a
+    tuple of steps; the steps run forward in order, then backward in reverse."""
+    pairs = [step.directions(lib) for step in (T if isinstance(T, tuple) else _steps(T))]
     return _chain([forward for forward, _ in pairs]), _chain([backward for _, backward in reversed(pairs)])
 
 
@@ -219,12 +221,6 @@ def _chain(fns: list[Callable]) -> Callable:
     return run
 
 
-def _form(T: GyroMap, lib: SimpleNamespace) -> tuple[Callable, Callable]:
-    """``T.apply`` and ``T.inverse_apply`` in ``lib``'s form, without the entry
-    check: the map counterpart of ``models._kernels``."""
-    return _directions(_steps(T), lib)
-
-
 def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) -> Callable[[GyroPoint], GyroPoint]:
     """A map direction: it validates its argument, runs ``coords`` on its
     coordinates and returns one point of ``tag``."""
@@ -237,7 +233,7 @@ def _checked(validate: Callable[[GyroPoint], None], tag: str, coords: Coords) ->
 
 def _package_map(domain: GgvModel, codomain: GgvModel, steps: tuple[_Step, ...]) -> GyroMap:
     """The map of ``steps``; its directions validate their argument once, then run the steps."""
-    forward, backward = _directions(steps, _POINT)
+    forward, backward = _form(steps, _POINT)
     T = GyroMap(domain, codomain, _checked(domain.group.validate, codomain.tag, forward),
                 _checked(codomain.group.validate, domain.tag, backward),
                 tuple(entry for step in steps for entry in step.recipe))
@@ -304,7 +300,7 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
     additions are equivariant under the whole orthogonal group, so every
     orthogonal matrix gives an isometry and no determinant is required.
     """
-    if m.config.kind not in ("einstein", "mobius"):
+    if m.config.kind not in BALL_KINDS:
         raise PreconditionError(f"ambient rotations are a ball-model primitive, not {m.config.kind!r}")
     dim = m.config.dim
     if dim < 2:
@@ -434,36 +430,26 @@ _RANDOM_PRIMITIVES = {
 
 
 def _available_kinds(m: GgvModel) -> tuple[str, ...]:
-    rotations = m.config.kind in ("einstein", "mobius") and m.config.dim >= 2
+    rotations = m.config.kind in BALL_KINDS and m.config.dim >= 2
     return tuple(kind for kind in _RANDOM_PRIMITIVES if rotations or kind != "ambient_rotation")
 
 
-def random_isometry(
-    m: GgvModel,
-    seed: int,
-    depth: int,
-    kinds: Sequence[str] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> GyroMap:
+def random_isometry(m: GgvModel, seed: int, depth: int, tolerance: float = DEFAULT_TOLERANCE) -> GyroMap:
     """Compose ``depth`` seeded random primitives into a gyrometric-preserving map.
 
-    The construction is deterministic in ``(seed, depth, kinds)`` and the
-    result is verified over ``CONSTRUCTION_PAIRS`` pairs drawn from ``seed``
-    before being returned; the map carries the record of that check.
+    Each primitive is drawn from those the model supports: rotations only on
+    ball models of dimension >= 2.  The construction is deterministic in
+    ``(seed, depth)`` and the result is verified over ``CONSTRUCTION_PAIRS``
+    pairs drawn from ``seed`` before being returned; the map carries the
+    record of that check.
     """
-    return _verified(_random_composition(m, seed, depth, kinds), seed, tolerance)
+    return _verified(_random_composition(m, seed, depth), seed, tolerance)
 
 
-def _random_composition(m: GgvModel, seed: int, depth: int, kinds: Sequence[str] | None = None) -> GyroMap:
+def _random_composition(m: GgvModel, seed: int, depth: int) -> GyroMap:
     """The seeded composition behind :func:`random_isometry`, not yet verified."""
     _count(depth, "depth")
-    allowed = _available_kinds(m)
-    palette = tuple(kinds) if kinds is not None else allowed
-    if not palette:
-        raise PreconditionError("kinds must name at least one primitive")
-    for kind in palette:
-        if kind not in allowed:
-            raise PreconditionError(f"primitive {kind!r} is not available for {m.tag}")
+    palette = _available_kinds(m)
     rng = random.Random(f"{seed}:isometry")
     return compose_maps([_RANDOM_PRIMITIVES[rng.choice(palette)](m, rng) for _ in range(depth)])
 

@@ -60,8 +60,6 @@ from .errors import BoundaryClampWarning, ConfigError, DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint, _point
 from .space import GgvModel, NormValueSpace, nv_add, nv_smul
 
-KINDS = ("normed", "einstein", "mobius", "pathological")
-
 # Relative distance from the ball boundary below which results are clamped
 # back inside with a warning; gamma factors diverge at the boundary and
 # nothing trustworthy lives beyond this shell.
@@ -81,9 +79,14 @@ _LOG_MAX = math.log(sys.float_info.max)
 class ModelConfig:
     """Model selector: kind, ambient dimension, and ball radius.
 
-    ``dim`` is forced to 1 for the pathological model; ``s`` is ignored
-    outside the ball models.
+    ``dim`` is an integer from 1 to ``MAX_DIM``, whatever the kind, and is
+    forced to 1 for the pathological model; ``s`` is ignored outside the
+    ball models.
     """
+
+    # Largest ambient dimension: the carriers are small-vector spaces, and a
+    # model holds its unit as a tuple of ``dim`` coordinates.
+    MAX_DIM = 64
 
     kind: str
     dim: int = 2
@@ -92,8 +95,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ConfigError(f"dim must be a positive integer, got {self.dim!r}")
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or not 1 <= self.dim <= self.MAX_DIM:
+            raise ConfigError(f"dim must be an integer from 1 to {self.MAX_DIM}, got {self.dim!r}")
         s = self.s
         if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(s) or s <= 0:
             raise ConfigError(f"s must be a positive finite real, got {self.s!r}")
@@ -130,7 +133,7 @@ class ModelConfig:
     def from_json(cls, text: str) -> "ModelConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a syntax error, or an integer too long to convert
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         return cls.from_dict(data)
 
@@ -543,6 +546,11 @@ def _no_gyration(u, v, w):
     return w
 
 
+def _negate(a):
+    # The inverse of the normed and ball models, on points as on blocks.
+    return tuple(map(neg, a))
+
+
 def _coordinates(a: GyroPoint) -> tuple[float, ...]:
     # The injection phi of every model.
     return a.coords
@@ -602,9 +610,6 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
         def oplus(a, b):
             return tuple(map(add, a, b))
 
-        def inv(a):
-            return tuple(map(neg, a))
-
         def smul(r, a):
             return tuple(map(mul, repeat(r), a))
 
@@ -612,7 +617,7 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
             # lin(rho(a, b)) = |a + (-b)|, and x + (-y) == x - y in IEEE arithmetic.
             return _norm(tuple(map(sub, a, b)), lib)
 
-        return oplus, inv, _no_gyration, smul, distance
+        return oplus, _negate, _no_gyration, smul, distance
 
     return _model(cfg, (0.0,) * dim, validate, ops, _norm, _euclidean_line())
 
@@ -653,13 +658,10 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
             def distance(a, b):
                 return _mobius_distance(a, b, s, lib)
 
-        def inv(a):
-            return tuple(map(neg, a))
-
         def smul(r, a):
             return clamp(_scale(r, a, s, lib), s)
 
-        return oplus, inv, gyr, smul, distance
+        return oplus, _negate, gyr, smul, distance
 
     return _model(cfg, (0.0,) * dim, validate, ops, _norm, _rapidity_line(s))
 
@@ -694,6 +696,13 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
     return _model(cfg, (1.0,), validate, ops, lambda vec, lib: abs(vec[0]), _transplanted_line())
 
 
+# Each model kind and its factory.
+_FACTORIES = {"normed": _normed_model, "einstein": _ball_model, "mobius": _ball_model,
+              "pathological": _pathological_model}
+KINDS = tuple(_FACTORIES)
+BALL_KINDS = tuple(kind for kind, factory in _FACTORIES.items() if factory is _ball_model)
+
+
 def make_model(cfg: ModelConfig) -> GgvModel:
     """Construct the model described by ``cfg``.
 
@@ -702,11 +711,7 @@ def make_model(cfg: ModelConfig) -> GgvModel:
     """
     if not isinstance(cfg, ModelConfig):
         raise ConfigError(f"expected a ModelConfig, got {type(cfg).__name__}")
-    if cfg.kind == "normed":
-        return _normed_model(cfg)
-    if cfg.kind in ("einstein", "mobius"):
-        return _ball_model(cfg)
-    return _pathological_model(cfg)
+    return _FACTORIES[cfg.kind](cfg)
 
 
 def make_point(m: GgvModel, coords: Sequence[float]) -> GyroPoint:

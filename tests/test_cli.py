@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ggv.isometry
+from ggv import ModelConfig
 from ggv.cli import main
 
 
@@ -71,6 +72,13 @@ def test_eval_rejects_malformed_points(capsys):
     ("einstein", "delinearize 1e9"),
     ("einstein", "delinearize nan"),
     ("einstein", "nvsmul 40 0.5"),
+    # Normed results that overflow a double (the true midpoint is the origin).
+    ("normed", "gnorm 1e200,0"),
+    ("normed", "oplus 1e308,0 1e308,0"),
+    ("normed", "otimes -5 -1e308,0"),
+    ("normed", "gyrometric 1e308,0 -1e308,0"),
+    ("normed", "metric 1e308,0 -1e308,0"),
+    ("normed", "midpoint 1e308,0 -1e308,0"),
 ])
 def test_bad_scalars_and_results_off_the_carrier_are_domain_errors(capsys, model, expr):
     code, out, err = run_cli(capsys, "eval", "--model", model, "--expr", expr)
@@ -89,6 +97,18 @@ def test_radii_outside_the_range_are_config_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("ggv: error: s must lie in [1e-75, 1e+75]") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [ModelConfig.MAX_DIM + 1, 10**30])
+def test_a_dim_above_the_limit_is_a_config_error(capsys, tmp_path, dim):
+    # A config file may write the dimension as an integer or as a float.
+    (tmp_path / "int.json").write_text(json.dumps({"kind": "einstein", "dim": dim}))
+    (tmp_path / "float.json").write_text(json.dumps({"kind": "mobius", "dim": float(dim)}))
+    for model in (("--model", "einstein", "--dim", str(dim)), ("--config", str(tmp_path / "int.json")),
+                  ("--config", str(tmp_path / "float.json"))):
+        code, out, err = run_cli(capsys, "eval", *model, "--expr", "gnorm 0,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("ggv: error: dim must be an integer from 1 to 64") and err.count("\n") == 1
 
 
 def test_a_radius_too_small_for_the_suite_is_a_usage_error(capsys):

@@ -197,19 +197,6 @@ def test_random_isometry_rejects_zero_depth(einstein2):
     for depth in (1, 2.5, True):
         with pytest.raises(PreconditionError, match="depth"):
             random_isometry_between(domain, codomain, seed=1, depth=depth)
-    with pytest.raises(PreconditionError, match="at least one primitive"):
-        random_isometry(einstein2, seed=1, depth=2, kinds=())
-
-
-def test_random_isometry_with_forced_translations(any_model):
-    m = any_model
-    T = random_isometry(m, seed=5, depth=1, kinds=("left_translation",))
-    assert [step["kind"] for step in T.recipe] == ["left_translation"]
-
-
-def test_random_isometry_respects_the_model_palette(patho):
-    with pytest.raises(PreconditionError):
-        random_isometry(patho, seed=5, depth=2, kinds=("ambient_rotation",))
 
 
 def test_generated_maps_preserve_the_gyrometric(any_model):
@@ -385,7 +372,7 @@ def test_nan_images_fail_the_preservation_check(normed2):
     with pytest.raises(PreconditionError):
         verify_midpoint_preservation(shift, 20, seed=0)
     with pytest.raises(MapConstructionError):
-        random_isometry(broken, seed=0, depth=2, kinds=("left_translation",))
+        random_isometry(broken, seed=0, depth=2)
     # Images of a user-built map are validated, so NaN ones are rejected.
     nan_map = GyroMap(normed2, normed2, lambda x: GyroPoint(normed2.tag, (math.nan, 0.0)),
                       lambda y: y, ({"kind": "nan"},))

@@ -42,6 +42,12 @@ def test_config_validation():
         ModelConfig("klein")
     with pytest.raises(ConfigError):
         ModelConfig("einstein", dim=0)
+    # The dimension is bounded for every kind, the pathological line included.
+    assert make_model(ModelConfig("normed", dim=ModelConfig.MAX_DIM)).identity.coords == (0.0,) * 64
+    for kind in ("normed", "mobius", "pathological"):
+        for dim in (ModelConfig.MAX_DIM + 1, 10**30):
+            with pytest.raises(ConfigError, match="dim must be an integer from 1 to 64"):
+                ModelConfig(kind, dim=dim)
     with pytest.raises(ConfigError):
         ModelConfig("einstein", s=-1.0)
     with pytest.raises(ConfigError):
@@ -82,6 +88,9 @@ def test_config_rejects_unknown_keys_and_bad_json():
         ModelConfig.from_dict({"kind": "normed", "radius": 2})
     with pytest.raises(ConfigError):
         ModelConfig.from_json("{not json")
+    # An integer literal too long for int() is refused like a syntax error.
+    with pytest.raises(ConfigError, match="invalid JSON config"):
+        ModelConfig.from_json('{"kind": "normed", "dim": %s}' % ("9" * 5000))
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"dim": 2})
 

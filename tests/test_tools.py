@@ -61,8 +61,9 @@ def test_count_lines_rejects_a_tree_without_src(tmp_path, capsys):
 def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
     compare_reports = _load("compare_reports")
     assert compare_reports.EVAL_OPERATIONS == {op: kinds for op, (kinds, _) in _OPERATIONS.items()}
-    edges = compare_reports.BALL_EDGE_EXPRESSIONS
-    requests = [argv for argv in compare_reports.corpus() if argv[0] == "eval" and argv[-1] not in edges]
+    edges, refused = compare_reports.BALL_EDGE_EXPRESSIONS, compare_reports.REFUSED_REQUESTS
+    requests = [argv for argv in compare_reports.corpus()
+                if argv[0] == "eval" and argv[-1] not in edges and argv not in refused]
     assert sorted((argv[2], argv[-1].split()[0]) for argv in requests) == sorted(
         (kind, op) for kind in KINDS for op in _OPERATIONS)
     edge_requests = [argv for argv in compare_reports.corpus() if argv[-1] in edges]
@@ -81,3 +82,8 @@ def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
         else:
             assert main(argv) == 0, argv
         assert capsys.readouterr().out.count("\n") == 1
+    assert compare_reports.corpus()[-len(refused):] == refused
+    for argv in refused:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("ggv: error:") and captured.err.count("\n") == 1

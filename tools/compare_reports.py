@@ -16,9 +16,11 @@ fixed point of ``S`` late or enters a 2-cycle, one ``eval`` request per
 operation of the expression language and kind, on fixed arguments, and per
 ball kind the ``eval`` requests of ``BALL_EDGE_EXPRESSIONS``, which clamp a
 result at the boundary, scale the origin and scale a point whose squared
-norm underflows) is run in-process against each tree, in a separate
-interpreter per tree.  Every request whose exit code, stdout or stderr
-differs is printed; the exit status is 1 if any differs.
+norm underflows, then the ``REFUSED_REQUESTS``: six normed ``eval`` results
+that overflow a double and one ``--dim`` of 10^30) is run in-process against
+each tree, in a separate interpreter per tree.  Every request whose exit
+code, stdout or stderr differs is printed; the exit status is 1 if any
+differs.
 
 The report ``timestamp`` and the source location of warning lines (file,
 line number and the echoed source line) are masked, since neither is part of
@@ -73,6 +75,15 @@ EVAL_ARGUMENTS = {"normed": (("1.5,-2", "0.5,0.25", "-1,3"), ("0.5", "0.25")), "
 # nonzero point whose squared norm underflows to 0.
 BALL_EDGE_EXPRESSIONS = ("oplus 0.9999999999999,0 0.5,0", "otimes 40 0.5,0", "otimes 2 0,0", "otimes 2 1e-170,0")
 
+# Requests refused with one error line: normed results that overflow a double
+# (the true midpoint is the origin), and a dimension above ModelConfig.MAX_DIM.
+REFUSED_REQUESTS = [
+    *(["eval", "--model", "normed", "--dim", "2", "--expr", expr]
+      for expr in ("gnorm 1e200,0", "oplus 1e308,0 1e308,0", "otimes -5 -1e308,0", "gyrometric 1e308,0 -1e308,0",
+                   "metric 1e308,0 -1e308,0", "midpoint 1e308,0 -1e308,0")),
+    ["eval", "--model", "einstein", "--dim", str(10**30), "--expr", "gnorm 0,0"],
+]
+
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning): ")
 
@@ -108,7 +119,7 @@ def corpus() -> list[list[str]]:
     for kind in ("einstein", "mobius"):
         for expr in BALL_EDGE_EXPRESSIONS:
             requests.append(["eval", "--model", kind, "--dim", "2", "--expr", expr])
-    return requests
+    return requests + REFUSED_REQUESTS
 
 
 def mask(stdout: str, stderr: str) -> tuple[str, str]:
