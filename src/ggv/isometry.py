@@ -25,10 +25,19 @@ either way.
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
 check is one vectorized pass.  Every row rounds exactly as the point form
-rounds it, and samples are drawn from the same streams in the same order as
-a loop over points would draw them.  The experiments validate their inputs
-at entry.  The defect experiment's doubling chain is sequential and runs on
-coordinate tuples.
+rounds it, and samples are drawn with :func:`ggv.sampling.sample_block`,
+from the same streams in the same order as a loop over points would draw
+them.  The experiments validate their inputs at entry.  The defect
+experiment's doubling chain is sequential and runs on coordinate tuples.
+
+The midpoint experiment and the decomposition evaluate again every finite
+row whose double residual is over the tolerance, at ``models.MP_DIGITS``
+digits (``models._mp()``): the same formulas, with every constant a kernel
+or step closes over promoted and each rotation orthonormalized at that
+precision.  The row's residual, and so the verdict, is the 50-digit value,
+which tells rounding near the ball boundary from a map that is wrong.  Only
+models with ``ops`` and maps whose steps are all data are evaluated again;
+the others keep their double values, and a non-finite row always fails.
 
 Three experiments probe what such maps must do:
 
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -55,8 +64,8 @@ import numpy as np
 
 from .errors import MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import _BLOCK, _POINT, BALL_KINDS, Block, _block, _dot, _kernels, _lift, _on_blocks, _same
-from .sampling import sample_point
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _kernels, _lift, _mp, _on_blocks, _same
+from .sampling import sample_block, sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _count, _midpoint, worst_of, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
@@ -168,16 +177,20 @@ class _Step:
 
     ``directions(lib)`` returns the map forward and backward, written once
     over the kernels in ``lib``'s form: on coordinate tuples or on blocks.
+    A ``lifted`` step runs point kernels lifted through points
+    (``models._lift``): a map's own point form, or a primitive of a model
+    without ``ops``.
     """
 
     recipe: tuple[dict, ...]
     directions: Directions
+    lifted: bool = False
 
 
 def _steps(T: GyroMap) -> tuple[_Step, ...]:
     """The steps of ``T``; a map built by hand, or rebuilt with
     ``dataclasses.replace``, is one opaque step."""
-    return T.steps or (_Step(T.recipe, partial(_opaque_directions, T)),)
+    return T.steps or (_Step(T.recipe, partial(_opaque_directions, T), lifted=True),)
 
 
 def _opaque_directions(T: GyroMap, lib: SimpleNamespace) -> tuple[Callable, Callable]:
@@ -242,7 +255,7 @@ def _package_map(domain: GgvModel, codomain: GgvModel, steps: tuple[_Step, ...])
 
 
 def _primitive(m: GgvModel, recipe: dict, directions: Directions) -> GyroMap:
-    return _package_map(m, m, (_Step((recipe,), directions),))
+    return _package_map(m, m, (_Step((recipe,), directions, lifted=m.ops is None),))
 
 
 def _identities(lib: SimpleNamespace) -> tuple[Callable, Callable]:
@@ -267,7 +280,7 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
         # Left cancellation makes the second an exact two-sided inverse of the
         # first.  On blocks, a point's coordinates broadcast against the columns.
         add = _kernels(m, lib).add
-        return partial(add, c.coords), partial(add, neg_c.coords)
+        return partial(add, lib.const(c.coords)), partial(add, lib.const(neg_c.coords))
 
     return _primitive(m, {"kind": "left_translation", "center": list(c.coords)}, translations)
 
@@ -282,11 +295,11 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     double_a = m.otimes(2.0, a).coords
 
     def reflections(lib: SimpleNamespace) -> tuple[Callable, Callable]:
-        k = _kernels(m, lib)
+        k, center = _kernels(m, lib), lib.const(double_a)
         add, inv = k.add, k.inv
 
         def reflect(x):
-            return add(double_a, inv(x))
+            return add(center, inv(x))
 
         return reflect, reflect
 
@@ -313,17 +326,22 @@ def ambient_rotation(m: GgvModel, matrix: Sequence[Sequence[float]]) -> GyroMap:
             gram = sum(rows[k][i] * rows[k][j] for k in range(dim))
             if not abs(gram - (1.0 if i == j else 0.0)) <= 1e-9:  # NaN and inf entries fail
                 raise PreconditionError("rotation matrix is not orthogonal")
-    columns = tuple(zip(*rows))
 
-    # The same coordinate formula serves points and blocks.
-    def rotate(x: tuple) -> tuple:
-        return tuple(map(_dot, rows, repeat(x)))
+    def rotations(lib: SimpleNamespace) -> tuple[Callable, Callable]:
+        # The same coordinate formula serves points and blocks; the inverse
+        # is the transpose.
+        basis = lib.orthonormal(rows)
+        columns = tuple(zip(*basis))
 
-    def unrotate(y: tuple) -> tuple:
-        return tuple(map(_dot, columns, repeat(y)))
+        def rotate(x: tuple) -> tuple:
+            return tuple(map(_dot, basis, repeat(x)))
 
-    return _primitive(m, {"kind": "ambient_rotation", "matrix": [list(row) for row in rows]},
-                      lambda lib: (rotate, unrotate))
+        def unrotate(y: tuple) -> tuple:
+            return tuple(map(_dot, columns, repeat(y)))
+
+        return rotate, unrotate
+
+    return _primitive(m, {"kind": "ambient_rotation", "matrix": [list(row) for row in rows]}, rotations)
 
 
 def transport(domain: GgvModel, codomain: GgvModel) -> GyroMap:
@@ -378,8 +396,8 @@ def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, .
 
 def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
     """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
-    points = [sample_point(m, rng, margin) for _ in range(2 * n)]
-    return _block(points[0::2]), _block(points[1::2])
+    points = sample_block(m, rng, 2 * n, margin)
+    return tuple(column[0::2] for column in points), tuple(column[1::2] for column in points)
 
 
 def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
@@ -492,20 +510,95 @@ def random_isometry_between(
 # Experiments.
 # ---------------------------------------------------------------------------
 
+def _exact_forms(T: GyroMap) -> tuple | None:
+    """The models of ``T`` and its forward map at ``models.MP_DIGITS`` digits,
+    with the lib's ``const``; ``None`` unless every kernel and step of ``T``
+    is data: models with ``ops``, and a map with steps, none of them lifted."""
+    m1, m2 = T.domain_model, T.codomain_model
+    if m1.ops is None or m2.ops is None or not T.steps or any(step.lifted for step in T.steps):
+        return None
+    lib = _mp()
+    return _in_form(m1, lib), _in_form(m2, lib), _form(T, lib)[0], lib.const
+
+
+def _exact_T0(T: GyroMap) -> tuple | None:
+    """``_exact_forms(T)`` with ``T0 = (-)T(e) (+) T`` in place of ``T``."""
+    forms = _exact_forms(T)
+    if forms is None:
+        return None
+    m1, m2, apply, const = forms
+    neg_te = m2.group.inv(apply(const(T.domain_model.identity.coords)))
+    return m1, m2, lambda x: m2.group.add(neg_te, apply(x)), const
+
+
+def _settle(residuals: tuple[np.ndarray, ...], tolerance: float, exact: Callable[[], tuple | None],
+            formula: Callable, *inputs) -> tuple[np.ndarray, ...]:
+    """``residuals``, the columns ``formula`` gave on ``inputs`` in double,
+    with each finite entry over ``tolerance`` replaced by its value at
+    ``models.MP_DIGITS`` digits.
+
+    ``exact()`` gives the models and the map that ``formula`` takes first, at
+    that precision, and the lib's ``const``, which promotes the row's inputs;
+    where it gives ``None`` the double values stand.  So rounding near the
+    boundary cannot fail a correct map, while a formula that is wrong stays
+    wrong at any precision.  A non-finite entry is not evaluated again, and
+    fails.
+    """
+    over = [np.isfinite(column) & (column > tolerance) for column in residuals]
+    rows = np.flatnonzero(np.logical_or.reduce(over))
+    forms = exact() if rows.size else None
+    if forms is None:
+        return residuals
+    *models, const = forms
+    settled = [column.copy() for column in residuals]
+    for i in rows.tolist():
+        row = [const(tuple(float(c[i]) for c in x) if isinstance(x, tuple) else float(x[i])) for x in inputs]
+        for column, flags, value in zip(settled, over, formula(*models, *row)):
+            if flags[i]:
+                column[i] = float(value)
+    return tuple(settled)
+
+
+def _midpoint_gaps(m1: GgvModel, m2: GgvModel, apply: Callable, a, b) -> tuple:
+    return (m2.distance(apply(_midpoint(m1, a, b)), _midpoint(m2, apply(a), apply(b))),)
+
+
 def verify_midpoint_preservation(
     T: GyroMap, n_samples: int, seed: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> MidpointReport:
-    """Check ``T(P(a, b)) == P(T(a), T(b))`` over seeded sample pairs."""
+    """Check ``T(P(a, b)) == P(T(a), T(b))`` over seeded sample pairs.
+
+    A pair over ``tolerance`` in double is evaluated again at
+    ``models.MP_DIGITS`` digits, and its residual is that value (see
+    :func:`_settle`).
+    """
     _count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
     apply = _form(T, _BLOCK)[0]
     rng = random.Random(f"{seed}:midpoint")
     a, b = _sample_pairs(T.domain_model, rng, 0.9, n_samples)
-    image_of_mid = apply(_midpoint(m1, a, b))
-    mid_of_images = _midpoint(m2, apply(a), apply(b))
-    worst = worst_of(m2.distance(image_of_mid, mid_of_images))
+    gaps = _midpoint_gaps(m1, m2, apply, a, b)
+    (gaps,) = _settle(gaps, tolerance, partial(_exact_forms, T), _midpoint_gaps, a, b)
+    worst = worst_of(gaps)
     return MidpointReport(n_samples, worst, worst <= tolerance, seed, tolerance)
+
+
+def _pair_residuals(m1: GgvModel, m2: GgvModel, T0: Callable, a, b, ta=None, tb=None) -> tuple:
+    # Additivity, coaddition and isometry of T0 on the pairs (a, b); a caller
+    # that holds T0(a) and T0(b) passes them as ta and tb.
+    g1, g2 = m1.group, m2.group
+    ta = T0(a) if ta is None else ta
+    tb = T0(b) if tb is None else tb
+    return (m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)),
+            m2.distance(T0(_coplus(g1, a, b)), _coplus(g2, ta, tb)),
+            abs(m2.distance(ta, tb) - m1.distance(a, b)))
+
+
+def _homogeneity_gaps(m1: GgvModel, m2: GgvModel, T0: Callable, alpha, x, tx=None) -> tuple:
+    # T0(alpha (x) x) against alpha (x) T0(x); tx is T0(x) when the caller holds it.
+    tx = T0(x) if tx is None else tx
+    return (m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx)),)
 
 
 def decompose_mazur_ulam(
@@ -515,36 +608,37 @@ def decompose_mazur_ulam(
 
     ``T0 = (-)T(e) (+) T`` fixes the unit; the report records how well it
     preserves addition, coaddition, scalar action (dyadic ladder first, then
-    general scalars), and the gyrometric.
+    general scalars), and the gyrometric.  A row over ``tolerance`` in double
+    is evaluated again at ``models.MP_DIGITS`` digits, ``T(e)`` included, and
+    its residual is that value (see :func:`_settle`).
     """
     _count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     translation_part = _point(T.codomain_model.tag, _form(T, _POINT)[0](T.domain_model.identity.coords))
     neg_te = T.codomain_model.group.inv(translation_part)
     m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
-    g1, g2 = m1.group, m2.group
     apply = _form(T, _BLOCK)[0]
+    exact = cache(partial(_exact_T0, T))
 
     def T0(x: Block) -> Block:
-        return g2.add(neg_te.coords, apply(x))
+        return m2.group.add(neg_te.coords, apply(x))
 
     rng = random.Random(f"{seed}:decomposition")
     a, b = _sample_pairs(T.domain_model, rng, 0.8, n_samples)
-    ta, tb = T0(a), T0(b)
-    additivity = worst_of(m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)))
-    coaddition = worst_of(m2.distance(T0(_coplus(g1, a, b)), _coplus(g2, ta, tb)))
-    isometry = worst_of(abs(m2.distance(ta, tb) - m1.distance(a, b)))
+    pairs = _pair_residuals(m1, m2, T0, a, b, T0(a), T0(b))
+    additivity, coaddition, isometry = map(worst_of, _settle(pairs, tolerance, exact, _pair_residuals, a, b))
 
     # Homogeneity: base points stay deep inside the ball because the scalar
     # range pushes iterates toward the boundary.  One row per scalar and base
     # point, the dyadic ladder first.
     n_base = 3
-    base = _block([sample_point(T.domain_model, rng, 0.6) for _ in range(n_base)])
+    base = sample_block(T.domain_model, rng, n_base, 0.6)
     scalars = DYADIC_SCALARS + tuple(rng.uniform(-SCALAR_RANGE, SCALAR_RANGE) for _ in range(GENERAL_SCALARS))
     alpha = np.repeat(scalars, n_base)
     x = tuple(np.tile(column, len(scalars)) for column in base)
     tx = tuple(np.tile(column, len(scalars)) for column in T0(base))
-    gaps = m2.distance(T0(m1.otimes(alpha, x)), m2.otimes(alpha, tx))
+    gaps = _homogeneity_gaps(m1, m2, T0, alpha, x, tx)
+    (gaps,) = _settle(gaps, tolerance, exact, _homogeneity_gaps, alpha, x)
     dyadic = worst_of(gaps[:n_base * len(DYADIC_SCALARS)])
     homogeneity = worst_of(gaps)
 

@@ -34,11 +34,11 @@ Four constructions are provided, selected by :class:`ModelConfig.kind`:
 A model holds its kernels as data: ``ops(lib)`` returns ``add``, ``inv``,
 ``gyr``, ``otimes``, ``distance``, ``phi`` and ``ambient_norm``, each written
 once over coordinates, in the form of ``lib``: on coordinate tuples
-(``_POINT``) or on blocks of points (``_BLOCK``).  The point kernels of the
-model (``group.add``, ``otimes`` and so on) read the coordinates of their
-arguments, run the ``_POINT`` form and build a point from the result (see
-:func:`_model`).  Every row of a block rounds exactly as the point kernel
-rounds it.
+(``_POINT``), on blocks of points (``_BLOCK``) or on coordinate tuples at 50
+digits (``_mp()``).  The point kernels of the model (``group.add``,
+``otimes`` and so on) read the coordinates of their arguments, run the
+``_POINT`` form and build a point from the result (see :func:`_model`).
+Every row of a block rounds exactly as the point kernel rounds it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 from types import SimpleNamespace
@@ -160,7 +160,7 @@ def path_Phi(x: float) -> float:
     if x >= 0.0:
         return math.exp(x)
     value = -math.exp(-x)
-    return value if value < -1.0 else math.nextafter(-1.0, -math.inf)
+    return value if value < -1.0 else _BELOW_MINUS_ONE
 
 
 def path_Phi_inv(a: float) -> float:
@@ -171,6 +171,29 @@ def path_Phi_inv(a: float) -> float:
     if a < -1.0:
         return -math.log(-a)
     raise DomainError(f"{a!r} is outside (-inf, -1) union [1, inf)")
+
+
+# The double next below -1, where path_Phi puts what would round onto -1.
+_BELOW_MINUS_ONE = math.nextafter(-1.0, -math.inf)
+
+
+def _transplant(x, lib):
+    # path_Phi in the form of the block and 50-digit libs (the doubling chain
+    # calls path_Phi itself once per step): one exp of |x|, which is exp(x)
+    # or exp(-x) exactly, then the sign and the nudge off -1.  A NaN passes
+    # the overflow check (x != x only for NaN) and lands on the nudge, as in
+    # path_Phi.
+    lib.require((abs(x) <= _LOG_MAX) | (x != x), x, "path_Phi({!r}) overflows a double")
+    e = lib.exp(abs(x))
+    return lib.where(x >= 0.0, e, lib.where(-e < -1.0, -e, _BELOW_MINUS_ONE))
+
+
+def _transplant_inv(a, lib):
+    # path_Phi_inv in the form of the block and 50-digit libs: one log of
+    # |a|, then the sign.
+    lib.require((a >= 1.0) | (a < -1.0), a, "{!r} is outside (-inf, -1) union [1, inf)")
+    t = lib.log(abs(a))
+    return lib.where(a >= 1.0, t, -t)
 
 
 def _path_S(x: float) -> float:
@@ -232,12 +255,13 @@ def _same(x):
     return x
 
 
-def _columnwise(fn: Callable[[float], float]) -> Callable:
-    """``fn`` applied to each entry of a column; a scalar stays a scalar."""
-    def each(x):
+def _columnwise(fn: Callable[..., float]) -> Callable:
+    """``fn`` applied to each entry of a column, with any further arguments
+    the same on every row; a scalar stays a scalar."""
+    def each(x, *args):
         if isinstance(x, float):
-            return fn(x)
-        return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
+            return fn(x, *args)
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, len(x))
 
     return each
 
@@ -299,8 +323,15 @@ def _kernels(m: GgvModel, lib) -> SimpleNamespace:
                            distance=lift(m.distance), phi=lift(m.phi), ambient_norm=lib.rows(m.ambient_norm))
 
 
+def _in_form(m: GgvModel, lib) -> GgvModel:
+    """``m`` with each kernel replaced by its form in ``lib``, from ``_kernels(m, lib)``."""
+    k = _kernels(m, lib)
+    group = replace(m.group, add=k.add, inv=k.inv, gyr=k.gyr)
+    return replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi, ambient_norm=k.ambient_norm)
+
+
 def _on_blocks(m: GgvModel) -> GgvModel:
-    """``m`` with each kernel replaced by its block form, from ``_kernels(m, _BLOCK)``.
+    """``m`` in block form: ``_in_form(m, _BLOCK)`` and a norm-value line on columns.
 
     The functions of the norm-value line are mapped over the column, as
     libm's are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over
@@ -308,12 +339,10 @@ def _on_blocks(m: GgvModel) -> GgvModel:
     ``lin_inv`` can leave the norm-value set; the first row that does raises
     the error a loop over the rows would raise.
     """
-    k, nvs = _kernels(m, _BLOCK), m.nvs
-    group = replace(m.group, add=k.add, inv=k.inv, gyr=k.gyr)
+    nvs = m.nvs
     line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
                    lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
-    return replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi,
-                   ambient_norm=k.ambient_norm, nvs=line)
+    return replace(_in_form(m, _BLOCK), nvs=line)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -384,21 +413,83 @@ def _pick(condition: bool, x, y):
     return x if condition else y
 
 
+def _require(ok: bool, x: float, message: str) -> None:
+    if not ok:
+        raise DomainError(message.format(x))
+
+
+def _require_rows(ok: np.ndarray, x: np.ndarray, message: str) -> None:
+    # _require on each row: the first row that fails raises its error.
+    if not np.all(ok):
+        raise DomainError(message.format(float(np.extract(np.logical_not(ok), x)[0])))
+
+
 # What the formulas take as ``lib``: the square root and transcendental
 # functions, ``where``, which picks between two values row by row, the
 # boundary clamp, which warns once per clamped row, ``each``, which lifts a
-# scalar function to the coordinate type, and ``rows``, which lifts a function
-# of coordinate tuples to the same.  Everything else, the ball scaling
-# included, is written once over these.  NumPy's square root is correctly
-# rounded, as libm's is.  The transcendental functions of a block are libm's
-# own mapped over the column: NumPy's differ from libm in the last ulp on a
-# sizable share of arguments, and each row of a block must round exactly like
-# its point.
-_TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p")
+# scalar function to the coordinate type, ``rows``, which lifts a function of
+# coordinate tuples to the same, ``const``, which brings a constant the
+# formulas close over (a radius, a centre) to the precision of the lib,
+# ``orthonormal``, the same for the rows of an orthogonal matrix, and the
+# pathological transplant ``Phi`` and its inverse; on points that is
+# ``path_Phi`` itself, and the other libs write it once over their
+# ``require``, which raises the domain error of the first row that fails a
+# test.  Everything else, the ball scaling included, is written once over
+# these.  NumPy's square root is correctly rounded, as libm's is.  The
+# transcendental functions of a block are libm's own mapped over the column:
+# NumPy's differ from libm in the last ulp on a sizable share of arguments,
+# and each row of a block must round exactly like its point.
+_TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p", "exp")
 _POINT = SimpleNamespace(sqrt=math.sqrt, **{name: getattr(math, name) for name in _TRANSCENDENTAL},
-                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same)
+                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same, const=_same, orthonormal=_same,
+                         Phi=path_Phi, Phi_inv=path_Phi_inv)
 _BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name)) for name in _TRANSCENDENTAL},
-                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise)
+                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise, require=_require_rows,
+                         const=_same, orthonormal=_same)
+_BLOCK.Phi, _BLOCK.Phi_inv = partial(_transplant, lib=_BLOCK), partial(_transplant_inv, lib=_BLOCK)
+
+# Decimal digits of the lib in which failing rows are evaluated again.
+MP_DIGITS = 50
+
+
+def _unclamped(coords: tuple, s) -> tuple:
+    return coords
+
+
+@cache
+def _mp() -> SimpleNamespace:
+    """The formulas at ``MP_DIGITS`` digits, on coordinate tuples of mpmath reals.
+
+    Built on first use, so that mpmath is imported only when a row needs it.
+    Nothing is clamped, and every constant is promoted: a float a formula
+    closes over would keep its step at double precision.  An orthogonal
+    matrix is orthonormalized at this precision (Gram-Schmidt on its rows),
+    so that a rotation is an isometry to the last digit.
+    """
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = MP_DIGITS
+
+    def const(x):
+        return tuple(map(ctx.mpf, x)) if isinstance(x, tuple) else ctx.mpf(x)
+
+    def orthonormal(rows):
+        basis = []
+        for row in rows:
+            v = const(row)
+            for b in basis:
+                overlap = _dot(b, v)
+                v = tuple(x - overlap * y for x, y in zip(v, b))
+            n = ctx.sqrt(_dot(v, v))
+            basis.append(tuple(x / n for x in v))
+        return tuple(basis)
+
+    lib = SimpleNamespace(sqrt=ctx.sqrt, **{name: getattr(ctx, name) for name in _TRANSCENDENTAL},
+                          where=_pick, clamp=_unclamped, each=_same, rows=_same, require=_require, const=const,
+                          orthonormal=orthonormal)
+    lib.Phi, lib.Phi_inv = partial(_transplant, lib=lib), partial(_transplant_inv, lib=lib)
+    return lib
 
 
 def _combine(a, x, b, y, den):
@@ -623,17 +714,17 @@ def _normed_model(cfg: ModelConfig) -> GgvModel:
 
 
 def _ball_model(cfg: ModelConfig) -> GgvModel:
-    tag, dim, s = cfg.tag, cfg.dim, cfg.s
-    c = 1.0 / (s * s)
+    tag, dim = cfg.tag, cfg.dim
 
     def validate(p: GyroPoint) -> None:
         _check_point(p, tag, dim)
         n = _norm(p.coords, math)
-        if n >= s:
+        if n >= cfg.s:
             raise DomainError(f"{tag}: point of norm {n!r} is outside the open ball")
 
     def ops(lib):
-        clamp = lib.clamp
+        clamp, s = lib.clamp, lib.const(cfg.s)
+        c = 1.0 / (s * s)
         if cfg.kind == "einstein":
             def oplus(a, b):
                 return clamp(_einstein_add(a, b, s, lib), s)
@@ -663,7 +754,7 @@ def _ball_model(cfg: ModelConfig) -> GgvModel:
 
         return oplus, _negate, gyr, smul, distance
 
-    return _model(cfg, (0.0,) * dim, validate, ops, _norm, _rapidity_line(s))
+    return _model(cfg, (0.0,) * dim, validate, ops, _norm, _rapidity_line(cfg.s))
 
 
 def _pathological_model(cfg: ModelConfig) -> GgvModel:
@@ -676,7 +767,7 @@ def _pathological_model(cfg: ModelConfig) -> GgvModel:
             raise DomainError(f"{tag}: {a!r} is outside (-inf, -1) union [1, inf)")
 
     def ops(lib):
-        Phi, Phi_inv = lib.each(path_Phi), lib.each(path_Phi_inv)
+        Phi, Phi_inv = lib.Phi, lib.Phi_inv
 
         def oplus(a, b):
             return (Phi(Phi_inv(a[0]) + Phi_inv(b[0])),)

@@ -1,15 +1,26 @@
-"""Seeded carrier samplers shared by the verification suites and the CLI."""
+"""Seeded carrier samplers shared by the verification suites and the CLI.
+
+A point is drawn by a fixed sequence of ``random.Random`` calls, then made
+from those draws by a formula written once over a lib (see
+:mod:`ggv.models`): :func:`sample_point` runs it on one point's draws,
+:func:`sample_block` on columns holding the draws of ``n`` points.  The block
+sampler makes the same calls in the same order as ``n`` calls of the point
+sampler, and each of its rows rounds exactly as that point does.
+"""
 
 from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import repeat
-from operator import mul, sub
+from operator import mul, sub, truediv
+
+import numpy as np
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
-from .models import path_Phi
+from .models import _BLOCK, _POINT, Block, _norm
 from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -26,20 +37,53 @@ ATTEMPTS = 1000
 _TOO_SMALL = "the radius is too small for the suite's separation thresholds"
 
 
-def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -> GyroPoint:
-    """Draw a carrier point of ``m``; ball radii stay within ``margin * s``."""
+def _draws(m: GgvModel, rng: random.Random) -> tuple:
+    """The ``rng`` calls that draw one point of ``m``, in order."""
     kind = m.config.kind
     if kind == "pathological":
-        return _point(m.tag, (path_Phi(rng.uniform(-LINE_RANGE, LINE_RANGE)),))
-    dim = m.config.dim
+        return (partial(rng.uniform, -LINE_RANGE, LINE_RANGE),)
     if kind == "normed":
-        return _point(m.tag, tuple(rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(dim)))
-    direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-    n = math.sqrt(sum(map(mul, direction, direction)))
-    if n == 0.0:
-        direction, n = [1.0] + [0.0] * (dim - 1), 1.0
-    radius = m.config.s * margin * rng.random() ** (1.0 / dim)
-    return _point(m.tag, tuple(radius * x / n for x in direction))
+        return (partial(rng.uniform, -NORMED_RANGE, NORMED_RANGE),) * m.config.dim
+    return (partial(rng.gauss, 0.0, 1.0),) * m.config.dim + (rng.random,)
+
+
+def _coords(m: GgvModel, draws, margin: float, lib) -> tuple:
+    """The coordinates of the point made from ``draws``, in ``lib``'s form.
+
+    A ball point is a Gaussian direction, normalized (a zero direction
+    becomes the first axis), at radius ``s * margin * u^(1/dim)`` for a
+    uniform ``u``; the other kinds read their coordinates off the draws.
+    """
+    kind = m.config.kind
+    if kind == "pathological":
+        return (lib.Phi(draws[0]),)
+    if kind == "normed":
+        return tuple(draws)
+    direction, u = draws[:-1], draws[-1]
+    n = _norm(direction, lib)
+    # A zero direction is +0.0 in every coordinate (random.gauss never
+    # returns -0.0), so moving its first coordinate to 1.0 makes it the axis.
+    zero = n == 0.0
+    direction[0] = lib.where(zero, 1.0, direction[0])
+    radius = m.config.s * margin * lib.each(pow)(u, 1.0 / len(direction))
+    return tuple(map(truediv, map(mul, repeat(radius), direction), repeat(lib.where(zero, 1.0, n))))
+
+
+def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -> GyroPoint:
+    """Draw a carrier point of ``m``; ball radii stay within ``margin * s``."""
+    return _point(m.tag, _coords(m, [draw() for draw in _draws(m, rng)], margin, _POINT))
+
+
+def sample_block(m: GgvModel, rng: random.Random, n: int, margin: float = BALL_MARGIN) -> Block:
+    """The coordinates of ``n >= 1`` successive :func:`sample_point` draws, as columns.
+
+    The ``rng`` calls are made point by point, in the order of ``n`` calls of
+    :func:`sample_point`; the formula that makes the points runs on columns,
+    and row ``i`` is bit for bit the ``i``-th point.
+    """
+    draws = _draws(m, rng)
+    flat = np.array([draw() for draw in draws * n], dtype=np.float64)
+    return _coords(m, list(flat.reshape(n, len(draws)).T), margin, _BLOCK)
 
 
 def sample_point_away_from_identity(m: GgvModel, rng: random.Random, min_lin_norm: float = 1e-3) -> GyroPoint:

@@ -7,9 +7,10 @@ identities with the absolute difference of linearized values, and order
 implications count violations (so their residual is ``0.0`` or ``1.0``).
 
 Each check of :data:`GROUPS` is a :class:`Check`, split in two: ``sample``
-draws the inputs of one sample from the check's seeded stream, and
-``evaluate`` computes the residuals of all samples at once on blocks (see
-:func:`ggv.models._on_blocks`), with the samples stacked row by row.  The
+draws the inputs of all samples from the check's seeded stream, stacked row
+by row, and ``evaluate`` computes their residuals at once on blocks (see
+:func:`ggv.models._on_blocks`).  A check of points alone draws them with
+:func:`ggv.sampling.sample_block`; the others draw one sample at a time.  The
 evaluation calls the model kernels directly, since its points were sampled
 in the carrier; the norm-value operations keep their membership checks.
 Every row rounds exactly as the same formula on points would, so a report
@@ -33,6 +34,7 @@ from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads v
 from .models import _block, _on_blocks, _row_wise
 from .sampling import (
     BALL_MARGIN,
+    sample_block,
     sample_point,
     sample_point_away_from_identity,
     sample_scalar,
@@ -61,7 +63,8 @@ SEPARATION = 1e-3
 MIN_DISTINGUISHABLE = 1e-6
 
 DrawFn = Callable[[GgvModel, random.Random], float]
-SampleFn = Callable[[GgvModel, random.Random], tuple]
+# Draws the inputs of ``n`` samples: points as blocks, the rest as columns.
+SampleFn = Callable[[GgvModel, random.Random, int], list]
 
 
 @dataclass(frozen=True)
@@ -81,27 +84,37 @@ class VerificationReport(Report):
 class Check:
     """One check of the suite, split into drawing and evaluating its samples.
 
-    ``sample(m, rng)`` draws the inputs of one sample: points, scalars, norm
-    values and flags.  ``evaluate(b, *columns)`` takes them stacked, points
-    as blocks and the rest as columns, on the block form ``b`` of the model
-    and returns one residual per row.
+    ``sample(m, rng, n)`` draws the inputs of ``n`` samples: points, scalars,
+    norm values and flags, stacked row by row, points as blocks and the rest
+    as columns.  ``evaluate(b, *columns)`` takes them on the block form ``b``
+    of the model and returns one residual per row.
     """
 
     sample: SampleFn
     evaluate: Callable[..., np.ndarray]
 
-    def residuals(self, m: GgvModel, rows: list[tuple]) -> np.ndarray:
-        """The residuals of sampled rows, evaluated in one pass."""
-        columns = [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+    def residuals(self, m: GgvModel, columns: list) -> np.ndarray:
+        """The residuals of the sampled columns, evaluated in one pass."""
         return self.evaluate(_on_blocks(m), *columns)
 
 
 def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
-    """A sampler of ``k`` carrier points."""
-    def sample(m, rng):
-        return [sample_point(m, rng, margin) for _ in range(k)]
+    """A sampler of ``k`` carrier points per sample: ``k * n`` points drawn
+    as one block, of which argument ``j`` takes rows ``j::k``."""
+    def sample(m, rng, n):
+        block = sample_block(m, rng, k * n, margin)
+        return [tuple(column[j::k] for column in block) for j in range(k)]
 
     return sample
+
+
+def _one_at_a_time(sample: Callable[[GgvModel, random.Random], tuple]) -> SampleFn:
+    """A sampler of ``n`` samples that draws them in turn with ``sample``."""
+    def sample_n(m, rng, n):
+        rows = [sample(m, rng) for _ in range(n)]
+        return [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+
+    return sample_n
 
 
 def _dn(b: GgvModel, A, B):
@@ -131,6 +144,7 @@ def _ggv1(b, a):
     return b.distance(b.otimes(1.0, a), a)
 
 
+@_one_at_a_time
 def _point_and_two_scalars(m, rng):
     # Two stacked scalar actions can push ball points within an ulp of the
     # boundary, where the conformal factor amplifies rounding noise; sample
@@ -148,6 +162,7 @@ def _ggv3(b, a, r1, r2):
     return b.distance(b.otimes(r1 * r2, a), b.otimes(r1, b.otimes(r2, a)))
 
 
+@_one_at_a_time
 def _nonunit_point_and_nonzero_scalar(m, rng):
     return sample_point_away_from_identity(m, rng, SEPARATION), sample_scalar_away_from(rng, 0.0, 0.1)
 
@@ -161,6 +176,7 @@ def _ggv4(b, a, r):
     return b.ambient_norm(diff)
 
 
+@_one_at_a_time
 def _three_points_and_scalar(m, rng):
     return sample_point(m, rng), sample_point(m, rng), sample_point(m, rng), sample_scalar(rng)
 
@@ -171,6 +187,7 @@ def _ggv5(b, u, v, a, r):
     return b.distance(lhs, rhs)
 
 
+@_one_at_a_time
 def _two_points_and_two_scalars(m, rng):
     return sample_point(m, rng), sample_point(m, rng), sample_scalar(rng), sample_scalar(rng)
 
@@ -179,6 +196,7 @@ def _ggv6(b, v, a, r1, r2):
     return b.distance(b.group.gyr(b.otimes(r1, v), b.otimes(r2, v), a), a)
 
 
+@_one_at_a_time
 def _point_and_scalar(m, rng):
     return sample_point(m, rng), sample_scalar(rng)
 
@@ -197,6 +215,7 @@ def _ggv8(b, x, y):
 # Gyrogroup laws.
 # ---------------------------------------------------------------------------
 
+@_one_at_a_time
 def _point_and_unit(m, rng):
     return sample_point(m, rng), m.identity
 
@@ -249,6 +268,7 @@ def _coaddition_commutes(b, x, y):
 # Unit and scalar facts.
 # ---------------------------------------------------------------------------
 
+@_one_at_a_time
 def _unit(m, rng):
     return (m.identity,)
 
@@ -257,6 +277,7 @@ def _unit_norm_is_zero(b, e):
     return _dn(b, _gnorm(b, e), b.nvs.zero)
 
 
+@_one_at_a_time
 def _wide_scalar_and_unit(m, rng):
     return sample_scalar(rng, -4.0, 4.0), m.identity
 
@@ -278,6 +299,7 @@ def _nonzero_scaling_keeps_nonunit(b, a, r):
     return _violated(b.nvs.lin(_gnorm(b, b.otimes(r, a))) > MIN_DISTINGUISHABLE)
 
 
+@_one_at_a_time
 def _nonunit_point(m, rng):
     return (sample_point_away_from_identity(m, rng, SEPARATION),)
 
@@ -286,6 +308,7 @@ def _nonunit_norm_positive(b, a):
     return _violated(abs(_gnorm(b, a)) > MIN_DISTINGUISHABLE)
 
 
+@_one_at_a_time
 def _nonunit_point_and_distinct_scalars(m, rng):
     a = sample_point_away_from_identity(m, rng, 1e-2)
     r = sample_scalar(rng)
@@ -299,6 +322,7 @@ def _scalar_norm_cancellation(b, a, r, s_):
     return _violated(gap > MIN_DISTINGUISHABLE)
 
 
+@_one_at_a_time
 def _barely_separated_pair(m, rng):
     return sample_separated_pair(m, rng, 1e-9)
 
@@ -359,6 +383,7 @@ def _metric_triangle(b, x, y, z):
     return b.distance(x, y) - b.distance(x, z) - b.distance(z, y)
 
 
+@_one_at_a_time
 def _separated_pair_or_unit(m, rng):
     a, b = sample_separated_pair(m, rng, SEPARATION)
     vacuous = False
@@ -384,6 +409,7 @@ def _metric_matches_linearized_gyrometric(b, x, y):
 # Order machinery on the norm-value line.
 # ---------------------------------------------------------------------------
 
+@_one_at_a_time
 def _nonunit_point_and_ordered_scalars(m, rng):
     a = sample_point_away_from_identity(m, rng, 1e-2)
     alpha = rng.uniform(0.0, 2.0)
@@ -399,6 +425,7 @@ def _scaling_order_equivalence(b, a, alpha, beta):
     return _violated((va >= 0.0) & (vb >= 0.0) & ((alpha < beta) == (va < vb)))
 
 
+@_one_at_a_time
 def _two_norm_values(m, rng):
     return _sample_nv(m, rng), _sample_nv(m, rng)
 
@@ -407,6 +434,7 @@ def _linear_additive(b, A, B):
     return abs(b.nvs.lin(b.nvs.nv_add(A, B)) - (b.nvs.lin(A) + b.nvs.lin(B)))
 
 
+@_one_at_a_time
 def _norm_value_and_scalar(m, rng):
     return _sample_nv(m, rng), sample_scalar(rng)
 
@@ -415,6 +443,7 @@ def _linear_homogeneous(b, A, r):
     return abs(b.nvs.lin(b.nvs.nv_smul(r, A)) - r * b.nvs.lin(A))
 
 
+@_one_at_a_time
 def _distinct_reals(m, rng):
     t1 = rng.uniform(0.0, 3.0)
     return t1, sample_scalar_away_from(rng, t1, 1e-6, 0.0, 3.0)
@@ -430,6 +459,7 @@ def _linear_order(b, t1, t2):
     return _violated(ok & (_row_wise(partial(nv_le_nonneg, b.nvs))(A, B) == (fa <= fb)))
 
 
+@_one_at_a_time
 def _two_intervals(m, rng):
     lo_a = rng.uniform(0.0, 2.0)
     hi_a = lo_a + rng.uniform(1e-6, 1.0)
@@ -446,6 +476,7 @@ def _order_sum_monotone(b, lo_a, hi_a, lo_b, hi_b):
     return _violated((small >= 0.0) & (small < big))
 
 
+@_one_at_a_time
 def _real_and_point(m, rng):
     return rng.uniform(-3.0, 3.0), sample_point(m, rng)
 
@@ -456,6 +487,7 @@ def _linearization_round_trip(b, t, a):
     return worst_rows(abs(lin(lin_inv(t)) - t), _dn(b, lin_inv(lin(A)), A))
 
 
+@_one_at_a_time
 def _zero(m, rng):
     return (m.nvs.zero,)
 
@@ -545,7 +577,7 @@ def run_check(
     _count(samples)
     rng = random.Random(f"{seed}:{name}")
     if isinstance(draw, Check):
-        worst = worst_of(draw.residuals(m, [draw.sample(m, rng) for _ in range(samples)]))
+        worst = worst_of(draw.residuals(m, draw.sample(m, rng, samples)))
     else:
         worst = 0.0
         for _ in range(samples):

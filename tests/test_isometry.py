@@ -1,9 +1,11 @@
 """Gyrometric-preserving maps: primitives, random compositions, experiments."""
 
 import dataclasses
+import json
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +38,8 @@ from ggv import (
     transport,
     verify_midpoint_preservation,
 )
-from ggv.isometry import CONSTRUCTION_PAIRS
+from ggv.cli import main
+from ggv.isometry import CONSTRUCTION_PAIRS, _exact_forms
 from ggv.sampling import sample_point
 from ggv.space import DEFAULT_TOLERANCE, gyrometric, nv_smul, worst_residual
 from ggv.verify import GROUPS, run_check
@@ -695,3 +698,91 @@ def test_block_experiments_clamp_like_the_row_wise_lift(mobius2):
         results.append((residual, [str(w.message) for w in record]))
     assert len(results[0][1]) > 0
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Rows over tolerance, evaluated again at 50 digits.
+# ---------------------------------------------------------------------------
+
+# verify-mazur-ulam at --maps 2 --samples 100 --max-depth 6, as (kind, dim,
+# seed): one map of each sends the unit near the boundary, where rounding in
+# double alone put a decomposition or midpoint residual over the tolerance.
+NEAR_BOUNDARY_MAPS = (("einstein", 3, 1755474647), ("einstein", 3, 1857619338), ("mobius", 3, 1081462080),
+                      ("mobius", 3, 2053428506), ("mobius", 3, 979133609), ("mobius", 3, 309368114),
+                      ("mobius", 3, 803666271), ("mobius", 2, 689201108))
+
+
+@pytest.mark.parametrize("kind,dim,seed", NEAR_BOUNDARY_MAPS)
+def test_correct_maps_near_the_boundary_pass(kind, dim, seed, capsys):
+    argv = ["verify-mazur-ulam", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--maps", "2",
+            "--samples", "100", "--max-depth", "6"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(r["decomposition"]["pass"] and r["midpoint"]["pass"] for r in report["results"])
+
+
+def _with_ops(m, wrong):
+    """``m`` whose scalar action is ``wrong(k, lib)`` in the form of every
+    lib, ``k`` being the model's own kernels; its point kernels stay right."""
+    broken = dataclasses.replace(m)
+
+    def ops(lib):
+        k = m.ops(lib)
+        return SimpleNamespace(**{**vars(k), "otimes": wrong(k, lib)})
+
+    object.__setattr__(broken, "ops", ops)
+    return broken
+
+
+def _off_axis(k, lib):
+    # A scalar action pushed along the first axis: rotations no longer commute with it.
+    def otimes(r, a):
+        out = k.otimes(r, a)
+        return (out[0] + 1e-6 * r, *out[1:])
+
+    return otimes
+
+
+def _nan_on_the_right(k, lib):
+    # NaN on the rows whose image lies right of the second axis.
+    def otimes(r, a):
+        out = k.otimes(r, a)
+        return (lib.where(out[0] > 0.0, math.nan, out[0]), *out[1:])
+
+    return otimes
+
+
+def test_a_broken_model_still_fails_at_50_digits(mobius2):
+    T = random_isometry(_with_ops(mobius2, _off_axis), 4, depth=4)
+    assert _exact_forms(T) is not None
+    midpoint = verify_midpoint_preservation(T, 50, 0)
+    decomposition = decompose_mazur_ulam(T, 50, 0)
+    assert not midpoint.passed and midpoint.max_residual > 1e-7
+    assert not decomposition.passed and decomposition.homogeneity_residual > 1e-7
+
+
+def test_a_nan_row_still_fails(mobius2):
+    T = random_isometry(_with_ops(mobius2, _nan_on_the_right), 4, depth=4)
+    midpoint = verify_midpoint_preservation(T, 50, 0)
+    assert midpoint.max_residual == math.inf and not midpoint.passed
+
+
+def test_only_maps_of_data_are_evaluated_again(mobius2):
+    T = random_isometry(mobius2, 4, depth=3)
+    assert _exact_forms(T) is not None
+    assert _exact_forms(dataclasses.replace(T)) is None
+    assert _exact_forms(compose_maps([T, dataclasses.replace(identity_map(mobius2))])) is None
+    lifted = dataclasses.replace(mobius2)
+    shift = left_translation(lifted, make_point(lifted, [0.1, 0.2]))
+    assert _exact_forms(shift) is None
+    assert _exact_forms(compose_maps([identity_map(mobius2), shift, identity_map(mobius2)])) is None
+
+
+def test_a_rotation_at_50_digits_is_an_isometry_to_the_last_digits():
+    m = make_model(ModelConfig("mobius", dim=3))
+    T = ambient_rotation(m, random_rotation_matrix(3, random.Random(8)))
+    m1, m2, apply, const = _exact_forms(T)
+    rng = random.Random(9)
+    for _ in range(5):
+        a, b = (const(sample_point(m, rng, 0.99).coords) for _ in range(2))
+        assert abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)) < 1e-45

@@ -27,7 +27,7 @@ from ggv import (
     path_T,
     path_T_inv,
 )
-from ggv.models import _on_blocks
+from ggv.models import _BLOCK, _LOG_MAX, _on_blocks
 from ggv.sampling import sample_point
 
 line_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -115,6 +115,38 @@ def test_phi_inverse_domain():
         path_Phi_inv(0.5)
     with pytest.raises(DomainError):
         path_Phi_inv(-1.0)
+
+
+# Arguments at the edges of the transplant: signed zeros, NaN, the largest
+# arguments whose exp is finite and the doubles within an ulp of zero, whose
+# image is nudged off -1.
+PHI_EDGES = (0.0, -0.0, math.nan, _LOG_MAX, -_LOG_MAX, 5e-324, -5e-324, -1e-17, 1e-17, -2.0, 3.5)
+
+
+def test_phi_on_a_column_matches_phi_on_each_entry():
+    column = np.array(PHI_EDGES)
+    assert [x.hex() for x in _BLOCK.Phi(column).tolist()] == [path_Phi(x).hex() for x in PHI_EDGES]
+    images = [path_Phi(x) for x in PHI_EDGES] + [-1.0 - 2.0 ** -52, 1.0]
+    assert [x.hex() for x in _BLOCK.Phi_inv(np.array(images)).tolist()] == [path_Phi_inv(x).hex() for x in images]
+
+
+@pytest.mark.parametrize("name,column", [
+    ("Phi", [1.0, 800.0, -900.0]),
+    ("Phi", [-math.inf, math.inf]),
+    ("Phi_inv", [2.0, 0.5, -1.0]),
+    ("Phi_inv", [-3.0, math.nan, 1.0]),
+])
+def test_a_column_outside_the_domain_raises_the_error_of_its_first_bad_row(name, column):
+    scalar = {"Phi": path_Phi, "Phi_inv": path_Phi_inv}[name]
+    errors = []
+    for x in column:
+        try:
+            scalar(x)
+        except DomainError as exc:
+            errors.append(str(exc))
+    with pytest.raises(DomainError) as excinfo:
+        getattr(_BLOCK, name)(np.array(column))
+    assert str(excinfo.value) == errors[0]
 
 
 @given(x=line_coord)

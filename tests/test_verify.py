@@ -159,10 +159,15 @@ def test_every_check_reports_the_same_on_blocks_and_row_by_row(cfg):
 def test_each_row_of_an_evaluation_is_its_own_draw(cfg):
     m = make_model(cfg)
     for name, check in CHECKS:
-        rng = random.Random(f"4:{name}")
-        rows = [check.sample(m, rng) for _ in range(12)]
-        column = [x.hex() for x in check.residuals(m, rows).tolist()]
-        assert column == [check.residuals(m, [row])[0].hex() for row in rows], name
+        columns = check.sample(m, random.Random(f"4:{name}"), 12)
+        column = [x.hex() for x in check.residuals(m, columns).tolist()]
+        rows = [[_row(c, i) for c in columns] for i in range(12)]
+        assert column == [check.residuals(m, row)[0].hex() for row in rows], name
+
+
+def _row(column, i):
+    # Row i of a block or a column, as a block or column of one row.
+    return tuple(c[i:i + 1] for c in column) if isinstance(column, tuple) else column[i:i + 1]
 
 
 @pytest.mark.parametrize("name,public,rows", [
@@ -183,5 +188,5 @@ def test_a_norm_value_off_the_line_raises_the_error_of_the_first_row(name, publi
             errors.append(str(exc))
     assert len(errors) == 2
     with pytest.raises(DomainError) as excinfo:
-        dict(CHECKS)[name].residuals(m, rows)
+        dict(CHECKS)[name].residuals(m, [np.array(c) for c in zip(*rows)])
     assert str(excinfo.value) == errors[0]

@@ -12,7 +12,8 @@ construction and most axiom checks, and ``5e-15``, which fails some checks,
 per command and kind, then the benchmark's ``defect`` shapes at its doubling
 depths, a ball-model seed whose fixed-point residual drifts past the
 tolerance, three ``defect`` orbits whose doubling chain reaches an exact
-fixed point of ``S`` late or enters a 2-cycle, one ``eval`` request per
+fixed point of ``S`` late or enters a 2-cycle, eight ``verify-mazur-ulam``
+requests whose maps send the unit near the ball boundary, one ``eval`` request per
 operation of the expression language and kind, on fixed arguments, and per
 ball kind the ``eval`` requests of ``BALL_EDGE_EXPRESSIONS``, which clamp a
 result at the boundary, scale the origin and scale a point whose squared
@@ -59,6 +60,12 @@ DRIFTING_DEFECT = ["defect", "--model", "mobius", "--dim", "2", "--seed", "16569
 # Doubling chains at --depth 2 --n-max 13, as (kind, dim, seed): S^6074(p) and
 # S^4524(p) are fixed points of S, S^14(p) starts a 2-cycle.
 LATE_FIXED_DEFECTS = (("einstein", 2, 1472491609), ("mobius", 2, 1034930103), ("einstein", 2, 996517196))
+# verify-mazur-ulam at --maps 2 --samples 100 --max-depth 6, as (kind, dim,
+# seed): one map of each sends the unit near the boundary, where rounding in
+# double alone put a decomposition or midpoint residual over the tolerance.
+NEAR_BOUNDARY_MAPS = (("einstein", 3, 1755474647), ("einstein", 3, 1857619338), ("mobius", 3, 1081462080),
+                      ("mobius", 3, 2053428506), ("mobius", 3, 979133609), ("mobius", 3, 309368114),
+                      ("mobius", 3, 803666271), ("mobius", 2, 689201108))
 
 # The argument kinds of each eval operation ("p" a point, "r" a real), as in
 # ggv.cli._OPERATIONS, and per kind three points and two reals that are norm
@@ -110,6 +117,9 @@ def corpus() -> list[list[str]]:
     for kind, dim, seed in LATE_FIXED_DEFECTS:
         requests.append(["defect", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--depth", "2",
                          "--n-max", "13"])
+    for kind, dim, seed in NEAR_BOUNDARY_MAPS:
+        requests.append(["verify-mazur-ulam", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--maps", "2",
+                         "--samples", "100", "--max-depth", "6"])
     for kind, (points, reals) in EVAL_ARGUMENTS.items():
         dim = "1" if kind == "pathological" else "2"
         for op, kinds in EVAL_OPERATIONS.items():
