@@ -37,7 +37,8 @@ or step closes over promoted and each rotation orthonormalized at that
 precision.  The row's residual, and so the verdict, is the 50-digit value,
 which tells rounding near the ball boundary from a map that is wrong.  Only
 models with ``ops`` and maps whose steps are all data are evaluated again;
-the others keep their double values, and a non-finite row always fails.
+the others keep their double values.  A non-finite row always fails, and so
+does a row whose 50-digit evaluation leaves a function's domain.
 
 Three experiments probe what such maps must do:
 
@@ -53,6 +54,7 @@ Three experiments probe what such maps must do:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -62,7 +64,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MapConstructionError, PreconditionError
+from .errors import DomainError, MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
 from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _kernels, _lift, _mp, _on_blocks, _same
 from .sampling import sample_block, sample_point
@@ -542,7 +544,8 @@ def _settle(residuals: tuple[np.ndarray, ...], tolerance: float, exact: Callable
     where it gives ``None`` the double values stand.  So rounding near the
     boundary cannot fail a correct map, while a formula that is wrong stays
     wrong at any precision.  A non-finite entry is not evaluated again, and
-    fails.
+    fails; so does a row whose evaluation leaves a function's domain or
+    divides by zero, which in double the boundary clamp may have hidden.
     """
     over = [np.isfinite(column) & (column > tolerance) for column in residuals]
     rows = np.flatnonzero(np.logical_or.reduce(over))
@@ -553,9 +556,13 @@ def _settle(residuals: tuple[np.ndarray, ...], tolerance: float, exact: Callable
     settled = [column.copy() for column in residuals]
     for i in rows.tolist():
         row = [const(tuple(float(c[i]) for c in x) if isinstance(x, tuple) else float(x[i])) for x in inputs]
-        for column, flags, value in zip(settled, over, formula(*models, *row)):
+        try:
+            values = list(map(float, formula(*models, *row)))
+        except (DomainError, ZeroDivisionError):
+            values = [math.inf] * len(settled)
+        for column, flags, value in zip(settled, over, values):
             if flags[i]:
-                column[i] = float(value)
+                column[i] = value
     return tuple(settled)
 
 
@@ -584,12 +591,10 @@ def verify_midpoint_preservation(
     return MidpointReport(n_samples, worst, worst <= tolerance, seed, tolerance)
 
 
-def _pair_residuals(m1: GgvModel, m2: GgvModel, T0: Callable, a, b, ta=None, tb=None) -> tuple:
-    # Additivity, coaddition and isometry of T0 on the pairs (a, b); a caller
-    # that holds T0(a) and T0(b) passes them as ta and tb.
+def _pair_residuals(m1: GgvModel, m2: GgvModel, T0: Callable, a, b) -> tuple:
+    # Additivity, coaddition and isometry of T0 on the pairs (a, b).
     g1, g2 = m1.group, m2.group
-    ta = T0(a) if ta is None else ta
-    tb = T0(b) if tb is None else tb
+    ta, tb = T0(a), T0(b)
     return (m2.distance(T0(g1.add(a, b)), g2.add(ta, tb)),
             m2.distance(T0(_coplus(g1, a, b)), _coplus(g2, ta, tb)),
             abs(m2.distance(ta, tb) - m1.distance(a, b)))
@@ -625,7 +630,7 @@ def decompose_mazur_ulam(
 
     rng = random.Random(f"{seed}:decomposition")
     a, b = _sample_pairs(T.domain_model, rng, 0.8, n_samples)
-    pairs = _pair_residuals(m1, m2, T0, a, b, T0(a), T0(b))
+    pairs = _pair_residuals(m1, m2, T0, a, b)
     additivity, coaddition, isometry = map(worst_of, _settle(pairs, tolerance, exact, _pair_residuals, a, b))
 
     # Homogeneity: base points stay deep inside the ball because the scalar

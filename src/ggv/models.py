@@ -178,11 +178,13 @@ _BELOW_MINUS_ONE = math.nextafter(-1.0, -math.inf)
 
 
 def _transplant(x, lib):
-    # path_Phi in the form of the block and 50-digit libs (the doubling chain
-    # calls path_Phi itself once per step): one exp of |x|, which is exp(x)
-    # or exp(-x) exactly, then the sign and the nudge off -1.  A NaN passes
-    # the overflow check (x != x only for NaN) and lands on the nudge, as in
-    # path_Phi.
+    # path_Phi in the form of the block and 50-digit libs: one exp of |x|,
+    # which is exp(x) or exp(-x) exactly, then the sign and the nudge off -1.
+    # A NaN passes the overflow check (x != x only for NaN) and lands on the
+    # nudge, as in path_Phi.  Points keep path_Phi, which the tests hold this
+    # form to: the doubling chain calls it once per step, and this form on
+    # _POINT made ``defect --model pathological --seed 1597780226 --depth 2
+    # --n-max 14`` 2.2x slower (CPython 3.11, Xeon; BENCH_20.json).
     lib.require((abs(x) <= _LOG_MAX) | (x != x), x, "path_Phi({!r}) overflows a double")
     e = lib.exp(abs(x))
     return lib.where(x >= 0.0, e, lib.where(-e < -1.0, -e, _BELOW_MINUS_ONE))
@@ -464,12 +466,26 @@ def _mp() -> SimpleNamespace:
     Nothing is clamped, and every constant is promoted: a float a formula
     closes over would keep its step at double precision.  An orthogonal
     matrix is orthonormalized at this precision (Gram-Schmidt on its rows),
-    so that a rotation is an isometry to the last digit.
+    so that a rotation is an isometry to the last digit.  The functions stay
+    on the reals: an argument outside a function's domain (the square root
+    of a negative, a point beyond the ball) raises :class:`DomainError`,
+    where mpmath would go on in the complex plane.
     """
     import mpmath
 
     ctx = mpmath.MPContext()
     ctx.dps = MP_DIGITS
+
+    def real(name):
+        f = getattr(ctx, name)
+
+        def on_reals(x):
+            y = f(x)
+            if not isinstance(y, ctx.mpf):
+                raise DomainError(f"{name}({x}) is not real")
+            return y
+
+        return on_reals
 
     def const(x):
         return tuple(map(ctx.mpf, x)) if isinstance(x, tuple) else ctx.mpf(x)
@@ -485,7 +501,7 @@ def _mp() -> SimpleNamespace:
             basis.append(tuple(x / n for x in v))
         return tuple(basis)
 
-    lib = SimpleNamespace(sqrt=ctx.sqrt, **{name: getattr(ctx, name) for name in _TRANSCENDENTAL},
+    lib = SimpleNamespace(**{name: real(name) for name in ("sqrt", *_TRANSCENDENTAL)},
                           where=_pick, clamp=_unclamped, each=_same, rows=_same, require=_require, const=const,
                           orthonormal=orthonormal)
     lib.Phi, lib.Phi_inv = partial(_transplant, lib=lib), partial(_transplant_inv, lib=lib)

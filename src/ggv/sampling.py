@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from itertools import repeat
 from operator import mul, sub, truediv
 
@@ -37,14 +36,17 @@ ATTEMPTS = 1000
 _TOO_SMALL = "the radius is too small for the suite's separation thresholds"
 
 
-def _draws(m: GgvModel, rng: random.Random) -> tuple:
-    """The ``rng`` calls that draw one point of ``m``, in order."""
-    kind = m.config.kind
+def _draws(m: GgvModel, rng: random.Random, n: int = 1) -> list[float]:
+    """The ``rng`` draws of ``n`` points of ``m``, point after point, in the
+    order they are made."""
+    kind, dim = m.config.kind, m.config.dim
     if kind == "pathological":
-        return (partial(rng.uniform, -LINE_RANGE, LINE_RANGE),)
+        return [rng.uniform(-LINE_RANGE, LINE_RANGE) for _ in range(n)]
     if kind == "normed":
-        return (partial(rng.uniform, -NORMED_RANGE, NORMED_RANGE),) * m.config.dim
-    return (partial(rng.gauss, 0.0, 1.0),) * m.config.dim + (rng.random,)
+        return [rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(n * dim)]
+    # A ball point: a direction of ``dim`` Gaussians, then the uniform of its radius.
+    gauss, uniform = rng.gauss, rng.random
+    return [gauss(0.0, 1.0) if j < dim else uniform() for _ in range(n) for j in range(dim + 1)]
 
 
 def _coords(m: GgvModel, draws, margin: float, lib) -> tuple:
@@ -71,7 +73,7 @@ def _coords(m: GgvModel, draws, margin: float, lib) -> tuple:
 
 def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -> GyroPoint:
     """Draw a carrier point of ``m``; ball radii stay within ``margin * s``."""
-    return _point(m.tag, _coords(m, [draw() for draw in _draws(m, rng)], margin, _POINT))
+    return _point(m.tag, _coords(m, _draws(m, rng), margin, _POINT))
 
 
 def sample_block(m: GgvModel, rng: random.Random, n: int, margin: float = BALL_MARGIN) -> Block:
@@ -81,9 +83,7 @@ def sample_block(m: GgvModel, rng: random.Random, n: int, margin: float = BALL_M
     :func:`sample_point`; the formula that makes the points runs on columns,
     and row ``i`` is bit for bit the ``i``-th point.
     """
-    draws = _draws(m, rng)
-    flat = np.array([draw() for draw in draws * n], dtype=np.float64)
-    return _coords(m, list(flat.reshape(n, len(draws)).T), margin, _BLOCK)
+    return _coords(m, list(np.array(_draws(m, rng, n)).reshape(n, -1).T), margin, _BLOCK)
 
 
 def sample_point_away_from_identity(m: GgvModel, rng: random.Random, min_lin_norm: float = 1e-3) -> GyroPoint:

@@ -1,6 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from ggv import ModelConfig, make_model
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    """The module of the repository tool ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 MODEL_CONFIGS = {
     "normed": ModelConfig("normed", dim=2),

@@ -8,6 +8,7 @@ import warnings
 from types import SimpleNamespace
 
 import pytest
+from conftest import load_tool
 
 import ggv.isometry
 from ggv import (
@@ -704,15 +705,9 @@ def test_block_experiments_clamp_like_the_row_wise_lift(mobius2):
 # Rows over tolerance, evaluated again at 50 digits.
 # ---------------------------------------------------------------------------
 
-# verify-mazur-ulam at --maps 2 --samples 100 --max-depth 6, as (kind, dim,
-# seed): one map of each sends the unit near the boundary, where rounding in
-# double alone put a decomposition or midpoint residual over the tolerance.
-NEAR_BOUNDARY_MAPS = (("einstein", 3, 1755474647), ("einstein", 3, 1857619338), ("mobius", 3, 1081462080),
-                      ("mobius", 3, 2053428506), ("mobius", 3, 979133609), ("mobius", 3, 309368114),
-                      ("mobius", 3, 803666271), ("mobius", 2, 689201108))
-
-
-@pytest.mark.parametrize("kind,dim,seed", NEAR_BOUNDARY_MAPS)
+# The near-boundary requests of the compare corpus: rounding in double alone
+# put each over the tolerance.
+@pytest.mark.parametrize("kind,dim,seed", load_tool("compare_reports").NEAR_BOUNDARY_MAPS)
 def test_correct_maps_near_the_boundary_pass(kind, dim, seed, capsys):
     argv = ["verify-mazur-ulam", "--model", kind, "--dim", str(dim), "--seed", str(seed), "--maps", "2",
             "--samples", "100", "--max-depth", "6"]
@@ -721,14 +716,14 @@ def test_correct_maps_near_the_boundary_pass(kind, dim, seed, capsys):
     assert all(r["decomposition"]["pass"] and r["midpoint"]["pass"] for r in report["results"])
 
 
-def _with_ops(m, wrong):
-    """``m`` whose scalar action is ``wrong(k, lib)`` in the form of every
+def _with_ops(m, name, wrong):
+    """``m`` whose kernel ``name`` is ``wrong(k, lib)`` in the form of every
     lib, ``k`` being the model's own kernels; its point kernels stay right."""
     broken = dataclasses.replace(m)
 
     def ops(lib):
         k = m.ops(lib)
-        return SimpleNamespace(**{**vars(k), "otimes": wrong(k, lib)})
+        return SimpleNamespace(**{**vars(k), name: wrong(k, lib)})
 
     object.__setattr__(broken, "ops", ops)
     return broken
@@ -743,6 +738,15 @@ def _off_axis(k, lib):
     return otimes
 
 
+def _scaled_add(k, lib):
+    # Addition scaled by 3/2 and clamped: in double its rows stay in the ball,
+    # at 50 digits, where nothing is clamped, many leave it.
+    def add(a, b):
+        return lib.clamp(tuple(1.5 * x for x in k.add(a, b)), lib.const(1.0))
+
+    return add
+
+
 def _nan_on_the_right(k, lib):
     # NaN on the rows whose image lies right of the second axis.
     def otimes(r, a):
@@ -753,7 +757,7 @@ def _nan_on_the_right(k, lib):
 
 
 def test_a_broken_model_still_fails_at_50_digits(mobius2):
-    T = random_isometry(_with_ops(mobius2, _off_axis), 4, depth=4)
+    T = random_isometry(_with_ops(mobius2, "otimes", _off_axis), 4, depth=4)
     assert _exact_forms(T) is not None
     midpoint = verify_midpoint_preservation(T, 50, 0)
     decomposition = decompose_mazur_ulam(T, 50, 0)
@@ -761,8 +765,22 @@ def test_a_broken_model_still_fails_at_50_digits(mobius2):
     assert not decomposition.passed and decomposition.homogeneity_residual > 1e-7
 
 
+@pytest.mark.parametrize("kind", ["einstein", "mobius"])
+def test_a_row_that_leaves_the_ball_at_50_digits_fails(kind):
+    # A rotation does not add, so the scaled addition passes its construction;
+    # the decomposition adds, and at 50 digits the square root or logarithm
+    # of a point beyond the boundary is not real.
+    m = _with_ops(make_model(ModelConfig(kind, dim=2)), "add", _scaled_add)
+    T = ambient_rotation(m, random_rotation_matrix(2, random.Random(1)))
+    assert _exact_forms(T) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryClampWarning)
+        decomposition = decompose_mazur_ulam(T, 50, 0)
+    assert not decomposition.passed and decomposition.additivity_residual == math.inf
+
+
 def test_a_nan_row_still_fails(mobius2):
-    T = random_isometry(_with_ops(mobius2, _nan_on_the_right), 4, depth=4)
+    T = random_isometry(_with_ops(mobius2, "otimes", _nan_on_the_right), 4, depth=4)
     midpoint = verify_midpoint_preservation(T, 50, 0)
     assert midpoint.max_residual == math.inf and not midpoint.passed
 

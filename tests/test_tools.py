@@ -1,22 +1,11 @@
 """The repository tools under ``tools/``."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+from conftest import load_tool
 
 from ggv.cli import _OPERATIONS, main
 from ggv.errors import BoundaryClampWarning
 from ggv.models import KINDS
-
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 SYNTHETIC = '''"""Module docstring,
@@ -37,7 +26,7 @@ class Box:
 
 
 def test_count_lines_counts_code_lines_only(tmp_path, capsys):
-    count_lines = _load("count_lines")
+    count_lines = load_tool("count_lines")
     # import, class, def, and the two lines of the return expression.
     assert count_lines.code_lines(SYNTHETIC) == 5
     for tree, source in (("old", SYNTHETIC), ("new", SYNTHETIC + "\nVALUE = Box().size()\n")):
@@ -50,7 +39,7 @@ def test_count_lines_counts_code_lines_only(tmp_path, capsys):
 
 
 def test_count_lines_rejects_a_tree_without_src(tmp_path, capsys):
-    count_lines = _load("count_lines")
+    count_lines = load_tool("count_lines")
     (tmp_path / "src").mkdir()
     assert count_lines.main([str(tmp_path), str(tmp_path / "missing")]) == 2
     captured = capsys.readouterr()
@@ -59,7 +48,7 @@ def test_count_lines_rejects_a_tree_without_src(tmp_path, capsys):
 
 
 def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
-    compare_reports = _load("compare_reports")
+    compare_reports = load_tool("compare_reports")
     assert compare_reports.EVAL_OPERATIONS == {op: kinds for op, (kinds, _) in _OPERATIONS.items()}
     edges, refused = compare_reports.BALL_EDGE_EXPRESSIONS, compare_reports.REFUSED_REQUESTS
     requests = [argv for argv in compare_reports.corpus()
