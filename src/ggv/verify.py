@@ -9,10 +9,19 @@ implications count violations (so their residual is ``0.0`` or ``1.0``).
 Each check of :data:`GROUPS` is a :class:`Check`, split in two: ``sample``
 draws the inputs of all samples from the check's seeded stream, stacked row
 by row, and ``evaluate`` computes their residuals at once on blocks (see
-:func:`ggv.models._on_blocks`).  A check of points alone draws them with
-:func:`ggv.sampling.sample_block`; the others draw one sample at a time.  The
-evaluation calls the model kernels directly, since its points were sampled
-in the carrier; the norm-value operations keep their membership checks.
+:func:`ggv.models._on_blocks`).  A check of points alone draws all of them as
+one block with :func:`ggv.sampling.sample_block`.  Every other check declares
+the layout of one sample, a tuple of slots (a point, a point away from the
+identity, a separated pair, a scalar, a scalar kept apart from another, the
+unit, the zero norm value), and :func:`ggv.sampling.sample_columns` draws
+``n`` samples of it: the ``rng`` calls of a loop over samples, each point
+slot's points made as one block.  A slot that rejects candidates is drawn
+speculatively and replayed from a checkpoint of the stream at its first
+rejected row, so the columns are bit for bit those of the loop.  Norm values,
+interval ends and the unit substituted into a pair are computed from the
+drawn columns afterwards.  The evaluation calls the model kernels directly,
+since its points were sampled in the carrier; the norm-value operations keep
+their membership checks.
 Every row rounds exactly as the same formula on points would, so a report
 does not depend on how many samples share a block.  A one-sided check
 returns its signed excess, which the reduction from ``0.0`` clips.  The
@@ -25,21 +34,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .gyrogroup import GyroPoint, _coplus, _gyr_via_composition
+from .gyrogroup import _coplus, _gyr_via_composition
 from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads verify.oplus)
-from .models import _block, _on_blocks, _row_wise
+from .models import _BLOCK, _on_blocks, _row_wise
 from .sampling import (
     BALL_MARGIN,
+    PREVIOUS,
+    Const,
+    Pair,
+    Point,
+    Scalar,
+    _squared_separation,
     sample_block,
-    sample_point,
-    sample_point_away_from_identity,
-    sample_scalar,
-    sample_scalar_away_from,
-    sample_separated_pair,
+    sample_columns,
 )
 from .space import (
     DEFAULT_TOLERANCE,
@@ -108,23 +120,26 @@ def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
     return sample
 
 
-def _one_at_a_time(sample: Callable[[GgvModel, random.Random], tuple]) -> SampleFn:
-    """A sampler of ``n`` samples that draws them in turn with ``sample``."""
-    def sample_n(m, rng, n):
-        rows = [sample(m, rng) for _ in range(n)]
-        return [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
-
-    return sample_n
+def _layout(*slots, then: Callable | None = None) -> SampleFn:
+    """A sampler of ``n`` samples, each laid out as ``slots`` (see
+    :func:`ggv.sampling.sample_columns`), whose columns pass through
+    ``then(m, *columns)`` when it is given."""
+    if then is None:
+        return lambda m, rng, n: sample_columns(m, rng, n, slots)
+    return lambda m, rng, n: then(m, *sample_columns(m, rng, n, slots))
 
 
 def _dn(b: GgvModel, A, B):
     return abs(b.nvs.lin(A) - b.nvs.lin(B))
 
 
-def _sample_nv(m: GgvModel, rng: random.Random):
+_REAL = Scalar(-3.0, 3.0)
+
+
+def _norm_values(m: GgvModel, *columns):
     # Members of the norm-value set, including its negative part, obtained by
     # pulling uniformly sampled reals back through the linearization.
-    return m.nvs.lin_inv(rng.uniform(-3.0, 3.0))
+    return [_BLOCK.each(m.nvs.lin_inv)(column) for column in columns]
 
 
 def _violated(ok):
@@ -144,12 +159,10 @@ def _ggv1(b, a):
     return b.distance(b.otimes(1.0, a), a)
 
 
-@_one_at_a_time
-def _point_and_two_scalars(m, rng):
-    # Two stacked scalar actions can push ball points within an ulp of the
-    # boundary, where the conformal factor amplifies rounding noise; sample
-    # deeper so the residual reflects the identity and not the arithmetic.
-    return sample_point(m, rng, 0.8), sample_scalar(rng), sample_scalar(rng)
+# Two stacked scalar actions can push ball points within an ulp of the
+# boundary, where the conformal factor amplifies rounding noise; sample
+# deeper so the residual reflects the identity and not the arithmetic.
+_point_and_two_scalars = _layout(Point(0.8), Scalar(), Scalar())
 
 
 def _ggv2(b, a, r1, r2):
@@ -162,9 +175,7 @@ def _ggv3(b, a, r1, r2):
     return b.distance(b.otimes(r1 * r2, a), b.otimes(r1, b.otimes(r2, a)))
 
 
-@_one_at_a_time
-def _nonunit_point_and_nonzero_scalar(m, rng):
-    return sample_point_away_from_identity(m, rng, SEPARATION), sample_scalar_away_from(rng, 0.0, 0.1)
+_nonunit_point_and_nonzero_scalar = _layout(Point(away=SEPARATION), Scalar(gap=0.1, excluded=0.0))
 
 
 def _ggv4(b, a, r):
@@ -176,9 +187,7 @@ def _ggv4(b, a, r):
     return b.ambient_norm(diff)
 
 
-@_one_at_a_time
-def _three_points_and_scalar(m, rng):
-    return sample_point(m, rng), sample_point(m, rng), sample_point(m, rng), sample_scalar(rng)
+_three_points_and_scalar = _layout(Point(), Point(), Point(), Scalar())
 
 
 def _ggv5(b, u, v, a, r):
@@ -187,18 +196,14 @@ def _ggv5(b, u, v, a, r):
     return b.distance(lhs, rhs)
 
 
-@_one_at_a_time
-def _two_points_and_two_scalars(m, rng):
-    return sample_point(m, rng), sample_point(m, rng), sample_scalar(rng), sample_scalar(rng)
+_two_points_and_two_scalars = _layout(Point(), Point(), Scalar(), Scalar())
 
 
 def _ggv6(b, v, a, r1, r2):
     return b.distance(b.group.gyr(b.otimes(r1, v), b.otimes(r2, v), a), a)
 
 
-@_one_at_a_time
-def _point_and_scalar(m, rng):
-    return sample_point(m, rng), sample_scalar(rng)
+_point_and_scalar = _layout(Point(), Scalar())
 
 
 def _ggv7(b, a, r):
@@ -215,9 +220,8 @@ def _ggv8(b, x, y):
 # Gyrogroup laws.
 # ---------------------------------------------------------------------------
 
-@_one_at_a_time
-def _point_and_unit(m, rng):
-    return sample_point(m, rng), m.identity
+_UNIT = Const(attrgetter("identity"))
+_point_and_unit = _layout(Point(), _UNIT)
 
 
 def _unit_laws(b, a, e):
@@ -268,18 +272,14 @@ def _coaddition_commutes(b, x, y):
 # Unit and scalar facts.
 # ---------------------------------------------------------------------------
 
-@_one_at_a_time
-def _unit(m, rng):
-    return (m.identity,)
+_unit = _layout(_UNIT)
 
 
 def _unit_norm_is_zero(b, e):
     return _dn(b, _gnorm(b, e), b.nvs.zero)
 
 
-@_one_at_a_time
-def _wide_scalar_and_unit(m, rng):
-    return sample_scalar(rng, -4.0, 4.0), m.identity
+_wide_scalar_and_unit = _layout(Scalar(-4.0, 4.0), _UNIT)
 
 
 def _scalars_fix_unit(b, r, e):
@@ -299,20 +299,14 @@ def _nonzero_scaling_keeps_nonunit(b, a, r):
     return _violated(b.nvs.lin(_gnorm(b, b.otimes(r, a))) > MIN_DISTINGUISHABLE)
 
 
-@_one_at_a_time
-def _nonunit_point(m, rng):
-    return (sample_point_away_from_identity(m, rng, SEPARATION),)
+_nonunit_point = _layout(Point(away=SEPARATION))
 
 
 def _nonunit_norm_positive(b, a):
     return _violated(abs(_gnorm(b, a)) > MIN_DISTINGUISHABLE)
 
 
-@_one_at_a_time
-def _nonunit_point_and_distinct_scalars(m, rng):
-    a = sample_point_away_from_identity(m, rng, 1e-2)
-    r = sample_scalar(rng)
-    return a, r, sample_scalar_away_from(rng, r, 0.05)
+_nonunit_point_and_distinct_scalars = _layout(Point(away=1e-2), Scalar(), Scalar(gap=0.05, excluded=PREVIOUS))
 
 
 def _scalar_norm_cancellation(b, a, r, s_):
@@ -322,9 +316,7 @@ def _scalar_norm_cancellation(b, a, r, s_):
     return _violated(gap > MIN_DISTINGUISHABLE)
 
 
-@_one_at_a_time
-def _barely_separated_pair(m, rng):
-    return sample_separated_pair(m, rng, 1e-9)
+_barely_separated_pair = _layout(Pair(1e-9))
 
 
 def _phi_injective(b, x, y):
@@ -383,16 +375,17 @@ def _metric_triangle(b, x, y, z):
     return b.distance(x, y) - b.distance(x, z) - b.distance(z, y)
 
 
-@_one_at_a_time
-def _separated_pair_or_unit(m, rng):
-    a, b = sample_separated_pair(m, rng, SEPARATION)
-    vacuous = False
-    if rng.random() < 0.2:
-        # also separate against the unit: its norm value is the zero element
-        # of the norm-value line, but never at zero distance from other points
-        b = m.identity
-        vacuous = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) < SEPARATION ** 2
-    return a, b, vacuous
+def _pair_or_unit(m, a, b, u):
+    # One pair in five is separated against the unit instead: its norm value
+    # is the zero element of the norm-value line, but never at zero distance
+    # from other points.
+    unit = u < 0.2
+    e = m.identity.coords
+    b = tuple(np.where(unit, x, column) for x, column in zip(e, b))
+    return a, b, unit & (_squared_separation(a, b, _BLOCK) < SEPARATION ** 2)
+
+
+_separated_pair_or_unit = _layout(Pair(SEPARATION), Scalar(0.0, 1.0), then=_pair_or_unit)
 
 
 def _metric_separates(b, x, y, vacuous):
@@ -409,11 +402,8 @@ def _metric_matches_linearized_gyrometric(b, x, y):
 # Order machinery on the norm-value line.
 # ---------------------------------------------------------------------------
 
-@_one_at_a_time
-def _nonunit_point_and_ordered_scalars(m, rng):
-    a = sample_point_away_from_identity(m, rng, 1e-2)
-    alpha = rng.uniform(0.0, 2.0)
-    return a, alpha, sample_scalar_away_from(rng, alpha, 1e-4, 0.0, 2.0)
+_nonunit_point_and_ordered_scalars = _layout(Point(away=1e-2), Scalar(0.0, 2.0),
+                                             Scalar(0.0, 2.0, gap=1e-4, excluded=PREVIOUS))
 
 
 def _scaling_order_equivalence(b, a, alpha, beta):
@@ -425,28 +415,21 @@ def _scaling_order_equivalence(b, a, alpha, beta):
     return _violated((va >= 0.0) & (vb >= 0.0) & ((alpha < beta) == (va < vb)))
 
 
-@_one_at_a_time
-def _two_norm_values(m, rng):
-    return _sample_nv(m, rng), _sample_nv(m, rng)
+_two_norm_values = _layout(_REAL, _REAL, then=_norm_values)
 
 
 def _linear_additive(b, A, B):
     return abs(b.nvs.lin(b.nvs.nv_add(A, B)) - (b.nvs.lin(A) + b.nvs.lin(B)))
 
 
-@_one_at_a_time
-def _norm_value_and_scalar(m, rng):
-    return _sample_nv(m, rng), sample_scalar(rng)
+_norm_value_and_scalar = _layout(_REAL, Scalar(), then=lambda m, A, r: (*_norm_values(m, A), r))
 
 
 def _linear_homogeneous(b, A, r):
     return abs(b.nvs.lin(b.nvs.nv_smul(r, A)) - r * b.nvs.lin(A))
 
 
-@_one_at_a_time
-def _distinct_reals(m, rng):
-    t1 = rng.uniform(0.0, 3.0)
-    return t1, sample_scalar_away_from(rng, t1, 1e-6, 0.0, 3.0)
+_distinct_reals = _layout(Scalar(0.0, 3.0), Scalar(0.0, 3.0, gap=1e-6, excluded=PREVIOUS))
 
 
 def _linear_order(b, t1, t2):
@@ -459,13 +442,9 @@ def _linear_order(b, t1, t2):
     return _violated(ok & (_row_wise(partial(nv_le_nonneg, b.nvs))(A, B) == (fa <= fb)))
 
 
-@_one_at_a_time
-def _two_intervals(m, rng):
-    lo_a = rng.uniform(0.0, 2.0)
-    hi_a = lo_a + rng.uniform(1e-6, 1.0)
-    lo_b = rng.uniform(0.0, 2.0)
-    hi_b = lo_b + rng.uniform(1e-6, 1.0)
-    return lo_a, hi_a, lo_b, hi_b
+# Two intervals, each a low end and a width.
+_two_intervals = _layout(Scalar(0.0, 2.0), Scalar(1e-6, 1.0), Scalar(0.0, 2.0), Scalar(1e-6, 1.0),
+                         then=lambda m, lo_a, w_a, lo_b, w_b: (lo_a, lo_a + w_a, lo_b, lo_b + w_b))
 
 
 def _order_sum_monotone(b, lo_a, hi_a, lo_b, hi_b):
@@ -476,9 +455,7 @@ def _order_sum_monotone(b, lo_a, hi_a, lo_b, hi_b):
     return _violated((small >= 0.0) & (small < big))
 
 
-@_one_at_a_time
-def _real_and_point(m, rng):
-    return rng.uniform(-3.0, 3.0), sample_point(m, rng)
+_real_and_point = _layout(_REAL, Point())
 
 
 def _linearization_round_trip(b, t, a):
@@ -487,9 +464,7 @@ def _linearization_round_trip(b, t, a):
     return worst_rows(abs(lin(lin_inv(t)) - t), _dn(b, lin_inv(lin(A)), A))
 
 
-@_one_at_a_time
-def _zero(m, rng):
-    return (m.nvs.zero,)
+_zero = _layout(Const(attrgetter("nvs.zero")))
 
 
 def _zero_linearizes_to_zero(b, zero):

@@ -119,6 +119,15 @@ def test_a_radius_too_small_for_the_suite_is_a_usage_error(capsys):
     assert "the radius is too small for the suite's separation thresholds" in err
 
 
+def test_the_first_check_that_cannot_draw_its_samples_names_its_threshold(capsys):
+    # At s = 1e-3 points reach linearized norm 1e-3 but not 1e-2, so the
+    # sampler of scalar_norm_cancellation is the first to give up.
+    code, out, err = run_cli(capsys, "verify-axioms", "--model", "einstein", "--s", "1e-3")
+    assert (code, out) == (2, "")
+    assert err == ("ggv: error: no point of einstein(dim=2,s=0.001) at linearized norm >= 0.01 in 1000 draws: "
+                   "the radius is too small for the suite's separation thresholds\n")
+
+
 def test_a_norm_value_off_the_line_is_a_domain_error(capsys):
     # At s = 0.1 lin_inv of the order checks' reals rounds onto the edge of
     # the rapidity line; the block pass reports it on one line, no traceback.

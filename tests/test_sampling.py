@@ -1,11 +1,28 @@
-"""The samplers: block draws against point draws."""
+"""The samplers: block draws against point draws, columns against a loop over samples."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from ggv import ModelConfig, make_model
-from ggv.sampling import sample_block, sample_point
+from ggv import ModelConfig, gnorm, linearize, make_model, sampling
+from ggv.errors import SamplingError
+from ggv.gyrogroup import GyroPoint
+from ggv.models import _block
+from ggv.sampling import (
+    Pair,
+    Point,
+    Scalar,
+    sample_block,
+    sample_columns,
+    sample_point,
+    sample_point_away_from_identity,
+    sample_scalar,
+    sample_scalar_away_from,
+    sample_separated_pair,
+)
+from ggv.verify import GROUPS, SEPARATION
 
 SAMPLED_CONFIGS = [ModelConfig(kind, dim=dim, s=2.5 if kind == "einstein" else 1.0)
                    for kind in ("normed", "einstein", "mobius") for dim in range(1, 6)] + [ModelConfig("pathological")]
@@ -41,3 +58,233 @@ def test_a_zero_direction_becomes_the_first_axis_in_both_samplers():
     block = sample_block(m, _ZeroGaussians(5), 2, 0.9)
     assert point[0] > 0.0 and point[1:] == (0.0, 0.0)
     assert tuple(column[0] for column in block) == point
+
+
+# ---------------------------------------------------------------------------
+# Every check's sampler against the loop that draws one sample at a time.
+# ---------------------------------------------------------------------------
+
+def _one_at_a_time(sample):
+    # The reference: n draws of one sample, each input stacked into a block or a column.
+    def sample_n(m, rng, n):
+        rows = [sample(m, rng) for _ in range(n)]
+        return [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+
+    return sample_n
+
+
+def _points(k, margin=0.95):
+    return lambda m, rng: tuple(sample_point(m, rng, margin) for _ in range(k))
+
+
+def _nv(m, rng):
+    return m.nvs.lin_inv(rng.uniform(-3.0, 3.0))
+
+
+def _point_and_scalar(m, rng):
+    return sample_point(m, rng), sample_scalar(rng)
+
+
+def _point_and_two_scalars(m, rng):
+    return sample_point(m, rng, 0.8), sample_scalar(rng), sample_scalar(rng)
+
+
+def _point_and_unit(m, rng):
+    return sample_point(m, rng), m.identity
+
+
+def _distinct_reals(m, rng):
+    t1 = rng.uniform(0.0, 3.0)
+    return t1, sample_scalar_away_from(rng, t1, 1e-6, 0.0, 3.0)
+
+
+def _two_intervals(m, rng):
+    lo_a = rng.uniform(0.0, 2.0)
+    hi_a = lo_a + rng.uniform(1e-6, 1.0)
+    lo_b = rng.uniform(0.0, 2.0)
+    hi_b = lo_b + rng.uniform(1e-6, 1.0)
+    return lo_a, hi_a, lo_b, hi_b
+
+
+def _nonunit_and_nonzero(m, rng):
+    return sample_point_away_from_identity(m, rng, SEPARATION), sample_scalar_away_from(rng, 0.0, 0.1)
+
+
+def _distinct_scalars(m, rng):
+    a = sample_point_away_from_identity(m, rng, 1e-2)
+    r = sample_scalar(rng)
+    return a, r, sample_scalar_away_from(rng, r, 0.05)
+
+
+def _separated_pair_or_unit(m, rng):
+    a, b = sample_separated_pair(m, rng, SEPARATION)
+    vacuous = False
+    if rng.random() < 0.2:
+        b = m.identity
+        vacuous = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) < SEPARATION ** 2
+    return a, b, vacuous
+
+
+def _ordered_scalars(m, rng):
+    a = sample_point_away_from_identity(m, rng, 1e-2)
+    alpha = rng.uniform(0.0, 2.0)
+    return a, alpha, sample_scalar_away_from(rng, alpha, 1e-4, 0.0, 2.0)
+
+
+# One sample of every check, drawn by the point and scalar samplers in turn:
+# the checks of points alone, the other checks whose samplers reject
+# nothing, and those that reject candidates.
+POINTS_ONLY = {
+    "GGV0": _points(3), "GGV1": _points(1), "GGV8": _points(2), "left_cancellation": _points(2),
+    "gyrocommutativity": _points(2), "gyroautomorphism": _points(4), "left_loop": _points(3),
+    "gyration_inversion": _points(3), "gyr_matches_composition": _points(3), "coaddition_commutes": _points(2),
+    "gyrometric_invariance": _points(3), "gyrotriangle": _points(3), "midpoint_equidistant": _points(2),
+    "midpoint_forms_agree": _points(2), "midpoint_symmetric": _points(2), "metric_self_zero": _points(1),
+    "metric_nonnegative": _points(2), "metric_symmetric": _points(2), "metric_triangle": _points(3),
+    "metric_matches_linearized_gyrometric": _points(2, 0.8),
+}
+MIXED = {
+    "GGV2": _point_and_two_scalars, "GGV3": _point_and_two_scalars,
+    "GGV5": lambda m, rng: (*_points(3)(m, rng), sample_scalar(rng)),
+    "GGV6": lambda m, rng: (*_points(2)(m, rng), sample_scalar(rng), sample_scalar(rng)),
+    "GGV7": _point_and_scalar, "negation_is_inverse": _point_and_scalar,
+    "unit_laws": _point_and_unit, "zero_scalar_gives_unit": _point_and_unit,
+    "unit_norm_is_zero": lambda m, rng: (m.identity,),
+    "scalars_fix_unit": lambda m, rng: (sample_scalar(rng, -4.0, 4.0), m.identity),
+    "linear_additive": lambda m, rng: (_nv(m, rng), _nv(m, rng)),
+    "linear_homogeneous": lambda m, rng: (_nv(m, rng), sample_scalar(rng)),
+    "linear_order": _distinct_reals, "order_sum_monotone": _two_intervals,
+    "linearization_round_trip": lambda m, rng: (rng.uniform(-3.0, 3.0), sample_point(m, rng)),
+    "zero_linearizes_to_zero": lambda m, rng: (m.nvs.zero,),
+}
+REJECTING = {
+    "GGV4": _nonunit_and_nonzero, "nonzero_scaling_keeps_nonunit": _nonunit_and_nonzero,
+    "nonunit_norm_positive": lambda m, rng: (sample_point_away_from_identity(m, rng, SEPARATION),),
+    "scalar_norm_cancellation": _distinct_scalars,
+    "phi_injective": lambda m, rng: sample_separated_pair(m, rng, 1e-9),
+    "metric_separates": _separated_pair_or_unit,
+    "scaling_order_equivalence": _ordered_scalars,
+}
+REFERENCE = POINTS_ONLY | MIXED | REJECTING
+CHECKS = [check for group in GROUPS.values() for check in group]
+
+
+def _bytes(columns):
+    # Every column of a sample, a block's coordinates one by one, as dtype and bytes.
+    return [(c.dtype.str, c.tobytes()) for column in columns
+            for c in (column if isinstance(column, tuple) else (column,))]
+
+
+def _same_draws(sample, reference, m, seed, n, cached_gauss):
+    by_columns, by_loop = random.Random(seed), random.Random(seed)
+    if cached_gauss:
+        by_columns.gauss(0.0, 1.0)
+        by_loop.gauss(0.0, 1.0)
+    assert _bytes(sample(m, by_columns, n)) == _bytes(_one_at_a_time(reference)(m, by_loop, n))
+    assert by_columns.getstate() == by_loop.getstate()
+
+
+def test_the_reference_covers_every_check():
+    assert sorted(REFERENCE) == sorted(name for name, _ in CHECKS)
+
+
+@pytest.mark.parametrize("cfg", SAMPLED_CONFIGS, ids=lambda cfg: cfg.tag)
+@pytest.mark.parametrize("cached_gauss", [False, True])
+def test_every_check_draws_its_loop_bit_for_bit(cfg, cached_gauss):
+    # A cached Gaussian only changes the first draws, and a check of points
+    # alone is one sample_block.  A layout that rejects candidates draws
+    # 1,000 samples, the CLI default, in four speculative spans; any other
+    # sampler draws all of its samples in one pass.
+    m = make_model(cfg)
+    for name, check in CHECKS:
+        if cached_gauss or name in POINTS_ONLY:
+            counts = (1, 2, 7)
+        else:
+            counts = (1, 2, 7, 200, 1000) if name in REJECTING else (1, 2, 7, 200)
+        for n in counts:
+            _same_draws(check.sample, REFERENCE[name], m, f"{cfg.tag}:{name}:{n}", n, cached_gauss)
+
+
+class _CountingPoints:
+    # Counts the sample_point calls of the rejection samplers: one per candidate.
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(sampling, "sample_point", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return sample_point(*args)
+
+
+def _candidates(counter, sample):
+    # The candidates each sample of a reference took.
+    def counted(m, rng):
+        before = counter.calls
+        out = sample(m, rng)
+        counts.append(counter.calls - before)
+        return out
+
+    counts = []
+    return counted, counts
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig("pathological"), ModelConfig("normed", dim=2),
+                                 ModelConfig("einstein", dim=1), ModelConfig("mobius", dim=3, s=0.5)],
+                         ids=lambda cfg: cfg.tag)
+def test_rejected_rows_are_replayed_bit_for_bit(cfg, monkeypatch):
+    # Thresholds at the median of the first candidates reject about half of
+    # them: rejections at row 0 and back to back, and short spans drawn one
+    # sample at a time between the speculative ones.
+    m = make_model(cfg)
+    rng = random.Random(0)
+    away = float(np.median([linearize(m.nvs, gnorm(m, sample_point(m, rng))) for _ in range(201)]))
+    apart = float(np.median([math.dist(sample_point(m, rng).coords, sample_point(m, rng).coords)
+                             for _ in range(201)]))
+    counter = _CountingPoints(monkeypatch)
+    # Each case: a layout, its reference and the points of one sample without a rejection.
+    cases = (
+        ((Point(away=away), Scalar(gap=0.5, excluded=0.0)),
+         lambda m, rng: (sample_point_away_from_identity(m, rng, away), sample_scalar_away_from(rng, 0.0, 0.5)), 1),
+        ((Scalar(), Pair(apart), Point(0.6)),
+         lambda m, rng: (sample_scalar(rng), *sample_separated_pair(m, rng, apart), sample_point(m, rng, 0.6)), 3),
+    )
+    for layout, reference, points in cases:
+        first_rejected = back_to_back = 0
+        for seed in range(6):
+            for n in (1, 2, 7, 40, 300):
+                counted, counts = _candidates(counter, reference)
+                _same_draws(lambda m, rng, n: sample_columns(m, rng, n, layout), counted, m, seed, n, False)
+                if n == 300:  # drawn speculatively from row 0
+                    rejected = [c > points for c in counts]
+                    first_rejected += rejected[0]
+                    back_to_back += any(map(min, zip(rejected, rejected[1:])))
+        assert first_rejected and back_to_back
+
+
+def test_rejections_of_the_pathological_suite_at_the_default_sample_count_replay(monkeypatch):
+    # About 0.2% of pathological points fall below the 1e-2 threshold: a few
+    # rows of a 1,000-sample check are rejected.
+    m = make_model(ModelConfig("pathological"))
+    counter = _CountingPoints(monkeypatch)
+    table = dict(CHECKS)
+    rejected = 0
+    for name in ("scalar_norm_cancellation", "scaling_order_equivalence"):
+        for seed in range(3):
+            counted, counts = _candidates(counter, REFERENCE[name])
+            _same_draws(table[name].sample, counted, m, f"{seed}:{name}", 1000, False)
+            rejected += sum(c > 1 for c in counts)
+    assert rejected >= 3
+
+
+@pytest.mark.parametrize("slot,refuse", [
+    (Point(away=10.0), lambda m, rng: sample_point_away_from_identity(m, rng, 10.0)),
+    (Pair(10.0), lambda m, rng: sample_separated_pair(m, rng, 10.0)),
+])
+@pytest.mark.parametrize("n", [5, 40])
+def test_a_slot_that_cannot_be_filled_refuses_as_its_sampler_does(slot, refuse, n):
+    m = make_model(ModelConfig("mobius", dim=2))
+    with pytest.raises(SamplingError) as expected:
+        refuse(m, random.Random(3))
+    with pytest.raises(SamplingError) as got:
+        sample_columns(m, random.Random(3), n, (Scalar(), slot))
+    assert str(got.value) == str(expected.value) and "in 1000 draws" in str(got.value)

@@ -76,3 +76,24 @@ def test_compare_reports_evaluates_every_operation_on_every_kind(capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("ggv: error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workload", ["axiom_suite", "mazur_ulam_maps", "defect_chain"])
+def test_scan_requests_finds_no_failure_in_a_round_of_each_workload(workload, capsys):
+    scan_requests = load_tool("scan_requests")
+    assert scan_requests.main(["--workload", workload, "--seeds", "3", "--rounds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["requests 5, failed 0"]
+
+
+def test_scan_requests_prints_each_failed_request(monkeypatch, capsys):
+    scan_requests = load_tool("scan_requests")
+    assert scan_requests.main(["--workload", "defect_chain", "--seeds", "3", "--rounds", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["requests 0, failed 0"]
+    import checks  # the benchmark's module, on the path once the tool has run
+
+    verdicts = iter([[], ["a problem", "another"], [], [], []])
+    monkeypatch.setattr(checks, "request_problems", lambda *record: next(verdicts))
+    assert scan_requests.main(["--workload", "axiom_suite", "--seeds", "3-3", "--rounds", "1"]) == 1
+    failed, total = capsys.readouterr().out.splitlines()
+    assert failed.startswith("FAILED verify-axioms --model einstein --dim 2 --seed ") and failed.endswith(": a problem")
+    assert total == "requests 5, failed 1"
