@@ -25,7 +25,7 @@ either way.
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
 check is one vectorized pass.  Every row rounds exactly as the point form
-rounds it, and samples are drawn with :func:`ggv.sampling.sample_block`,
+rounds it, and samples are drawn with :func:`ggv.sampling.sample_columns`,
 from the same streams in the same order as a loop over points would draw
 them.  The experiments validate their inputs at entry.  The defect
 experiment's doubling chain is sequential and runs on coordinate tuples.
@@ -67,7 +67,7 @@ import numpy as np
 from .errors import DomainError, MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
 from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _kernels, _lift, _mp, _on_blocks, _same
-from .sampling import sample_block, sample_point
+from .sampling import Point, sample_columns, sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _count, _midpoint, worst_of, worst_residual
 
 # Sampled pairs of the preservation check a generated map passes before it is
@@ -396,10 +396,9 @@ def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, .
 # Preservation checks and random map generation.
 # ---------------------------------------------------------------------------
 
-def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> tuple[Block, Block]:
+def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> list[Block]:
     """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
-    points = sample_block(m, rng, 2 * n, margin)
-    return tuple(column[0::2] for column in points), tuple(column[1::2] for column in points)
+    return sample_columns(m, rng, n, (Point(margin), Point(margin)))
 
 
 def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
@@ -637,7 +636,7 @@ def decompose_mazur_ulam(
     # range pushes iterates toward the boundary.  One row per scalar and base
     # point, the dyadic ladder first.
     n_base = 3
-    base = sample_block(T.domain_model, rng, n_base, 0.6)
+    (base,) = sample_columns(T.domain_model, rng, n_base, (Point(0.6),))
     scalars = DYADIC_SCALARS + tuple(rng.uniform(-SCALAR_RANGE, SCALAR_RANGE) for _ in range(GENERAL_SCALARS))
     alpha = np.repeat(scalars, n_base)
     x = tuple(np.tile(column, len(scalars)) for column in base)

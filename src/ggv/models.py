@@ -272,10 +272,6 @@ def _columnwise(fn: Callable[..., float]) -> Callable:
 Block = tuple[np.ndarray, ...]
 
 
-def _block(points: Sequence[GyroPoint]) -> Block:
-    return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
-
-
 def _row_wise(fn: Callable) -> Callable:
     """The block form of ``fn``, a function of coordinate tuples, evaluated row by row.
 

@@ -1,32 +1,34 @@
 """Seeded carrier samplers shared by the verification suites and the CLI.
 
-A point is drawn by a fixed sequence of ``random.Random`` calls, then made
-from those draws by a formula written once over a lib (see
-:mod:`ggv.models`): :func:`sample_point` runs it on one point's draws,
-:func:`sample_block` on columns holding the draws of ``n`` points.  The block
-sampler makes the same calls in the same order as ``n`` calls of the point
-sampler, and each of its rows rounds exactly as that point does.
+A point is drawn by a fixed sequence of ``random.Random`` calls
+(:func:`_draws`), then made from those draws by a formula written once over
+a lib (see :mod:`ggv.models`): :func:`sample_point` runs it on one point's
+draws, and a block of points runs it on columns of draws, so that each row
+rounds exactly as that point does.
 
 :func:`sample_columns` draws ``n`` samples of a *layout*, a tuple of slots
-(:class:`Point`, :class:`Pair`, :class:`Scalar`, :class:`Const`) that says
-what one sample holds.  It makes, sample after sample and slot after slot,
+(:class:`Point`, :class:`Pair`, :class:`Scalar`, :class:`Distinct`,
+:class:`Const`) that says what one sample holds.  It compiles the layout
+into one sample's list of ``rng`` calls, slot after slot, each returning one
+float, runs that list once per sample, and makes each slot's columns from
+its columns of draws: a point slot's blocks, a scalar's values.  So it makes
 the ``rng`` calls of a loop that draws each sample with the point and scalar
-samplers below, collects each point slot's draws into one flat list and
-makes its points as one block.  A scalar slot that must keep a gap is redrawn at once, as
-:func:`sample_scalar_away_from` does.  A point slot that rejects candidates
-(a point away from the identity, a separated pair) is drawn speculatively,
-a span of samples at a time: each takes its first candidate, and acceptance
-is tested on the block.  At the first rejected row the stream is set back to
-the state saved before the span and the accepted rows are drawn again; the
-rejected sample and the next few are then drawn one at a time, candidate by
-candidate, before speculation resumes.
+samplers below, in the same order.  A scalar that must keep a gap is
+redrawn at once, as :func:`sample_scalar_away_from` does.  A point slot that
+rejects candidates (a point away from the identity, a separated pair) is
+drawn speculatively, a span of samples at a time: each takes its first
+candidate, and acceptance is tested on the block.  At the first rejected row
+the stream is set back to the state saved before the span and the accepted
+rows are drawn again; the rejected sample and the next few are then drawn
+one at a time, candidate by candidate, before speculation resumes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, repeat
 from operator import mul, sub, truediv
 from typing import Callable
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
-from .models import _BLOCK, _POINT, Block, _in_form, _norm, _on_blocks
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _in_form, _norm, _on_blocks
 from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -51,31 +53,37 @@ ATTEMPTS = 1000
 _TOO_SMALL = "the radius is too small for the suite's separation thresholds"
 
 
-def _draws(m: GgvModel, rng: random.Random, n: int = 1) -> list[float]:
-    """The ``rng`` draws of ``n`` points of ``m``, point after point, in the
-    order they are made."""
-    kind, dim = m.config.kind, m.config.dim
-    if kind == "pathological":
-        return [rng.uniform(-LINE_RANGE, LINE_RANGE) for _ in range(n)]
-    if kind == "normed":
-        return [rng.uniform(-NORMED_RANGE, NORMED_RANGE) for _ in range(n * dim)]
-    # A ball point: a direction of ``dim`` Gaussians, then the uniform of its radius.
-    gauss, uniform = rng.gauss, rng.random
-    return [gauss(0.0, 1.0) if j < dim else uniform() for _ in range(n) for j in range(dim + 1)]
+def _draws(m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
+    """The ``rng`` calls that draw one point of ``m``, in the order they are made.
+
+    A ball point is a direction of ``dim`` standard Gaussians, then the
+    uniform of its radius; a point of the other kinds is ``dim`` uniforms, one
+    per coordinate, which :func:`_coords` maps onto the coordinate range.
+    """
+    if m.config.kind in BALL_KINDS:
+        return [rng.gauss] * m.config.dim + [rng.random]
+    return [rng.random] * m.config.dim
 
 
-def _coords(m: GgvModel, draws, margin: float, lib) -> tuple:
+def _uniform(draws: list, lo: float, hi: float) -> list:
+    # ``rng.uniform(lo, hi)`` of each ``rng.random()`` draw ``u`` in ``draws``,
+    # floats or columns of them, as ``random.Random.uniform`` computes it.
+    return [lo + (hi - lo) * u for u in draws]
+
+
+def _coords(m: GgvModel, draws: list, margin: float, lib) -> tuple:
     """The coordinates of the point made from ``draws``, in ``lib``'s form.
 
     A ball point is a Gaussian direction, normalized (a zero direction
     becomes the first axis), at radius ``s * margin * u^(1/dim)`` for a
-    uniform ``u``; the other kinds read their coordinates off the draws.
+    uniform ``u``; the other kinds map their uniforms onto the coordinate
+    range.
     """
     kind = m.config.kind
     if kind == "pathological":
-        return (lib.Phi(draws[0]),)
+        return (lib.Phi(*_uniform(draws, -LINE_RANGE, LINE_RANGE)),)
     if kind == "normed":
-        return tuple(draws)
+        return tuple(_uniform(draws, -NORMED_RANGE, NORMED_RANGE))
     direction, u = draws[:-1], draws[-1]
     n = _norm(direction, lib)
     # A zero direction is +0.0 in every coordinate (random.gauss never
@@ -88,22 +96,7 @@ def _coords(m: GgvModel, draws, margin: float, lib) -> tuple:
 
 def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -> GyroPoint:
     """Draw a carrier point of ``m``; ball radii stay within ``margin * s``."""
-    return _point(m.tag, _coords(m, _draws(m, rng), margin, _POINT))
-
-
-def sample_block(m: GgvModel, rng: random.Random, n: int, margin: float = BALL_MARGIN) -> Block:
-    """The coordinates of ``n >= 1`` successive :func:`sample_point` draws, as columns.
-
-    The ``rng`` calls are made point by point, in the order of ``n`` calls of
-    :func:`sample_point`; the formula that makes the points runs on columns,
-    and row ``i`` is bit for bit the ``i``-th point.
-    """
-    return _block_of(m, _draws(m, rng, n), n, margin)
-
-
-def _block_of(m: GgvModel, draws: list[float], n: int, margin: float) -> Block:
-    # The block of the ``n`` points whose draws are ``draws``, point after point.
-    return _coords(m, list(np.array(draws).reshape(n, -1).T), margin, _BLOCK)
+    return _point(m.tag, _coords(m, [draw() for draw in _draws(m, rng)], margin, _POINT))
 
 
 def _squared_separation(a, b, lib):
@@ -154,34 +147,32 @@ def sample_scalar_away_from(rng: random.Random, excluded: float, min_gap: float,
 # ---------------------------------------------------------------------------
 
 class _Points:
-    """What the point slots share: their draws, their blocks and the
-    per-candidate loop of a slot that rejects candidates."""
+    """What the point slots share: the draws of their points, the blocks made
+    from them and the per-candidate loop of a slot that rejects candidates."""
 
     margin = BALL_MARGIN
     # The points of one candidate.
     width = 1
 
-    def drawer(self, m: GgvModel, rng: random.Random, store: list, previous: list | None,
-               form: GgvModel | None) -> Callable[[], None]:
-        if form is not None and self.rejects:
-            return lambda: self._draw_kept(m, form, rng, store)
-        extend, width = store.extend, self.width
-        return lambda: extend(_draws(m, rng, width))
+    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
+        return _draws(m, rng) * self.width
 
-    def columns(self, m: GgvModel, store: list, n: int) -> list[Block]:
-        block = _block_of(m, store, self.width * n, self.margin)
-        return [tuple(column[j::self.width] for column in block) for j in range(self.width)]
+    def points(self, m: GgvModel, draws: list, lib) -> list:
+        # The candidate's points from its draws, in ``lib``'s form: columns
+        # of draws make blocks.
+        k = len(draws) // self.width
+        return [_coords(m, draws[j * k:(j + 1) * k], self.margin, lib) for j in range(self.width)]
 
-    def _draw_kept(self, m: GgvModel, form: GgvModel, rng: random.Random, store: list) -> None:
+    def columns(self, m: GgvModel, draws: list, n: int) -> list[Block]:
+        return self.points(m, draws, _BLOCK)
+
+    def kept(self, m: GgvModel, form: GgvModel, program: list) -> list[float]:
         # The loop of the rejection samplers for one sample, tested on
         # ``form``, the model ``m`` on coordinate tuples.
         for _ in range(ATTEMPTS):
-            draws = _draws(m, rng, self.width)
-            k = len(draws) // self.width
-            if self.accepts(form, _POINT, *(_coords(m, draws[j * k:(j + 1) * k], self.margin, _POINT)
-                                            for j in range(self.width))):
-                store.extend(draws)
-                return
+            draws = [draw() for draw in program]
+            if self.accepts(form, _POINT, *self.points(m, draws, _POINT)):
+                return draws
         raise SamplingError(self.refusal(m))
 
 
@@ -218,36 +209,51 @@ class Pair(_Points):
         return f"no pair of {m.tag} {self.sep:g} apart in coordinates in {ATTEMPTS} draws: {_TOO_SMALL}"
 
 
-# What a :class:`Scalar` is kept apart from when it is the previous slot's scalar.
-PREVIOUS = "previous"
-
-
 class Scalar:
     """A layout slot of a scalar ``rng.uniform(lo, hi)``; with ``gap`` and
     ``excluded``, the scalar of :func:`sample_scalar_away_from`, at least
-    ``gap`` from ``excluded``, a number or :data:`PREVIOUS`."""
+    ``gap`` from the number ``excluded``."""
 
     # A redraw is made at once, in the sample's own turn.
     rejects = False
 
     def __init__(self, lo: float = -2.0, hi: float = 2.0, gap: float | None = None,
-                 excluded: float | str | None = None) -> None:
+                 excluded: float | None = None) -> None:
         if (gap is None) != (excluded is None):
             raise TypeError("a scalar kept apart needs both its gap and what it is kept from")
         self.lo, self.hi, self.gap, self.excluded = lo, hi, gap, excluded
 
-    def drawer(self, m: GgvModel, rng: random.Random, store: list, previous: list | None,
-               form: GgvModel | None) -> Callable[[], None]:
-        append, lo, hi, gap, excluded = store.append, self.lo, self.hi, self.gap, self.excluded
-        if gap is None:
-            uniform = rng.uniform
-            return lambda: append(uniform(lo, hi))
-        if excluded == PREVIOUS:
-            return lambda: append(sample_scalar_away_from(rng, previous[-1], gap, lo, hi))
-        return lambda: append(sample_scalar_away_from(rng, excluded, gap, lo, hi))
+    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
+        if self.gap is None:
+            return [rng.random]
+        return [partial(sample_scalar_away_from, rng, self.excluded, self.gap, self.lo, self.hi)]
 
-    def columns(self, m: GgvModel, store: list, n: int) -> list[np.ndarray]:
-        return [np.array(store)]
+    def columns(self, m: GgvModel, draws: list, n: int) -> list[np.ndarray]:
+        return _uniform(draws, self.lo, self.hi) if self.gap is None else draws
+
+
+class Distinct:
+    """A layout slot of two scalars: ``r``, the scalar of :func:`sample_scalar`
+    in ``[lo, hi]``, then the scalar of :func:`sample_scalar_away_from`, at
+    least ``gap`` from ``r``.  Its columns are the two scalars."""
+
+    rejects = False
+
+    def __init__(self, gap: float, lo: float = -2.0, hi: float = 2.0) -> None:
+        self.gap, self.lo, self.hi = gap, lo, hi
+
+    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
+        gap, lo, hi, r = self.gap, self.lo, self.hi, 0.0
+
+        def first() -> float:
+            nonlocal r
+            r = sample_scalar(rng, lo, hi)
+            return r
+
+        return [first, lambda: sample_scalar_away_from(rng, r, gap, lo, hi)]
+
+    def columns(self, m: GgvModel, draws: list, n: int) -> list[np.ndarray]:
+        return draws
 
 
 class Const:
@@ -259,18 +265,17 @@ class Const:
     def __init__(self, value: Callable[[GgvModel], object]) -> None:
         self.value = value
 
-    def drawer(self, m: GgvModel, rng: random.Random, store: list, previous: list | None,
-               form: GgvModel | None) -> None:
-        return None
+    def program(self, m: GgvModel, rng: random.Random) -> list:
+        return []
 
-    def columns(self, m: GgvModel, store: list, n: int) -> list:
+    def columns(self, m: GgvModel, draws: list, n: int) -> list:
         value = self.value(m)
         if isinstance(value, GyroPoint):
             return [tuple(np.full(n, x) for x in value.coords)]
         return [np.full(n, value)]
 
 
-Slot = Point | Pair | Scalar | Const
+Slot = Point | Pair | Scalar | Distinct | Const
 
 # A layout that rejects candidates draws at most _SPAN samples speculatively
 # between two checkpoints, and fewer than _MIN_SPAN one at a time.
@@ -280,66 +285,70 @@ _SPAN, _MIN_SPAN = 256, 32
 def sample_columns(m: GgvModel, rng: random.Random, n: int, layout: tuple[Slot, ...]) -> list:
     """The columns of ``n >= 1`` samples of ``layout``, slot after slot.
 
-    The ``rng`` calls are those of a loop that draws each sample slot by slot
-    with the point and scalar samplers, in the same order.  Row ``i`` is bit
-    for bit the ``i``-th sample of that loop.  A layout that rejects
-    candidates draws spans of samples speculatively; the span restarts at
-    one sample after a rejection and doubles after each span, and a span
-    shorter than ``_MIN_SPAN`` is drawn one sample at a time, as the loop
-    draws it.
+    The layout is compiled into one sample's list of ``rng`` calls, slot
+    after slot, each returning one float: a point's draws (see
+    :func:`_draws`), a scalar's ``rng.random()``, a kept-apart scalar's
+    whole redraw loop.  The list runs once per sample, in one pass over all
+    samples, and each slot makes its columns from its own columns of draws:
+    a point slot its blocks, a scalar its values.  So the ``rng`` calls are
+    those of a loop that draws each sample slot by slot with the point and
+    scalar samplers, in the same order, and row ``i`` is bit for bit the
+    ``i``-th sample of that loop.  A layout that rejects candidates draws
+    spans of samples speculatively; the span restarts at one sample after a
+    rejection and doubles after each span, and a span shorter than
+    ``_MIN_SPAN`` is drawn one sample at a time, as the loop draws it.
     """
-    stores: list[list] = [[] for _ in layout]
+    programs = [slot.program(m, rng) for slot in layout]
+    program = [draw for slot_program in programs for draw in slot_program]
     rejecting = [i for i, slot in enumerate(layout) if slot.rejects]
     if not rejecting:
-        _draw(stores, m, rng, n, layout)
-        return _columns(m, layout, stores, n)
+        return _columns(m, layout, _by_slot([draw() for _ in range(n) for draw in program], n, programs), n)
+    draws: list[float] = []
     on_points = on_blocks = None
     done, span = 0, _SPAN
     while done < n:
         rows, span = min(n - done, span), min(2 * span, _SPAN)
-        marks = [len(store) for store in stores]
         if rows < _MIN_SPAN:
             on_points = on_points or _in_form(m, _POINT)
-            _draw(stores, m, rng, rows, layout, on_points)
+            for _ in range(rows):
+                for slot, slot_program in zip(layout, programs):
+                    draws += (slot.kept(m, on_points, slot_program) if slot.rejects
+                              else [draw() for draw in slot_program])
         else:
             on_blocks = on_blocks or _on_blocks(m)
             checkpoint = rng.getstate()
-            _draw(stores, m, rng, rows, layout)
-            tested = {i: layout[i].columns(m, stores[i][marks[i]:], rows) for i in rejecting}
+            drawn = [draw() for _ in range(rows) for draw in program]
+            slots = _by_slot(drawn, rows, programs)
+            tested = {i: layout[i].columns(m, slots[i], rows) for i in rejecting}
             first = min(_first_false(layout[i].accepts(on_blocks, _BLOCK, *tested[i])) for i in rejecting)
             if first < rows:
                 # Rewind and draw the accepted rows again; the rejected
                 # sample starts a span drawn one sample at a time.
                 rng.setstate(checkpoint)
-                for store, mark in zip(stores, marks):
-                    del store[mark:]
-                _draw(stores, m, rng, first, layout)
+                drawn = [draw() for _ in range(first) for draw in program]
                 rows, span = first, 1
             elif rows == n:
                 # One span and no rejection: the tested blocks are the columns.
-                return [column for i, (slot, store) in enumerate(zip(layout, stores))
-                        for column in tested.get(i) or slot.columns(m, store, n)]
+                return _columns(m, layout, slots, n, tested)
+            draws += drawn
         done += rows
-    return _columns(m, layout, stores, n)
+    return _columns(m, layout, _by_slot(draws, n, programs), n)
 
 
-def _draw(stores: list, m: GgvModel, rng: random.Random, rows: int, layout: tuple[Slot, ...],
-          form: GgvModel | None = None) -> None:
-    """Append the draws of ``rows`` samples of ``layout`` to ``stores``, one
-    list per slot.  A slot that rejects candidates takes its first one, or
-    with ``form``, the model on coordinate tuples, draws them until one is
-    kept."""
-    drawers = [slot.drawer(m, rng, store, previous, form)
-               for slot, store, previous in zip(layout, stores, [None] + stores)]
-    drawers = [draw for draw in drawers if draw is not None]
-    for _ in range(rows):
-        for draw in drawers:
-            draw()
+def _by_slot(draws: list[float], n: int, programs: list[list]) -> list[list[np.ndarray]]:
+    # The draws of ``n`` successive samples made by ``programs``, one list of
+    # columns per slot: a column per ``rng`` call of a sample.
+    ends = [0, *accumulate(map(len, programs))]
+    table = list(np.array(draws).reshape(n, ends[-1]).T)
+    return [table[start:end] for start, end in zip(ends, ends[1:])]
 
 
-def _columns(m: GgvModel, layout: tuple[Slot, ...], stores: list, n: int) -> list:
-    # The columns of every slot, in order, from the draws of ``n`` samples.
-    return [column for slot, store in zip(layout, stores) for column in slot.columns(m, store, n)]
+def _columns(m: GgvModel, layout: tuple[Slot, ...], slots: list, n: int, made: dict | None = None) -> list:
+    # The columns of every slot, in order, from its columns of draws; ``made``
+    # holds the columns of slots already made.
+    made = made or {}
+    return [column for i, slot in enumerate(layout)
+            for column in made.get(i) or slot.columns(m, slots[i], n)]
 
 
 def _first_false(ok: np.ndarray) -> int:

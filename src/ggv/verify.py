@@ -9,13 +9,12 @@ implications count violations (so their residual is ``0.0`` or ``1.0``).
 Each check of :data:`GROUPS` is a :class:`Check`, split in two: ``sample``
 draws the inputs of all samples from the check's seeded stream, stacked row
 by row, and ``evaluate`` computes their residuals at once on blocks (see
-:func:`ggv.models._on_blocks`).  A check of points alone draws all of them as
-one block with :func:`ggv.sampling.sample_block`.  Every other check declares
-the layout of one sample, a tuple of slots (a point, a point away from the
-identity, a separated pair, a scalar, a scalar kept apart from another, the
-unit, the zero norm value), and :func:`ggv.sampling.sample_columns` draws
-``n`` samples of it: the ``rng`` calls of a loop over samples, each point
-slot's points made as one block.  A slot that rejects candidates is drawn
+:func:`ggv.models._on_blocks`).  Every check declares the layout of one
+sample, a tuple of slots (a point, a point away from the identity, a
+separated pair, a scalar, a scalar kept apart from a number, two scalars
+kept apart, the unit, the zero norm value), and
+:func:`ggv.sampling.sample_columns` draws ``n`` samples of it: the ``rng``
+calls of a loop over samples, each point slot's points made as one block.  A slot that rejects candidates is drawn
 speculatively and replayed from a checkpoint of the stream at its first
 rejected row, so the columns are bit for bit those of the loop.  Norm values,
 interval ends and the unit substituted into a pair are computed from the
@@ -44,13 +43,12 @@ from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads v
 from .models import _BLOCK, _on_blocks, _row_wise
 from .sampling import (
     BALL_MARGIN,
-    PREVIOUS,
     Const,
+    Distinct,
     Pair,
     Point,
     Scalar,
     _squared_separation,
-    sample_block,
     sample_columns,
 )
 from .space import (
@@ -110,16 +108,6 @@ class Check:
         return self.evaluate(_on_blocks(m), *columns)
 
 
-def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
-    """A sampler of ``k`` carrier points per sample: ``k * n`` points drawn
-    as one block, of which argument ``j`` takes rows ``j::k``."""
-    def sample(m, rng, n):
-        block = sample_block(m, rng, k * n, margin)
-        return [tuple(column[j::k] for column in block) for j in range(k)]
-
-    return sample
-
-
 def _layout(*slots, then: Callable | None = None) -> SampleFn:
     """A sampler of ``n`` samples, each laid out as ``slots`` (see
     :func:`ggv.sampling.sample_columns`), whose columns pass through
@@ -127,6 +115,11 @@ def _layout(*slots, then: Callable | None = None) -> SampleFn:
     if then is None:
         return lambda m, rng, n: sample_columns(m, rng, n, slots)
     return lambda m, rng, n: then(m, *sample_columns(m, rng, n, slots))
+
+
+def _points(k: int, margin: float = BALL_MARGIN) -> SampleFn:
+    """A sampler of ``k`` carrier points per sample, ``k`` point slots."""
+    return _layout(*[Point(margin)] * k)
 
 
 def _dn(b: GgvModel, A, B):
@@ -306,7 +299,7 @@ def _nonunit_norm_positive(b, a):
     return _violated(abs(_gnorm(b, a)) > MIN_DISTINGUISHABLE)
 
 
-_nonunit_point_and_distinct_scalars = _layout(Point(away=1e-2), Scalar(), Scalar(gap=0.05, excluded=PREVIOUS))
+_nonunit_point_and_distinct_scalars = _layout(Point(away=1e-2), Distinct(0.05))
 
 
 def _scalar_norm_cancellation(b, a, r, s_):
@@ -402,8 +395,7 @@ def _metric_matches_linearized_gyrometric(b, x, y):
 # Order machinery on the norm-value line.
 # ---------------------------------------------------------------------------
 
-_nonunit_point_and_ordered_scalars = _layout(Point(away=1e-2), Scalar(0.0, 2.0),
-                                             Scalar(0.0, 2.0, gap=1e-4, excluded=PREVIOUS))
+_nonunit_point_and_ordered_scalars = _layout(Point(away=1e-2), Distinct(1e-4, 0.0, 2.0))
 
 
 def _scaling_order_equivalence(b, a, alpha, beta):
@@ -429,7 +421,7 @@ def _linear_homogeneous(b, A, r):
     return abs(b.nvs.lin(b.nvs.nv_smul(r, A)) - r * b.nvs.lin(A))
 
 
-_distinct_reals = _layout(Scalar(0.0, 3.0), Scalar(0.0, 3.0, gap=1e-6, excluded=PREVIOUS))
+_distinct_reals = _layout(Distinct(1e-6, 0.0, 3.0))
 
 
 def _linear_order(b, t1, t2):

@@ -40,7 +40,7 @@ from ggv import (
     verify_midpoint_preservation,
 )
 from ggv.cli import main
-from ggv.isometry import CONSTRUCTION_PAIRS, _exact_forms
+from ggv.isometry import CONSTRUCTION_PAIRS, _exact_forms, _sample_pairs
 from ggv.sampling import sample_point
 from ggv.space import DEFAULT_TOLERANCE, gyrometric, nv_smul, worst_residual
 from ggv.verify import GROUPS, run_check
@@ -363,6 +363,25 @@ def test_a_recorded_preservation_check_is_reused_only_when_it_settles_the_check(
         assert calls == [(100, 4)]
     with pytest.raises(ValueError):
         dataclasses.replace(T, preservation=(4, 0.0))
+
+
+def test_the_pairs_of_a_shorter_preservation_check_are_a_prefix_of_the_recorded_ones(any_model):
+    # The record of a map's construction settles every check with the same
+    # seed and at most CONSTRUCTION_PAIRS pairs only because those pairs are
+    # the first rows of the recorded ones.
+    def pair_bytes(blocks, rows):
+        return [column[:rows].tobytes() for block in blocks for column in block]
+
+    counts = (1, 2, 7, 31, 32, 33, 100, 199, CONSTRUCTION_PAIRS)
+    for seed in (0, 3):
+        recorded = _sample_pairs(any_model, random.Random(f"{seed}:preservation"), 0.9, CONSTRUCTION_PAIRS)
+        for k in counts:
+            shorter = _sample_pairs(any_model, random.Random(f"{seed}:preservation"), 0.9, k)
+            assert pair_bytes(shorter, k) == pair_bytes(recorded, k)
+        T = random_isometry(any_model, seed=seed, depth=4)
+        assert T.preservation[0] == seed
+        for k in counts:
+            assert map_preservation_residual(T, k, seed) <= T.preservation[1]
 
 
 def test_nan_images_fail_the_preservation_check(normed2):

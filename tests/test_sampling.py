@@ -1,4 +1,4 @@
-"""The samplers: block draws against point draws, columns against a loop over samples."""
+"""The samplers: the point sampler against plain ``random`` calls, columns against a loop over samples."""
 
 import math
 import random
@@ -9,12 +9,11 @@ import pytest
 from ggv import ModelConfig, gnorm, linearize, make_model, sampling
 from ggv.errors import SamplingError
 from ggv.gyrogroup import GyroPoint
-from ggv.models import _block
+from ggv.models import path_Phi
 from ggv.sampling import (
     Pair,
     Point,
     Scalar,
-    sample_block,
     sample_columns,
     sample_point,
     sample_point_away_from_identity,
@@ -28,6 +27,36 @@ SAMPLED_CONFIGS = [ModelConfig(kind, dim=dim, s=2.5 if kind == "einstein" else 1
                    for kind in ("normed", "einstein", "mobius") for dim in range(1, 6)] + [ModelConfig("pathological")]
 
 
+def _plain_point(cfg, rng, margin):
+    # One point drawn with plain ``random`` calls, as sample_point is documented to draw it.
+    if cfg.kind == "normed":
+        return tuple(rng.uniform(-3, 3) for _ in range(cfg.dim))
+    if cfg.kind == "pathological":
+        return (path_Phi(rng.uniform(-5, 5)),)
+    direction = [rng.gauss(0.0, 1.0) for _ in range(cfg.dim)]
+    u = rng.random()
+    norm = math.sqrt(sum(x * x for x in direction))
+    if norm == 0.0:
+        direction, norm = [1.0] + direction[1:], 1.0
+    radius = cfg.s * margin * u ** (1 / cfg.dim)
+    return tuple(radius * x / norm for x in direction)
+
+
+@pytest.mark.parametrize("cfg", SAMPLED_CONFIGS, ids=lambda cfg: cfg.tag)
+@pytest.mark.parametrize("cached_gauss", [False, True])
+def test_a_point_is_drawn_by_its_documented_random_calls(cfg, cached_gauss):
+    m = make_model(cfg)
+    for margin in (0.95, 0.8, 0.6):
+        sampled, plain = random.Random(f"{cfg.tag}:{margin}"), random.Random(f"{cfg.tag}:{margin}")
+        if cached_gauss:  # an odd number of Gaussians leaves the next one cached
+            sampled.gauss(0.0, 1.0)
+            plain.gauss(0.0, 1.0)
+        for _ in range(7):
+            assert [x.hex() for x in sample_point(m, sampled, margin).coords] == [
+                x.hex() for x in _plain_point(cfg, plain, margin)]
+        assert sampled.getstate() == plain.getstate()
+
+
 @pytest.mark.parametrize("cfg", SAMPLED_CONFIGS, ids=lambda cfg: cfg.tag)
 @pytest.mark.parametrize("cached_gauss", [False, True])
 def test_a_block_is_a_loop_of_point_draws_bit_for_bit(cfg, cached_gauss):
@@ -39,7 +68,7 @@ def test_a_block_is_a_loop_of_point_draws_bit_for_bit(cfg, cached_gauss):
                 by_point.gauss(0.0, 1.0)
                 by_block.gauss(0.0, 1.0)
             points = [sample_point(m, by_point, margin).coords for _ in range(n)]
-            block = sample_block(m, by_block, n, margin)
+            (block,) = sample_columns(m, by_block, n, (Point(margin),))
             assert [[x.hex() for x in column.tolist()] for column in block] == [
                 [p[j].hex() for p in points] for j in range(cfg.dim)]
             assert by_block.getstate() == by_point.getstate()
@@ -55,7 +84,7 @@ class _ZeroGaussians(random.Random):
 def test_a_zero_direction_becomes_the_first_axis_in_both_samplers():
     m = make_model(ModelConfig("mobius", dim=3))
     point = sample_point(m, _ZeroGaussians(5), 0.9).coords
-    block = sample_block(m, _ZeroGaussians(5), 2, 0.9)
+    (block,) = sample_columns(m, _ZeroGaussians(5), 2, (Point(0.9),))
     assert point[0] > 0.0 and point[1:] == (0.0, 0.0)
     assert tuple(column[0] for column in block) == point
 
@@ -68,9 +97,14 @@ def _one_at_a_time(sample):
     # The reference: n draws of one sample, each input stacked into a block or a column.
     def sample_n(m, rng, n):
         rows = [sample(m, rng) for _ in range(n)]
-        return [_block(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+        return [_stack(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
 
     return sample_n
+
+
+def _stack(points):
+    # Points as a block: one column per coordinate.
+    return tuple(np.array(column) for column in zip(*(p.coords for p in points)))
 
 
 def _points(k, margin=0.95):
@@ -192,7 +226,7 @@ def test_the_reference_covers_every_check():
 @pytest.mark.parametrize("cached_gauss", [False, True])
 def test_every_check_draws_its_loop_bit_for_bit(cfg, cached_gauss):
     # A cached Gaussian only changes the first draws, and a check of points
-    # alone is one sample_block.  A layout that rejects candidates draws
+    # alone draws no scalar.  A layout that rejects candidates draws
     # 1,000 samples, the CLI default, in four speculative spans; any other
     # sampler draws all of its samples in one pass.
     m = make_model(cfg)
