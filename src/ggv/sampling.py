@@ -11,16 +11,16 @@ rounds exactly as that point does.
 :class:`Const`) that says what one sample holds.  It compiles the layout
 into one sample's list of ``rng`` calls, slot after slot, each returning one
 float, runs that list once per sample, and makes each slot's columns from
-its columns of draws: a point slot's blocks, a scalar's values.  So it makes
-the ``rng`` calls of a loop that draws each sample with the point and scalar
-samplers below, in the same order.  A scalar that must keep a gap is
-redrawn at once, as :func:`sample_scalar_away_from` does.  A point slot that
-rejects candidates (a point away from the identity, a separated pair) is
-drawn speculatively, a span of samples at a time: each takes its first
-candidate, and acceptance is tested on the block.  At the first rejected row
-the stream is set back to the state saved before the span and the accepted
-rows are drawn again; the rejected sample and the next few are then drawn
-one at a time, candidate by candidate, before speculation resumes.
+its columns of draws: a point slot's blocks, a scalar's values.  So every
+sample takes its first candidates in the ``rng`` calls of a loop that draws
+each sample with the point and scalar samplers below, in the same order.  A
+scalar that must keep a gap is redrawn at once, as
+:func:`sample_scalar_away_from` does.  A point slot that rejects candidates
+(a point away from the identity, a separated pair) tests its first
+candidates on the block, then redraws all of its rejected rows together, in
+row order, round after round, until every row holds a candidate it keeps.
+Rows before its first rejected candidate are those of the loop; later rows
+come from later positions of the stream, so they depend on ``n``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
-from .models import _BLOCK, _POINT, BALL_KINDS, Block, _in_form, _norm, _on_blocks
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _norm, _on_blocks
 from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -46,7 +46,8 @@ BALL_MARGIN = 0.95
 LINE_RANGE = 5.0
 # Coordinate range for the normed model.
 NORMED_RANGE = 3.0
-# Draws a rejection sampler makes before it gives up.
+# Candidates a rejection sampler draws before it gives up: for one sample, or
+# for a layout slot since it last kept one (see :meth:`_Points.redrawn`).
 ATTEMPTS = 1000
 # Why a point sampler can give up: its thresholds are absolute, while ball
 # points scale with the radius.
@@ -148,7 +149,7 @@ def sample_scalar_away_from(rng: random.Random, excluded: float, min_gap: float,
 
 class _Points:
     """What the point slots share: the draws of their points, the blocks made
-    from them and the per-candidate loop of a slot that rejects candidates."""
+    from them and the rounds of redraws of a slot that rejects candidates."""
 
     margin = BALL_MARGIN
     # The points of one candidate.
@@ -157,36 +158,51 @@ class _Points:
     def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
         return _draws(m, rng) * self.width
 
-    def points(self, m: GgvModel, draws: list, lib) -> list:
-        # The candidate's points from its draws, in ``lib``'s form: columns
-        # of draws make blocks.
+    def points(self, m: GgvModel, draws: list) -> list[Block]:
+        # The candidates' blocks from their columns of draws.
         k = len(draws) // self.width
-        return [_coords(m, draws[j * k:(j + 1) * k], self.margin, lib) for j in range(self.width)]
+        return [_coords(m, draws[j * k:(j + 1) * k], self.margin, _BLOCK) for j in range(self.width)]
 
-    def columns(self, m: GgvModel, draws: list, n: int) -> list[Block]:
-        return self.points(m, draws, _BLOCK)
+    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[Block]:
+        blocks = self.points(m, draws)
+        return self.redrawn(m, blocks, n, program) if self.rejects else blocks
 
-    def kept(self, m: GgvModel, form: GgvModel, program: list) -> list[float]:
-        # The loop of the rejection samplers for one sample, tested on
-        # ``form``, the model ``m`` on coordinate tuples.
-        for _ in range(ATTEMPTS):
-            draws = [draw() for draw in program]
-            if self.accepts(form, _POINT, *self.points(m, draws, _POINT)):
-                return draws
-        raise SamplingError(self.refusal(m))
+    def redrawn(self, m: GgvModel, blocks: list[Block], n: int, program: list) -> list[Block]:
+        """``blocks`` with every rejected row redrawn by ``program``, one
+        candidate's ``rng`` calls: all rejected rows together, in row order,
+        round after round, until every row holds a candidate it keeps.
+
+        The slot refuses as its rejection sampler does once it has drawn
+        ``ATTEMPTS`` candidates since it last kept one, counted in whole
+        rounds; a first pass that keeps nothing counts every row.
+        """
+        form = _on_blocks(m)
+        ok = self.accepts(form, *blocks)
+        rejected, idle = np.flatnonzero(~ok), 0 if ok.any() else n
+        while len(rejected):
+            if idle >= ATTEMPTS:
+                raise SamplingError(self.refusal(m))
+            k = len(rejected)
+            candidates = self.points(m, _by_slot([draw() for _ in range(k) for draw in program], k, [program])[0])
+            ok = self.accepts(form, *candidates)
+            for block, candidate in zip(blocks, candidates):
+                for column, new in zip(block, candidate):
+                    column[rejected[ok]] = new[ok]
+            rejected, idle = rejected[~ok], 0 if ok.any() else idle + k
+        return blocks
 
 
 class Point(_Points):
     """A layout slot of one point within ``margin * s``, as :func:`sample_point`
-    draws it; with ``away``, the point of :func:`sample_point_away_from_identity`
-    at that linearized norm.  Its column is a block."""
+    draws it; with ``away``, a point at that linearized norm or more, kept as
+    :func:`sample_point_away_from_identity` keeps it and redrawn in rounds
+    (see :meth:`_Points.redrawn`).  Its column is a block."""
 
     def __init__(self, margin: float = BALL_MARGIN, away: float | None = None) -> None:
         self.margin, self.away, self.rejects = margin, away, away is not None
 
-    def accepts(self, form: GgvModel, lib, a):
-        # Whether a candidate is kept: one in coordinates with ``form`` the
-        # model in ``lib``'s form, or a block of them row by row.
+    def accepts(self, form: GgvModel, a) -> np.ndarray:
+        # Which rows of the block ``a`` are kept, with ``form`` the model on blocks.
         return form.nvs.lin(_gnorm(form, a)) >= self.away
 
     def refusal(self, m: GgvModel) -> str:
@@ -194,16 +210,17 @@ class Point(_Points):
 
 
 class Pair(_Points):
-    """A layout slot of the two points of :func:`sample_separated_pair`, at
-    least ``sep`` apart in carrier coordinates.  Its columns are two blocks."""
+    """A layout slot of two points at least ``sep`` apart in carrier
+    coordinates, kept as :func:`sample_separated_pair` keeps them and redrawn
+    in rounds (see :meth:`_Points.redrawn`).  Its columns are two blocks."""
 
     width, rejects = 2, True
 
     def __init__(self, sep: float) -> None:
         self.sep = sep
 
-    def accepts(self, form: GgvModel, lib, a, c):
-        return lib.sqrt(_squared_separation(a, c, lib)) >= self.sep
+    def accepts(self, form: GgvModel, a, c) -> np.ndarray:
+        return np.sqrt(_squared_separation(a, c, _BLOCK)) >= self.sep
 
     def refusal(self, m: GgvModel) -> str:
         return f"no pair of {m.tag} {self.sep:g} apart in coordinates in {ATTEMPTS} draws: {_TOO_SMALL}"
@@ -214,9 +231,6 @@ class Scalar:
     ``excluded``, the scalar of :func:`sample_scalar_away_from`, at least
     ``gap`` from the number ``excluded``."""
 
-    # A redraw is made at once, in the sample's own turn.
-    rejects = False
-
     def __init__(self, lo: float = -2.0, hi: float = 2.0, gap: float | None = None,
                  excluded: float | None = None) -> None:
         if (gap is None) != (excluded is None):
@@ -224,11 +238,12 @@ class Scalar:
         self.lo, self.hi, self.gap, self.excluded = lo, hi, gap, excluded
 
     def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
+        # A redraw is made at once, in the sample's own turn.
         if self.gap is None:
             return [rng.random]
         return [partial(sample_scalar_away_from, rng, self.excluded, self.gap, self.lo, self.hi)]
 
-    def columns(self, m: GgvModel, draws: list, n: int) -> list[np.ndarray]:
+    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[np.ndarray]:
         return _uniform(draws, self.lo, self.hi) if self.gap is None else draws
 
 
@@ -236,8 +251,6 @@ class Distinct:
     """A layout slot of two scalars: ``r``, the scalar of :func:`sample_scalar`
     in ``[lo, hi]``, then the scalar of :func:`sample_scalar_away_from`, at
     least ``gap`` from ``r``.  Its columns are the two scalars."""
-
-    rejects = False
 
     def __init__(self, gap: float, lo: float = -2.0, hi: float = 2.0) -> None:
         self.gap, self.lo, self.hi = gap, lo, hi
@@ -252,7 +265,7 @@ class Distinct:
 
         return [first, lambda: sample_scalar_away_from(rng, r, gap, lo, hi)]
 
-    def columns(self, m: GgvModel, draws: list, n: int) -> list[np.ndarray]:
+    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[np.ndarray]:
         return draws
 
 
@@ -260,15 +273,13 @@ class Const:
     """A layout slot that draws nothing: ``value(m)``, a point or a number, on
     every row, as a block or a column."""
 
-    rejects = False
-
     def __init__(self, value: Callable[[GgvModel], object]) -> None:
         self.value = value
 
     def program(self, m: GgvModel, rng: random.Random) -> list:
         return []
 
-    def columns(self, m: GgvModel, draws: list, n: int) -> list:
+    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list:
         value = self.value(m)
         if isinstance(value, GyroPoint):
             return [tuple(np.full(n, x) for x in value.coords)]
@@ -276,10 +287,6 @@ class Const:
 
 
 Slot = Point | Pair | Scalar | Distinct | Const
-
-# A layout that rejects candidates draws at most _SPAN samples speculatively
-# between two checkpoints, and fewer than _MIN_SPAN one at a time.
-_SPAN, _MIN_SPAN = 256, 32
 
 
 def sample_columns(m: GgvModel, rng: random.Random, n: int, layout: tuple[Slot, ...]) -> list:
@@ -290,49 +297,18 @@ def sample_columns(m: GgvModel, rng: random.Random, n: int, layout: tuple[Slot, 
     :func:`_draws`), a scalar's ``rng.random()``, a kept-apart scalar's
     whole redraw loop.  The list runs once per sample, in one pass over all
     samples, and each slot makes its columns from its own columns of draws:
-    a point slot its blocks, a scalar its values.  So the ``rng`` calls are
-    those of a loop that draws each sample slot by slot with the point and
-    scalar samplers, in the same order, and row ``i`` is bit for bit the
-    ``i``-th sample of that loop.  A layout that rejects candidates draws
-    spans of samples speculatively; the span restarts at one sample after a
-    rejection and doubles after each span, and a span shorter than
-    ``_MIN_SPAN`` is drawn one sample at a time, as the loop draws it.
+    a point slot its blocks, a scalar its values.  So the first pass makes
+    the ``rng`` calls of a loop that draws each sample slot by slot with the
+    point and scalar samplers, taking each point's first candidate.  A slot
+    that rejects candidates then redraws its rejected rows in rounds, in
+    slot order (see :meth:`_Points.redrawn`); a layout without one draws
+    row ``i`` bit for bit as the ``i``-th sample of that loop.
     """
     programs = [slot.program(m, rng) for slot in layout]
     program = [draw for slot_program in programs for draw in slot_program]
-    rejecting = [i for i, slot in enumerate(layout) if slot.rejects]
-    if not rejecting:
-        return _columns(m, layout, _by_slot([draw() for _ in range(n) for draw in program], n, programs), n)
-    draws: list[float] = []
-    on_points = on_blocks = None
-    done, span = 0, _SPAN
-    while done < n:
-        rows, span = min(n - done, span), min(2 * span, _SPAN)
-        if rows < _MIN_SPAN:
-            on_points = on_points or _in_form(m, _POINT)
-            for _ in range(rows):
-                for slot, slot_program in zip(layout, programs):
-                    draws += (slot.kept(m, on_points, slot_program) if slot.rejects
-                              else [draw() for draw in slot_program])
-        else:
-            on_blocks = on_blocks or _on_blocks(m)
-            checkpoint = rng.getstate()
-            drawn = [draw() for _ in range(rows) for draw in program]
-            slots = _by_slot(drawn, rows, programs)
-            tested = {i: layout[i].columns(m, slots[i], rows) for i in rejecting}
-            first = min(_first_false(layout[i].accepts(on_blocks, _BLOCK, *tested[i])) for i in rejecting)
-            if first < rows:
-                # Rewind and draw the accepted rows again; the rejected
-                # sample starts a span drawn one sample at a time.
-                rng.setstate(checkpoint)
-                drawn = [draw() for _ in range(first) for draw in program]
-                rows, span = first, 1
-            elif rows == n:
-                # One span and no rejection: the tested blocks are the columns.
-                return _columns(m, layout, slots, n, tested)
-            draws += drawn
-        done += rows
-    return _columns(m, layout, _by_slot(draws, n, programs), n)
+    slots = _by_slot([draw() for _ in range(n) for draw in program], n, programs)
+    return [column for slot, draws, slot_program in zip(layout, slots, programs)
+            for column in slot.columns(m, draws, n, slot_program)]
 
 
 def _by_slot(draws: list[float], n: int, programs: list[list]) -> list[list[np.ndarray]]:
@@ -341,17 +317,3 @@ def _by_slot(draws: list[float], n: int, programs: list[list]) -> list[list[np.n
     ends = [0, *accumulate(map(len, programs))]
     table = list(np.array(draws).reshape(n, ends[-1]).T)
     return [table[start:end] for start, end in zip(ends, ends[1:])]
-
-
-def _columns(m: GgvModel, layout: tuple[Slot, ...], slots: list, n: int, made: dict | None = None) -> list:
-    # The columns of every slot, in order, from its columns of draws; ``made``
-    # holds the columns of slots already made.
-    made = made or {}
-    return [column for i, slot in enumerate(layout)
-            for column in made.get(i) or slot.columns(m, slots[i], n)]
-
-
-def _first_false(ok: np.ndarray) -> int:
-    # The index of the first False entry of ``ok``, or its length.
-    rejected = np.flatnonzero(~ok)
-    return int(rejected[0]) if len(rejected) else len(ok)

@@ -14,9 +14,9 @@ sample, a tuple of slots (a point, a point away from the identity, a
 separated pair, a scalar, a scalar kept apart from a number, two scalars
 kept apart, the unit, the zero norm value), and
 :func:`ggv.sampling.sample_columns` draws ``n`` samples of it: the ``rng``
-calls of a loop over samples, each point slot's points made as one block.  A slot that rejects candidates is drawn
-speculatively and replayed from a checkpoint of the stream at its first
-rejected row, so the columns are bit for bit those of the loop.  Norm values,
+calls of a loop over samples, each point slot's points made as one block.
+A slot that rejects candidates keeps its first candidates where it can and
+then redraws its rejected rows together, round after round.  Norm values,
 interval ends and the unit substituted into a pair are computed from the
 drawn columns afterwards.  The evaluation calls the model kernels directly,
 since its points were sampled in the carrier; the norm-value operations keep

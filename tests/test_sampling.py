@@ -1,4 +1,10 @@
-"""The samplers: the point sampler against plain ``random`` calls, columns against a loop over samples."""
+"""The samplers: the point sampler against plain ``random`` calls, columns
+against a reference drawn with the public point and scalar samplers.
+
+The reference of a layout that rejects nothing is a loop over samples; that
+of a layout with a slot that rejects candidates draws every sample's first
+candidates as the loop does, then redraws the rejected rows in rounds.
+"""
 
 import math
 import random
@@ -90,16 +96,39 @@ def test_a_zero_direction_becomes_the_first_axis_in_both_samplers():
 
 
 # ---------------------------------------------------------------------------
-# Every check's sampler against the loop that draws one sample at a time.
+# Every check's sampler against a reference drawn by the point and scalar
+# samplers: a loop over samples, and rounds of redraws for rejected rows.
 # ---------------------------------------------------------------------------
 
 def _one_at_a_time(sample):
-    # The reference: n draws of one sample, each input stacked into a block or a column.
+    # The reference of a layout that rejects nothing: n draws of one sample.
+    return lambda m, rng, n: _stacked([sample(m, rng) for _ in range(n)])
+
+
+def _in_rounds(first, redraw, kept, at=0, then=lambda m, *row: row, log=None):
+    # The reference of a layout with a slot that rejects candidates: every
+    # sample's first candidates, slot by slot (``first``, with the rejecting
+    # slot's candidate at index ``at``), then rounds of ``redraw`` for the
+    # rows still rejected, in row order, until ``kept`` holds on every row.
+    # ``then`` makes a sample from its row; ``log`` collects the rows that
+    # each round, the first pass included, leaves rejected.
     def sample_n(m, rng, n):
-        rows = [sample(m, rng) for _ in range(n)]
-        return [_stack(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
+        rows = [list(first(m, rng)) for _ in range(n)]
+        rejected = [i for i, row in enumerate(rows) if not kept(m, row[at])]
+        while rejected:
+            if log is not None:
+                log.append(rejected)
+            for i in rejected:
+                rows[i][at] = redraw(m, rng)
+            rejected = [i for i in rejected if not kept(m, rows[i][at])]
+        return _stacked([then(m, *row) for row in rows])
 
     return sample_n
+
+
+def _stacked(rows):
+    # Samples as columns: each input stacked into a block or a column.
+    return [_stack(c) if isinstance(c[0], GyroPoint) else np.array(c) for c in zip(*rows)]
 
 
 def _stack(points):
@@ -140,34 +169,50 @@ def _two_intervals(m, rng):
     return lo_a, hi_a, lo_b, hi_b
 
 
-def _nonunit_and_nonzero(m, rng):
-    return sample_point_away_from_identity(m, rng, SEPARATION), sample_scalar_away_from(rng, 0.0, 0.1)
+def _away(t):
+    # The test of sample_point_away_from_identity.
+    return lambda m, a: linearize(m.nvs, gnorm(m, a)) >= t
 
 
-def _distinct_scalars(m, rng):
-    a = sample_point_away_from_identity(m, rng, 1e-2)
-    r = sample_scalar(rng)
+def _squared_apart(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a.coords, b.coords))
+
+
+def _separated(sep):
+    # The test of sample_separated_pair, summed as it sums.
+    return lambda m, pair: math.sqrt(_squared_apart(*pair)) >= sep
+
+
+def _pair(m, rng):
+    return sample_point(m, rng), sample_point(m, rng)
+
+
+def _point_and_nonzero(m, rng):
+    return sample_point(m, rng), sample_scalar_away_from(rng, 0.0, 0.1)
+
+
+def _point_and_distinct_scalars(m, rng):
+    a, r = sample_point(m, rng), sample_scalar(rng)
     return a, r, sample_scalar_away_from(rng, r, 0.05)
 
 
-def _separated_pair_or_unit(m, rng):
-    a, b = sample_separated_pair(m, rng, SEPARATION)
+def _pair_or_unit(m, pair, u):
+    a, b = pair
     vacuous = False
-    if rng.random() < 0.2:
+    if u < 0.2:
         b = m.identity
-        vacuous = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) < SEPARATION ** 2
+        vacuous = _squared_apart(a, b) < SEPARATION ** 2
     return a, b, vacuous
 
 
-def _ordered_scalars(m, rng):
-    a = sample_point_away_from_identity(m, rng, 1e-2)
-    alpha = rng.uniform(0.0, 2.0)
+def _point_and_ordered_scalars(m, rng):
+    a, alpha = sample_point(m, rng), rng.uniform(0.0, 2.0)
     return a, alpha, sample_scalar_away_from(rng, alpha, 1e-4, 0.0, 2.0)
 
 
 # One sample of every check, drawn by the point and scalar samplers in turn:
-# the checks of points alone, the other checks whose samplers reject
-# nothing, and those that reject candidates.
+# the checks of points alone and the other checks whose samplers reject
+# nothing; the arguments of ``_in_rounds`` for those that reject candidates.
 POINTS_ONLY = {
     "GGV0": _points(3), "GGV1": _points(1), "GGV8": _points(2), "left_cancellation": _points(2),
     "gyrocommutativity": _points(2), "gyroautomorphism": _points(4), "left_loop": _points(3),
@@ -192,14 +237,19 @@ MIXED = {
     "zero_linearizes_to_zero": lambda m, rng: (m.nvs.zero,),
 }
 REJECTING = {
-    "GGV4": _nonunit_and_nonzero, "nonzero_scaling_keeps_nonunit": _nonunit_and_nonzero,
-    "nonunit_norm_positive": lambda m, rng: (sample_point_away_from_identity(m, rng, SEPARATION),),
-    "scalar_norm_cancellation": _distinct_scalars,
-    "phi_injective": lambda m, rng: sample_separated_pair(m, rng, 1e-9),
-    "metric_separates": _separated_pair_or_unit,
-    "scaling_order_equivalence": _ordered_scalars,
+    "GGV4": dict(first=_point_and_nonzero, redraw=sample_point, kept=_away(SEPARATION)),
+    "nonzero_scaling_keeps_nonunit": dict(first=_point_and_nonzero, redraw=sample_point, kept=_away(SEPARATION)),
+    "nonunit_norm_positive": dict(first=lambda m, rng: (sample_point(m, rng),), redraw=sample_point,
+                                  kept=_away(SEPARATION)),
+    "scalar_norm_cancellation": dict(first=_point_and_distinct_scalars, redraw=sample_point, kept=_away(1e-2)),
+    "phi_injective": dict(first=lambda m, rng: (_pair(m, rng),), redraw=_pair, kept=_separated(1e-9),
+                          then=lambda m, pair: pair),
+    "metric_separates": dict(first=lambda m, rng: (_pair(m, rng), rng.random()), redraw=_pair,
+                             kept=_separated(SEPARATION), then=_pair_or_unit),
+    "scaling_order_equivalence": dict(first=_point_and_ordered_scalars, redraw=sample_point, kept=_away(1e-2)),
 }
-REFERENCE = POINTS_ONLY | MIXED | REJECTING
+REFERENCE = ({name: _one_at_a_time(sample) for name, sample in (POINTS_ONLY | MIXED).items()}
+             | {name: _in_rounds(**rounds) for name, rounds in REJECTING.items()})
 CHECKS = [check for group in GROUPS.values() for check in group]
 
 
@@ -210,12 +260,12 @@ def _bytes(columns):
 
 
 def _same_draws(sample, reference, m, seed, n, cached_gauss):
-    by_columns, by_loop = random.Random(seed), random.Random(seed)
+    by_columns, by_reference = random.Random(seed), random.Random(seed)
     if cached_gauss:
         by_columns.gauss(0.0, 1.0)
-        by_loop.gauss(0.0, 1.0)
-    assert _bytes(sample(m, by_columns, n)) == _bytes(_one_at_a_time(reference)(m, by_loop, n))
-    assert by_columns.getstate() == by_loop.getstate()
+        by_reference.gauss(0.0, 1.0)
+    assert _bytes(sample(m, by_columns, n)) == _bytes(reference(m, by_reference, n))
+    assert by_columns.getstate() == by_reference.getstate()
 
 
 def test_the_reference_covers_every_check():
@@ -226,9 +276,9 @@ def test_the_reference_covers_every_check():
 @pytest.mark.parametrize("cached_gauss", [False, True])
 def test_every_check_draws_its_loop_bit_for_bit(cfg, cached_gauss):
     # A cached Gaussian only changes the first draws, and a check of points
-    # alone draws no scalar.  A layout that rejects candidates draws
-    # 1,000 samples, the CLI default, in four speculative spans; any other
-    # sampler draws all of its samples in one pass.
+    # alone draws no scalar.  A layout that rejects candidates draws up to
+    # 1,000 samples, the CLI default, against its reference in rounds; any
+    # other sampler draws all of its samples in one pass, as the loop does.
     m = make_model(cfg)
     for name, check in CHECKS:
         if cached_gauss or name in POINTS_ONLY:
@@ -239,81 +289,60 @@ def test_every_check_draws_its_loop_bit_for_bit(cfg, cached_gauss):
             _same_draws(check.sample, REFERENCE[name], m, f"{cfg.tag}:{name}:{n}", n, cached_gauss)
 
 
-class _CountingPoints:
-    # Counts the sample_point calls of the rejection samplers: one per candidate.
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        monkeypatch.setattr(sampling, "sample_point", self)
-
-    def __call__(self, *args):
-        self.calls += 1
-        return sample_point(*args)
-
-
-def _candidates(counter, sample):
-    # The candidates each sample of a reference took.
-    def counted(m, rng):
-        before = counter.calls
-        out = sample(m, rng)
-        counts.append(counter.calls - before)
-        return out
-
-    counts = []
-    return counted, counts
-
-
 @pytest.mark.parametrize("cfg", [ModelConfig("pathological"), ModelConfig("normed", dim=2),
                                  ModelConfig("einstein", dim=1), ModelConfig("mobius", dim=3, s=0.5)],
                          ids=lambda cfg: cfg.tag)
-def test_rejected_rows_are_replayed_bit_for_bit(cfg, monkeypatch):
+def test_rejected_rows_are_replayed_bit_for_bit(cfg):
     # Thresholds at the median of the first candidates reject about half of
-    # them: rejections at row 0 and back to back, and short spans drawn one
-    # sample at a time between the speculative ones.
+    # them: rejections at row 0 and back to back, redrawn in several rounds.
     m = make_model(cfg)
     rng = random.Random(0)
     away = float(np.median([linearize(m.nvs, gnorm(m, sample_point(m, rng))) for _ in range(201)]))
-    apart = float(np.median([math.dist(sample_point(m, rng).coords, sample_point(m, rng).coords)
-                             for _ in range(201)]))
-    counter = _CountingPoints(monkeypatch)
-    # Each case: a layout, its reference and the points of one sample without a rejection.
+    apart = float(np.median([math.sqrt(_squared_apart(*_pair(m, rng))) for _ in range(201)]))
+    # Each case: a layout and the arguments of its reference.
     cases = (
         ((Point(away=away), Scalar(gap=0.5, excluded=0.0)),
-         lambda m, rng: (sample_point_away_from_identity(m, rng, away), sample_scalar_away_from(rng, 0.0, 0.5)), 1),
+         dict(first=lambda m, rng: (sample_point(m, rng), sample_scalar_away_from(rng, 0.0, 0.5)),
+              redraw=sample_point, kept=_away(away))),
         ((Scalar(), Pair(apart), Point(0.6)),
-         lambda m, rng: (sample_scalar(rng), *sample_separated_pair(m, rng, apart), sample_point(m, rng, 0.6)), 3),
+         dict(first=lambda m, rng: (sample_scalar(rng), _pair(m, rng), sample_point(m, rng, 0.6)),
+              redraw=_pair, kept=_separated(apart), at=1, then=lambda m, r, pair, c: (r, *pair, c))),
     )
-    for layout, reference, points in cases:
-        first_rejected = back_to_back = 0
+    for layout, rounds in cases:
+        first_rejected = back_to_back = several_rounds = 0
         for seed in range(6):
             for n in (1, 2, 7, 40, 300):
-                counted, counts = _candidates(counter, reference)
-                _same_draws(lambda m, rng, n: sample_columns(m, rng, n, layout), counted, m, seed, n, False)
-                if n == 300:  # drawn speculatively from row 0
-                    rejected = [c > points for c in counts]
-                    first_rejected += rejected[0]
-                    back_to_back += any(map(min, zip(rejected, rejected[1:])))
-        assert first_rejected and back_to_back
+                log = []
+                _same_draws(lambda m, rng, n: sample_columns(m, rng, n, layout), _in_rounds(**rounds, log=log),
+                            m, seed, n, False)
+                if n == 300:
+                    first_rejected += 0 in log[0]
+                    back_to_back += any(j == i + 1 for i, j in zip(log[0], log[0][1:]))
+                    several_rounds += len(log) > 2
+        assert first_rejected and back_to_back and several_rounds
 
 
-def test_rejections_of_the_pathological_suite_at_the_default_sample_count_replay(monkeypatch):
+def test_rejections_of_the_pathological_suite_at_the_default_sample_count_replay():
     # About 0.2% of pathological points fall below the 1e-2 threshold: a few
-    # rows of a 1,000-sample check are rejected.
+    # rows of a 1,000-sample check are rejected and redrawn.
     m = make_model(ModelConfig("pathological"))
-    counter = _CountingPoints(monkeypatch)
     table = dict(CHECKS)
     rejected = 0
     for name in ("scalar_norm_cancellation", "scaling_order_equivalence"):
         for seed in range(3):
-            counted, counts = _candidates(counter, REFERENCE[name])
-            _same_draws(table[name].sample, counted, m, f"{seed}:{name}", 1000, False)
-            rejected += sum(c > 1 for c in counts)
+            log = []
+            _same_draws(table[name].sample, _in_rounds(**REJECTING[name], log=log), m, f"{seed}:{name}", 1000, False)
+            rejected += len(log[0]) if log else 0
     assert rejected >= 3
 
 
-@pytest.mark.parametrize("slot,refuse", [
+REFUSING = [
     (Point(away=10.0), lambda m, rng: sample_point_away_from_identity(m, rng, 10.0)),
     (Pair(10.0), lambda m, rng: sample_separated_pair(m, rng, 10.0)),
-])
+]
+
+
+@pytest.mark.parametrize("slot,refuse", REFUSING)
 @pytest.mark.parametrize("n", [5, 40])
 def test_a_slot_that_cannot_be_filled_refuses_as_its_sampler_does(slot, refuse, n):
     m = make_model(ModelConfig("mobius", dim=2))
@@ -322,3 +351,28 @@ def test_a_slot_that_cannot_be_filled_refuses_as_its_sampler_does(slot, refuse, 
     with pytest.raises(SamplingError) as got:
         sample_columns(m, random.Random(3), n, (Scalar(), slot))
     assert str(got.value) == str(expected.value) and "in 1000 draws" in str(got.value)
+
+
+class _CountingGaussians(random.Random):
+    # Counts its Gaussians: a point of Mobius dim 2 takes two.
+    gaussians = 0
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        self.gaussians += 1
+        return super().gauss(mu, sigma)
+
+
+@pytest.mark.parametrize("slot,refuse", REFUSING, ids=["point", "pair"])
+@pytest.mark.parametrize("n", [5, 300, 1000])
+def test_a_slot_that_keeps_nothing_refuses_after_attempts_candidates_in_whole_rounds(slot, refuse, n):
+    # The slot refuses once it has drawn ATTEMPTS candidates since it last
+    # kept one, counted in whole rounds: never per row, which would cost n
+    # times as many.
+    m = make_model(ModelConfig("mobius", dim=2))
+    with pytest.raises(SamplingError) as expected:
+        refuse(m, random.Random(3))
+    rng = _CountingGaussians(3)
+    with pytest.raises(SamplingError) as got:
+        sample_columns(m, rng, n, (slot,))
+    assert str(got.value) == str(expected.value)
+    assert sampling.ATTEMPTS <= rng.gaussians // (2 * slot.width) <= sampling.ATTEMPTS + n
