@@ -33,6 +33,7 @@ import math
 import random
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from typing import Sequence
 
 from .errors import ConfigError, DomainError, GgvError, SamplingError
@@ -279,8 +280,14 @@ def _cmd_decompose(m: GgvModel, args: argparse.Namespace) -> int:
                    result=report.to_dict())
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first request, not at import, and reused by every later one.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(_load_model(args), args)
     except (UsageError, ConfigError, DomainError, SamplingError) as exc:

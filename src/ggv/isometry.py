@@ -28,7 +28,9 @@ check is one vectorized pass.  Every row rounds exactly as the point form
 rounds it, and samples are drawn with :func:`ggv.sampling.sample_columns`,
 from the same streams in the same order as a loop over points would draw
 them.  The experiments validate their inputs at entry.  The defect
-experiment's doubling chain is sequential and runs on coordinate tuples.
+experiment's doubling chain is sequential and runs on coordinate tuples; its
+fixed-point residual, when over the tolerance in double, is computed again
+at 50 digits, as the rows below are.
 
 The midpoint experiment and the decomposition evaluate again every finite
 row whose double residual is over the tolerance, at ``models.MP_DIGITS``
@@ -662,6 +664,31 @@ def decompose_mazur_ulam(
     )
 
 
+def _exact_fixed_point_residual(T: GyroMap, a1: tuple[float, ...], a2: tuple[float, ...]) -> float:
+    """The fixed-point residual of ``S`` at ``a1`` and ``a2`` at ``models.MP_DIGITS`` digits.
+
+    The midpoints, the reflection centres ``2 (x) p`` and ``2 (x) p'``, ``T``
+    and ``T^-1`` are all taken at that precision from the double arguments;
+    ``T`` must have exact forms (:func:`_exact_forms`).  An evaluation that
+    leaves a function's domain or divides by zero gives ``inf``, as in
+    :func:`_settle`.
+    """
+    m1, m2, apply, const = _exact_forms(T)
+    inverse_apply = _form(T, _mp())[1]
+    g1, g2 = m1.group, m2.group
+    x1, x2 = const(a1), const(a2)
+    try:
+        centre = m1.otimes(2.0, _midpoint(m1, x1, x2))
+        centre_image = m2.otimes(2.0, _midpoint(m2, apply(x1), apply(x2)))
+
+        def S(x: tuple) -> tuple:
+            return g1.add(centre, g1.inv(inverse_apply(g2.add(centre_image, g2.inv(apply(x))))))
+
+        return float(max(m1.distance(S(x1), x1), m1.distance(S(x2), x2)))
+    except (DomainError, ZeroDivisionError):
+        return math.inf
+
+
 def defect_experiment(
     T: GyroMap,
     x1: GyroPoint,
@@ -676,7 +703,10 @@ def defect_experiment(
     fixes ``x1`` and ``x2`` while its iterates double the defect; staying
     under the bound ``2 lin(rho(x1, p))`` is only possible when the defect
     vanishes.  The chain stops at the first exact fixed point of ``S``, which
-    leaves the trace unchanged.
+    leaves the trace unchanged.  The chain and its iterates run in double; a
+    fixed-point residual over ``tolerance`` in double is evaluated again at
+    ``models.MP_DIGITS`` digits (see :func:`_exact_fixed_point_residual`)
+    when ``T`` has exact forms, and that value is the residual.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= N_MAX_LIMIT:
         raise PreconditionError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
@@ -718,6 +748,8 @@ def defect_experiment(
         iterates.append(distance1(current, p))
 
     fixed_point_residual = worst_residual(distance1(S(a1), a1), distance1(S(a2), a2))
+    if fixed_point_residual > tolerance and _exact_forms(T) is not None:
+        fixed_point_residual = _exact_fixed_point_residual(T, a1, a2)
     passed = (
         defect <= tolerance
         and fixed_point_residual <= tolerance

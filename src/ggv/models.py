@@ -38,7 +38,8 @@ once over coordinates, in the form of ``lib``: on coordinate tuples
 digits (``_mp()``).  The point kernels of the model (``group.add``,
 ``otimes`` and so on) read the coordinates of their arguments, run the
 ``_POINT`` form and build a point from the result (see :func:`_model`).
-Every row of a block rounds exactly as the point kernel rounds it.
+Both forms take their transcendental functions from NumPy's ufuncs, so every
+row of a block rounds exactly as the point kernel rounds it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import json
 import math
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import repeat
@@ -73,6 +75,22 @@ RADIUS_RANGE = (1e-75, 1e75)
 # Largest argument whose exp is a finite double: the pathological bijections
 # leave the doubles beyond it.
 _LOG_MAX = math.log(sys.float_info.max)
+
+# The transcendental functions of the double-precision forms: NumPy's ufuncs,
+# on a column for blocks and on one float for points (see ``_POINT``).
+_UFUNCS = {"tanh": np.tanh, "atanh": np.arctanh, "log": np.log, "log1p": np.log1p, "exp": np.exp}
+
+
+def _on_float(ufunc: np.ufunc) -> Callable[[float], float]:
+    """``ufunc`` on one float, returning a float: it rounds as the same value
+    in a column does."""
+    def on_float(x):
+        return float(ufunc(x))
+
+    return on_float
+
+
+_exp, _log = _on_float(np.exp), _on_float(np.log)
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,8 @@ def path_Phi(x: float) -> float:
     if abs(x) > _LOG_MAX:
         raise DomainError(f"path_Phi({x!r}) overflows a double")
     if x >= 0.0:
-        return math.exp(x)
-    value = -math.exp(-x)
+        return _exp(x)
+    value = -_exp(-x)
     return value if value < -1.0 else _BELOW_MINUS_ONE
 
 
@@ -167,9 +185,9 @@ def path_Phi_inv(a: float) -> float:
     """Inverse of :func:`path_Phi`; defined on the carrier only."""
     a = float(a)
     if a >= 1.0:
-        return math.log(a)
+        return _log(a)
     if a < -1.0:
-        return -math.log(-a)
+        return -_log(-a)
     raise DomainError(f"{a!r} is outside (-inf, -1) union [1, inf)")
 
 
@@ -249,8 +267,7 @@ def path_T_inv(A: float) -> float:
 # The coordinate formulas below serve points, whose coordinates are a tuple
 # of floats, and blocks, a tuple of ``dim`` float64 columns with one row per
 # point: ``+ - * /`` act elementwise on columns, and ``lib`` supplies the
-# functions that differ (``_POINT`` or ``math`` for points, ``_BLOCK`` for
-# blocks).
+# functions that differ (``_POINT`` for points, ``_BLOCK`` for blocks).
 # ---------------------------------------------------------------------------
 
 def _same(x):
@@ -331,16 +348,26 @@ def _in_form(m: GgvModel, lib) -> GgvModel:
 def _on_blocks(m: GgvModel) -> GgvModel:
     """``m`` in block form: ``_in_form(m, _BLOCK)`` and a norm-value line on columns.
 
-    The functions of the norm-value line are mapped over the column, as
-    libm's are.  ``nv_add`` and ``nv_smul`` are their public forms mapped over
-    the rows, membership checks included, because norm values drawn through
+    The functions of the norm-value line are mapped over the column entry by
+    entry.  ``nv_add`` and ``nv_smul`` are their public forms mapped over the
+    rows, membership checks included, because norm values drawn through
     ``lin_inv`` can leave the norm-value set; the first row that does raises
-    the error a loop over the rows would raise.
+    the error a loop over the rows would raise.  The block form is built once
+    per model object and dies with it; a model rebuilt with
+    ``dataclasses.replace`` is another object and gets its own.
     """
-    nvs = m.nvs
-    line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
-                   lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
-    return replace(_in_form(m, _BLOCK), nvs=line)
+    form = _BLOCK_FORMS.get(m)
+    if form is None:
+        nvs = m.nvs
+        line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
+                       lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
+        form = _BLOCK_FORMS[m] = replace(_in_form(m, _BLOCK), nvs=line)
+    return form
+
+
+# The block form of each model, keyed by the model object (``GgvModel``
+# compares by identity).
+_BLOCK_FORMS: weakref.WeakKeyDictionary[GgvModel, GgvModel] = weakref.WeakKeyDictionary()
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -434,16 +461,17 @@ def _require_rows(ok: np.ndarray, x: np.ndarray, message: str) -> None:
 # ``require``, which raises the domain error of the first row that fails a
 # test.  Everything else, the ball scaling included, is written once over
 # these.  NumPy's square root is correctly rounded, as libm's is.  The
-# transcendental functions of a block are libm's own mapped over the column:
-# NumPy's differ from libm in the last ulp on a sizable share of arguments,
-# and each row of a block must round exactly like its point.
-_TRANSCENDENTAL = ("tanh", "atanh", "log", "log1p", "exp")
-_POINT = SimpleNamespace(sqrt=math.sqrt, **{name: getattr(math, name) for name in _TRANSCENDENTAL},
+# transcendental functions are NumPy's ufuncs in both forms, on the column
+# for a block and on one float for a point, so that each row of a block
+# rounds exactly like its point; their last ulp depends on the NumPy version
+# and the SIMD loops it dispatches to, not on libm.  Outside its domain a
+# ufunc returns a non-finite value with a ``RuntimeWarning`` where ``math``
+# raised ``ValueError``, so the formulas keep every argument inside it.
+_POINT = SimpleNamespace(sqrt=math.sqrt, **{name: _on_float(ufunc) for name, ufunc in _UFUNCS.items()},
                          where=_pick, clamp=_clamp_ball, each=_same, rows=_same, const=_same, orthonormal=_same,
                          Phi=path_Phi, Phi_inv=path_Phi_inv)
-_BLOCK = SimpleNamespace(sqrt=np.sqrt, **{name: _columnwise(getattr(math, name)) for name in _TRANSCENDENTAL},
-                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise, require=_require_rows,
-                         const=_same, orthonormal=_same)
+_BLOCK = SimpleNamespace(sqrt=np.sqrt, **_UFUNCS, where=np.where, clamp=_clamp_block, each=_columnwise,
+                         rows=_row_wise, require=_require_rows, const=_same, orthonormal=_same)
 _BLOCK.Phi, _BLOCK.Phi_inv = partial(_transplant, lib=_BLOCK), partial(_transplant_inv, lib=_BLOCK)
 
 # Decimal digits of the lib in which failing rows are evaluated again.
@@ -497,7 +525,7 @@ def _mp() -> SimpleNamespace:
             basis.append(tuple(x / n for x in v))
         return tuple(basis)
 
-    lib = SimpleNamespace(**{name: real(name) for name in ("sqrt", *_TRANSCENDENTAL)},
+    lib = SimpleNamespace(**{name: real(name) for name in ("sqrt", *_UFUNCS)},
                           where=_pick, clamp=_unclamped, each=_same, rows=_same, require=_require, const=const,
                           orthonormal=orthonormal)
     lib.Phi, lib.Phi_inv = partial(_transplant, lib=lib), partial(_transplant_inv, lib=lib)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+import ggv.cli
 import ggv.isometry
 from ggv import ModelConfig
-from ggv.cli import main
+from ggv.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +171,31 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_pat
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
     assert not report.exists()
+
+
+def test_the_requests_of_a_process_share_one_parser(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(ggv.cli, "build_parser", counted)
+    ggv.cli._parser.cache_clear()
+    try:
+        assert [run_cli(capsys, *EVAL) for _ in range(2)] == [(0, "4,6\n", "")] * 2
+        bad = [*EVAL, "--seed", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(bad)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(bad)
+        assert err == capsys.readouterr().err
+        assert err.splitlines()[-1] == "ggv: error: unrecognized arguments: --seed 1"
+        assert len(built) == 1
+    finally:
+        ggv.cli._parser.cache_clear()
 
 
 def test_only_the_subcommands_that_draw_samples_echo_them(capsys):

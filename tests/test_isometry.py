@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -542,10 +545,13 @@ def _naive_defect_trace(T, x1, x2, n_max):
     return DefectTrace(defect, tuple(iterates), bound, residual, passed, DEFAULT_TOLERANCE)
 
 
+# Where each orbit closes depends on the last ulp of the transcendental
+# functions; the comments give it for NumPy 2.4.6 with AVX-512 loops.
 @pytest.mark.parametrize("kind, dim, seed", [
     ("pathological", 1, 0),  # p is a fixed point of S
-    ("mobius", 2, 1034930103),  # S^4524(p) is a fixed point of S
-    ("einstein", 2, 996517196),  # S^14(p) starts a 2-cycle, which runs to the end
+    ("mobius", 2, 1034930103),  # S^3782(p) is a fixed point of S
+    ("einstein", 2, 996517196),  # S^13(p) is a fixed point of S
+    ("einstein", 2, 49),  # S^4(p) starts a 2-cycle, which runs to the end
     ("mobius", 3, 1),  # no iterate up to 2^13 is fixed
 ])
 def test_the_defect_chain_stops_at_a_fixed_point_with_the_naive_trace(kind, dim, seed):
@@ -796,6 +802,52 @@ def test_a_row_that_leaves_the_ball_at_50_digits_fails(kind):
         warnings.simplefilter("ignore", BoundaryClampWarning)
         decomposition = decompose_mazur_ulam(T, 50, 0)
     assert not decomposition.passed and decomposition.additivity_residual == math.inf
+
+
+def test_a_drifting_fixed_point_residual_is_settled_at_50_digits(capsys):
+    # In double the iterates drift by 1.1e-9 per step of S and the residual
+    # is 1.5e-9, although the defect is 5e-13.
+    assert main(load_tool("compare_reports").DRIFTING_DEFECT) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["pass"] and result["fixed_point_residual"] < 1e-40
+
+
+@pytest.mark.parametrize("kind", ["einstein", "mobius"])
+@pytest.mark.parametrize("margin,finite", [(0.3, True), (0.7, False)])
+def test_a_wrong_map_fails_the_fixed_point_check_at_50_digits(kind, margin, finite):
+    # Near the origin the scaled addition stays in the ball at 50 digits and
+    # S is far from fixing the points; farther out it leaves the ball.
+    m = _with_ops(make_model(ModelConfig(kind, dim=2)), "add", _scaled_add)
+    T = ambient_rotation(m, random_rotation_matrix(2, random.Random(1)))
+    rng = random.Random(1)
+    x1, x2 = sample_point(m, rng, margin), sample_point(m, rng, margin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryClampWarning)
+        trace = defect_experiment(T, x1, x2, 4)
+    assert not trace.passed
+    assert (0.1 < trace.fixed_point_residual < math.inf) if finite else trace.fixed_point_residual == math.inf
+
+
+_IMPORTS_MPMATH = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from ggv.cli import main
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code, "mpmath" in sys.modules)
+"""
+
+
+def test_a_request_that_passes_in_double_never_imports_mpmath():
+    requests = [["defect", "--model", "mobius", "--dim", "2", "--seed", "7", "--depth", "2", "--n-max", "13"],
+                ["verify-mazur-ulam", "--model", "einstein", "--dim", "3", "--seed", "5", "--maps", "2",
+                 "--samples", "60"],
+                load_tool("compare_reports").DRIFTING_DEFECT]
+    src = str(Path(ggv.isometry.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_MPMATH, src, json.dumps(requests)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["0 False", "0 False", "0 True"]
 
 
 def test_a_nan_row_still_fails(mobius2):

@@ -1,10 +1,13 @@
 """Model configuration, the pinned line bijections, and model-specific identities."""
 
 import contextlib
+import dataclasses
+import gc
 import json
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from ggv import (
     path_T,
     path_T_inv,
 )
-from ggv.models import _BLOCK, _LOG_MAX, _on_blocks
+from ggv.models import _BLOCK, _LOG_MAX, _POINT, _on_blocks
 from ggv.sampling import sample_point
 
 line_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -394,3 +397,90 @@ def test_a_block_warns_once_per_clamped_row_with_the_point_message():
     assert len(block_record) == len(point_record) == 2
     assert [str(w.message) for w in block_record] == [str(w.message) for w in point_record]
     assert [tuple(row) for row in zip(*(x.tolist() for x in got))] == expected
+
+
+# ---------------------------------------------------------------------------
+# One transcendental lib: each point rounds as its row of a column.
+# ---------------------------------------------------------------------------
+
+def _band(rng, center, width, n=300):
+    return [center + width * rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+
+def _near(x, direction, n=300):
+    """``x`` and the ``n - 1`` doubles next to it towards ``direction``."""
+    out = [x]
+    for _ in range(n - 1):
+        out.append(math.nextafter(out[-1], direction))
+    return out
+
+
+def _edge_arguments():
+    """Per function, arguments in its domain that reach its edges, and a bulk band."""
+    rng = random.Random(26)
+    tiny = [5e-324, -5e-324, 1e-310, -1e-300, 1e-17, -1e-17, 0.0, -0.0]
+    return {
+        # tanh saturates to +-1 beyond about 19.06.
+        "tanh": tiny + _band(rng, 0.0, 3.0) + _band(rng, 19.0, 1.0) + _band(rng, -19.0, 1.0) + [40.0, -710.0],
+        # atanh diverges at +-1.
+        "atanh": tiny + _band(rng, 0.0, 1.0) + _near(math.nextafter(1.0, 0.0), 0.0)
+        + _near(math.nextafter(-1.0, 0.0), 0.0),
+        # exp overflows beyond _LOG_MAX and underflows to subnormals below about -708.
+        "exp": tiny + _band(rng, 0.0, 20.0) + _near(_LOG_MAX, 0.0) + _band(rng, -725.0, 20.0),
+        # log1p diverges at -1.
+        "log1p": tiny + _band(rng, 0.0, 0.5) + _near(math.nextafter(-1.0, 0.0), 0.0) + [1e300, 1.7e308],
+        # log diverges at 0; subnormal and huge arguments.
+        "log": [5e-324, 1e-310, 1e-300] + _band(rng, 1.0, 1e-3) + _band(rng, 10.0, 9.0) + [1e300, 1.7e308],
+    }
+
+
+def _simd() -> str:
+    return f"NumPy {np.__version__}, SIMD {np.show_config(mode='dicts')['SIMD Extensions']}"
+
+
+@pytest.mark.parametrize("name", ["tanh", "atanh", "exp", "log1p", "log"])
+def test_a_point_rounds_as_its_row_in_every_layout_of_a_column(name):
+    xs = _edge_arguments()[name]
+    point, block = getattr(_POINT, name), getattr(_BLOCK, name)
+    expected = [point(x).hex() for x in xs]
+    assert all(type(point(x)) is float for x in xs[:3])
+    strided = np.stack([xs, xs], axis=1)[:, 1]
+    assert not strided.flags.contiguous
+    layouts = {"contiguous": block(np.array(xs)), "strided": block(strided),
+               "one row": np.array([block(np.array([x]))[0] for x in xs])}
+    for layout, column in layouts.items():
+        got = [x.hex() for x in column.tolist()]
+        mismatched = [(x, e, g) for x, e, g in zip(xs, expected, got) if e != g]
+        assert not mismatched, f"{name} on a {layout} column, {_simd()}: {mismatched[:5]}"
+
+
+# ---------------------------------------------------------------------------
+# The block form of a model, built once.
+# ---------------------------------------------------------------------------
+
+def test_a_model_builds_its_block_form_once_and_a_rebuilt_model_its_own():
+    m = make_model(ModelConfig("mobius", dim=2))
+    assert _on_blocks(m) is _on_blocks(m)
+    copy = dataclasses.replace(m)
+    assert _on_blocks(copy) is not _on_blocks(m)
+    # The cache keeps neither model alive.
+    refs = [weakref.ref(m), weakref.ref(copy)]
+    del m, copy
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_mutant_block_form_runs_the_mutant_kernel():
+    m = make_model(ModelConfig("normed", dim=2))
+    _on_blocks(m)
+    mutant = dataclasses.replace(m)
+
+    def ops(lib):
+        k = m.ops(lib)
+        k.add = lambda a, b: tuple(2.0 * x + y for x, y in zip(a, b))
+        return k
+
+    object.__setattr__(mutant, "ops", ops)
+    block = (np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+    assert [c.tolist() for c in _on_blocks(mutant).group.add(block, block)] == [[3.0, 6.0], [1.5, -3.0]]
+    assert [c.tolist() for c in _on_blocks(m).group.add(block, block)] == [[2.0, 4.0], [1.0, -2.0]]

@@ -1,5 +1,7 @@
 """The repository tools under ``tools/``."""
 
+import json
+
 import pytest
 from conftest import load_tool
 
@@ -97,3 +99,39 @@ def test_scan_requests_prints_each_failed_request(monkeypatch, capsys):
     failed, total = capsys.readouterr().out.splitlines()
     assert failed.startswith("FAILED verify-axioms --model einstein --dim 2 --seed ") and failed.endswith(": a problem")
     assert total == "requests 5, failed 1"
+
+
+def _record(argv, code, stdout, stderr=""):
+    return {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
+
+
+def _report(top, *checks, residual=0.0):
+    return json.dumps({"pass": top, "results": [{"pass": p, "max_residual": residual} for p in checks]})
+
+
+def test_compare_reports_tells_exit_codes_and_pass_flips_from_digits(monkeypatch, capsys):
+    compare_reports = load_tool("compare_reports")
+    assert compare_reports.passes(_report(False, True, False)) == [False, True, False]
+    assert compare_reports.passes("0.25,0\n") == compare_reports.passes("") == []
+    pairs = [
+        (_record(["same"], 0, _report(True, True)), _record(["same"], 0, _report(True, True))),
+        (_record(["code"], 1, _report(False, False)), _record(["code"], 0, _report(True, True))),
+        (_record(["flip"], 1, _report(False, False, True)), _record(["flip"], 1, _report(False, True, False))),
+        (_record(["digits"], 0, _report(True, True, residual=1e-12)),
+         _record(["digits"], 0, _report(True, True, residual=2e-12))),
+        (_record(["message"], 2, "", "ggv: error: a"), _record(["message"], 2, "", "ggv: error: b")),
+        (_record(["eval"], 0, "0.5,0\n"), _record(["eval"], 0, "0.5000000000000001,0\n")),
+    ]
+    old, new = (list(records) for records in zip(*pairs))
+    codes, flips, digits = compare_reports.classify(old, new)
+    assert [a["argv"] for a, _ in codes] == [["code"]]
+    assert [a["argv"] for a, _ in flips] == [["flip"]]
+    assert [a["argv"] for a, _ in digits] == [["digits"], ["message"], ["eval"]]
+    trees = iter([old, new])
+    monkeypatch.setattr(compare_reports, "run_tree", lambda tree: next(trees))
+    assert compare_reports.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ggv code: exit code 1 -> 0",
+        "ggv flip: 3 -> 3 pass flags, flipped at [1, 2]",
+        "6 requests, 5 differ: 1 exit codes, 1 pass vectors, 3 digits only",
+    ]
