@@ -25,12 +25,15 @@ either way.
 The preservation check, the midpoint experiment and the decomposition run on
 *blocks*: tuples of ``dim`` float64 columns with one row per sample, so each
 check is one vectorized pass.  Every row rounds exactly as the point form
-rounds it, and samples are drawn with :func:`ggv.sampling.sample_columns`,
-from the same streams in the same order as a loop over points would draw
-them.  The experiments validate their inputs at entry.  The defect
-experiment's doubling chain is sequential and runs on coordinate tuples; its
-fixed-point residual, when over the tolerance in double, is computed again
-at 50 digits, as the rows below are.
+rounds it, and samples are drawn as columns with
+:func:`ggv.sampling.sample_columns`; the pairs of a shorter preservation
+check are the first rows of a longer one's.  Map recipes (translation and
+reflection centres with :func:`ggv.sampling.sample_point`, rotations from
+``rng.gauss``) and the defect experiment's points are drawn point by point,
+as they always were.  The experiments validate their inputs at entry.  The
+defect experiment's doubling chain is sequential and runs on coordinate
+tuples; its fixed-point residual, when over the tolerance in double, is
+computed again at 50 digits, as the rows below are.
 
 The midpoint experiment and the decomposition evaluate again every finite
 row whose double residual is over the tolerance, at ``models.MP_DIGITS``
@@ -399,7 +402,7 @@ def random_rotation_matrix(dim: int, rng: random.Random) -> tuple[tuple[float, .
 # ---------------------------------------------------------------------------
 
 def _sample_pairs(m: GgvModel, rng: random.Random, margin: float, n: int) -> list[Block]:
-    """``n`` pairs drawn in the order of a loop over pairs, as two blocks."""
+    """``n`` pairs as two blocks, the first ``k`` of them the pairs of ``n = k``."""
     return sample_columns(m, rng, n, (Point(margin), Point(margin)))
 
 

@@ -597,8 +597,11 @@ def _einstein_distance(u: tuple[float, ...], v: tuple[float, ...], s: float, lib
     excess = c * c * ud * ud + c * pu * d2  # = q^2 - pu*pv = (|w|/s)^2 q^2
     x = lib.sqrt(excess) / q
     g = pu * pv / (q * q)  # = 1/gamma(w)^2 = 1 - (|w|/s)^2
-    # artanh(x) = log(1 + x) - log(1 - x^2)/2
-    return s * (lib.log1p(x) - 0.5 * lib.log(g))
+    # artanh(x) = log(1 + x) - log(1 - x^2)/2, which rounding can take
+    # below 0 for points an ulp apart; a metric is not negative.  A NaN
+    # passes through.
+    d = s * (lib.log1p(x) - 0.5 * lib.log(g))
+    return lib.where(d < 0.0, 0.0, d)
 
 
 def _mobius_gyr(u: tuple[float, ...], v: tuple[float, ...], w: tuple[float, ...], c: float) -> tuple[float, ...]:

@@ -2,25 +2,26 @@
 
 A point is drawn by a fixed sequence of ``random.Random`` calls
 (:func:`_draws`), then made from those draws by a formula written once over
-a lib (see :mod:`ggv.models`): :func:`sample_point` runs it on one point's
-draws, and a block of points runs it on columns of draws, so that each row
-rounds exactly as that point does.
+a lib (see :mod:`ggv.models`): :func:`sample_point` and its family run it
+on one point's draws, call by call, so that a seed draws the same points as
+it always has.
 
 :func:`sample_columns` draws ``n`` samples of a *layout*, a tuple of slots
 (:class:`Point`, :class:`Pair`, :class:`Scalar`, :class:`Distinct`,
-:class:`Const`) that says what one sample holds.  It compiles the layout
-into one sample's list of ``rng`` calls, slot after slot, each returning one
-float, runs that list once per sample, and makes each slot's columns from
-its columns of draws: a point slot's blocks, a scalar's values.  So every
-sample takes its first candidates in the ``rng`` calls of a loop that draws
-each sample with the point and scalar samplers below, in the same order.  A
-scalar that must keep a gap is redrawn at once, as
-:func:`sample_scalar_away_from` does.  A point slot that rejects candidates
-(a point away from the identity, a separated pair) tests its first
-candidates on the block, then redraws all of its rejected rows together, in
-row order, round after round, until every row holds a candidate it keeps.
-Rows before its first rejected candidate are those of the loop; later rows
-come from later positions of the stream, so they depend on ``n``.
+:class:`Const`) that says what one sample holds.  It takes one table of
+uniforms from the stream, ``n`` rows of all the slots' uniforms side by side
+(see :func:`_table`), and each slot makes its columns from its own columns
+of the table, as NumPy columns: a ball point's direction from Box-Muller
+pairs, then its radius, and a point of the other kinds, a scalar, from one
+uniform per coordinate or value; points then pass through the formula of
+:func:`sample_point`, on blocks.  A slot that rejects candidates (a point
+away from the identity, a separated pair, a scalar kept apart from a number
+or from the scalar before it) then redraws all of its rejected rows together
+from a fresh table, round after round, until every row holds a candidate it
+keeps (see :func:`_redrawn`).  A layout that rejects nothing draws the first
+``k`` of ``n`` samples as it draws ``k`` samples.  The columns are
+deterministic per seed, NumPy version and SIMD dispatch, but they are not
+the points :func:`sample_point` draws from the same seed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ LINE_RANGE = 5.0
 # Coordinate range for the normed model.
 NORMED_RANGE = 3.0
 # Candidates a rejection sampler draws before it gives up: for one sample, or
-# for a layout slot since it last kept one (see :meth:`_Points.redrawn`).
+# for a layout slot since it last kept one (see :func:`_redrawn`).
 ATTEMPTS = 1000
 # Why a point sampler can give up: its thresholds are absolute, while ball
 # points scale with the radius.
@@ -87,8 +88,8 @@ def _coords(m: GgvModel, draws: list, margin: float, lib) -> tuple:
         return tuple(_uniform(draws, -NORMED_RANGE, NORMED_RANGE))
     direction, u = draws[:-1], draws[-1]
     n = _norm(direction, lib)
-    # A zero direction is +0.0 in every coordinate (random.gauss never
-    # returns -0.0), so moving its first coordinate to 1.0 makes it the axis.
+    # A zero direction is zero in every coordinate, so moving its first
+    # coordinate to 1.0 makes it the first axis.
     zero = n == 0.0
     direction[0] = lib.where(zero, 1.0, direction[0])
     radius = m.config.s * margin * lib.each(pow)(u, 1.0 / len(direction))
@@ -147,56 +148,104 @@ def sample_scalar_away_from(rng: random.Random, excluded: float, min_gap: float,
 # Samples as columns.
 # ---------------------------------------------------------------------------
 
+def _table(rng: random.Random, n: int, width: int) -> np.ndarray:
+    """``width`` columns of ``n`` uniforms in ``[0, 1)``, as a ``(width, n)`` array.
+
+    The table is ``rng.randbytes(8 * n * width)`` read row by row as
+    little-endian 64-bit words, each word's top 53 bits scaled by ``2**-53``;
+    so the first ``k`` rows of ``n`` are the table of ``k``.
+    """
+    words = np.frombuffer(rng.randbytes(8 * n * width), "<u8") >> np.uint64(11)
+    return np.ascontiguousarray((words * 2.0 ** -53).reshape(n, width).T)
+
+
+def _point_uniforms(m: GgvModel) -> int:
+    # The uniforms of one point: a Box-Muller pair per two coordinates of a
+    # ball direction and its radius, or one per coordinate.
+    dim = m.config.dim
+    return 2 * -(-dim // 2) + 1 if m.config.kind in BALL_KINDS else dim
+
+
+def _block(m: GgvModel, u: np.ndarray, margin: float) -> Block:
+    """The block of points made from the uniforms ``u``, one column of a
+    table per uniform of a point (see :func:`_point_uniforms`).
+
+    A ball direction is ``dim`` standard Gaussians, Box-Muller pairs
+    ``sqrt(-2 log(1 - u1))`` times the cosine and the sine of ``2 pi u2``;
+    then the points are made by :func:`_coords`, as :func:`sample_point`
+    makes one.
+    """
+    if m.config.kind not in BALL_KINDS:
+        return _coords(m, list(u), margin, _BLOCK)
+    length = np.sqrt(-2.0 * np.log1p(-u[0:-1:2]))
+    angle = 2.0 * math.pi * u[1:-1:2]
+    gaussians = np.stack((length * np.cos(angle), length * np.sin(angle)), axis=1).reshape(-1, u.shape[1])
+    return _coords(m, [*gaussians[:m.config.dim], u[-1]], margin, _BLOCK)
+
+
+def _arrays(columns: list) -> list[np.ndarray]:
+    # Every array of a slot's columns, a block's coordinates one by one.
+    return [c for column in columns for c in (column if isinstance(column, tuple) else (column,))]
+
+
+def _redrawn(rng: random.Random, columns: list, width: int, make: Callable, keeps: Callable,
+             refusal: Callable[[int], str]) -> list:
+    """``columns``, a slot's first candidates, with every rejected row redrawn.
+
+    ``keeps(rows, *candidates)`` tells which candidates of the rows ``rows``
+    (an index array, or a slice of every row) the slot keeps.  All rejected
+    rows are redrawn together, candidates made by ``make`` from a fresh table
+    of ``width`` uniforms per row, round after round, until every row holds
+    a candidate it keeps.  The slot refuses with ``refusal(row)``, ``row``
+    the first row it still rejects, once it has drawn ``ATTEMPTS``
+    candidates since it last kept one, counted in whole rounds; a first pass
+    that keeps nothing counts every row.
+    """
+    ok = keeps(slice(None), *columns)
+    rejected, idle = np.flatnonzero(~ok), 0 if ok.any() else len(ok)
+    while len(rejected):
+        if idle >= ATTEMPTS:
+            raise SamplingError(refusal(rejected[0]))
+        k = len(rejected)
+        candidates = make(_table(rng, k, width))
+        ok = keeps(rejected, *candidates)
+        for column, new in zip(_arrays(columns), _arrays(candidates)):
+            column[rejected[ok]] = new[ok]
+        rejected, idle = rejected[~ok], 0 if ok.any() else idle + k
+    return columns
+
+
 class _Points:
-    """What the point slots share: the draws of their points, the blocks made
-    from them and the rounds of redraws of a slot that rejects candidates."""
+    """What the point slots share: their uniforms, the blocks made from them
+    and the rounds of redraws of a slot that rejects candidates."""
 
     margin = BALL_MARGIN
     # The points of one candidate.
     width = 1
+    rejects = False
 
-    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
-        return _draws(m, rng) * self.width
+    def uniforms(self, m: GgvModel) -> int:
+        return self.width * _point_uniforms(m)
 
-    def points(self, m: GgvModel, draws: list) -> list[Block]:
-        # The candidates' blocks from their columns of draws.
-        k = len(draws) // self.width
-        return [_coords(m, draws[j * k:(j + 1) * k], self.margin, _BLOCK) for j in range(self.width)]
+    def make(self, m: GgvModel, u: np.ndarray) -> list[Block]:
+        # The candidates' blocks from their columns of uniforms.
+        w = len(u) // self.width
+        return [_block(m, u[j * w:(j + 1) * w], self.margin) for j in range(self.width)]
 
-    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[Block]:
-        blocks = self.points(m, draws)
-        return self.redrawn(m, blocks, n, program) if self.rejects else blocks
-
-    def redrawn(self, m: GgvModel, blocks: list[Block], n: int, program: list) -> list[Block]:
-        """``blocks`` with every rejected row redrawn by ``program``, one
-        candidate's ``rng`` calls: all rejected rows together, in row order,
-        round after round, until every row holds a candidate it keeps.
-
-        The slot refuses as its rejection sampler does once it has drawn
-        ``ATTEMPTS`` candidates since it last kept one, counted in whole
-        rounds; a first pass that keeps nothing counts every row.
-        """
+    def columns(self, m: GgvModel, rng: random.Random, u: np.ndarray) -> list[Block]:
+        blocks = self.make(m, u)
+        if not self.rejects:
+            return blocks
         form = _on_blocks(m)
-        ok = self.accepts(form, *blocks)
-        rejected, idle = np.flatnonzero(~ok), 0 if ok.any() else n
-        while len(rejected):
-            if idle >= ATTEMPTS:
-                raise SamplingError(self.refusal(m))
-            k = len(rejected)
-            candidates = self.points(m, _by_slot([draw() for _ in range(k) for draw in program], k, [program])[0])
-            ok = self.accepts(form, *candidates)
-            for block, candidate in zip(blocks, candidates):
-                for column, new in zip(block, candidate):
-                    column[rejected[ok]] = new[ok]
-            rejected, idle = rejected[~ok], 0 if ok.any() else idle + k
-        return blocks
+        return _redrawn(rng, blocks, self.uniforms(m), partial(self.make, m),
+                        lambda rows, *candidate: self.accepts(form, *candidate), lambda row: self.refusal(m))
 
 
 class Point(_Points):
-    """A layout slot of one point within ``margin * s``, as :func:`sample_point`
-    draws it; with ``away``, a point at that linearized norm or more, kept as
-    :func:`sample_point_away_from_identity` keeps it and redrawn in rounds
-    (see :meth:`_Points.redrawn`).  Its column is a block."""
+    """A layout slot of one point within ``margin * s``; with ``away``, a point
+    at that linearized norm or more, redrawn in rounds (see :func:`_redrawn`)
+    and refused as :func:`sample_point_away_from_identity` refuses.  Its
+    column is a block."""
 
     def __init__(self, margin: float = BALL_MARGIN, away: float | None = None) -> None:
         self.margin, self.away, self.rejects = margin, away, away is not None
@@ -211,8 +260,8 @@ class Point(_Points):
 
 class Pair(_Points):
     """A layout slot of two points at least ``sep`` apart in carrier
-    coordinates, kept as :func:`sample_separated_pair` keeps them and redrawn
-    in rounds (see :meth:`_Points.redrawn`).  Its columns are two blocks."""
+    coordinates, redrawn in rounds (see :func:`_redrawn`) and refused as
+    :func:`sample_separated_pair` refuses.  Its columns are two blocks."""
 
     width, rejects = 2, True
 
@@ -227,46 +276,47 @@ class Pair(_Points):
 
 
 class Scalar:
-    """A layout slot of a scalar ``rng.uniform(lo, hi)``; with ``gap`` and
-    ``excluded``, the scalar of :func:`sample_scalar_away_from`, at least
-    ``gap`` from the number ``excluded``."""
+    """A layout slot of a scalar ``lo + (hi - lo) u`` for a uniform ``u``;
+    with ``gap`` and ``excluded``, a number or a column, one at least ``gap``
+    from ``excluded``, redrawn in rounds (see :func:`_redrawn`) and refused
+    as :func:`sample_scalar_away_from` refuses."""
 
     def __init__(self, lo: float = -2.0, hi: float = 2.0, gap: float | None = None,
-                 excluded: float | None = None) -> None:
+                 excluded: float | np.ndarray | None = None) -> None:
         if (gap is None) != (excluded is None):
             raise TypeError("a scalar kept apart needs both its gap and what it is kept from")
         self.lo, self.hi, self.gap, self.excluded = lo, hi, gap, excluded
 
-    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
-        # A redraw is made at once, in the sample's own turn.
-        if self.gap is None:
-            return [rng.random]
-        return [partial(sample_scalar_away_from, rng, self.excluded, self.gap, self.lo, self.hi)]
+    def uniforms(self, m: GgvModel) -> int:
+        return 1
 
-    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[np.ndarray]:
-        return _uniform(draws, self.lo, self.hi) if self.gap is None else draws
+    def make(self, u: np.ndarray) -> list[np.ndarray]:
+        return _uniform(u, self.lo, self.hi)
+
+    def columns(self, m: GgvModel, rng: random.Random, u: np.ndarray) -> list[np.ndarray]:
+        values = self.make(u)
+        if self.gap is None:
+            return values
+        excluded = np.broadcast_to(self.excluded, u.shape[1])
+        return _redrawn(rng, values, 1, self.make, lambda rows, r: abs(r - excluded[rows]) >= self.gap,
+                        lambda row: f"no scalar in [{self.lo:g}, {self.hi:g}] at least {self.gap:g} from "
+                                    f"{float(excluded[row])!r} in {ATTEMPTS} draws")
 
 
 class Distinct:
-    """A layout slot of two scalars: ``r``, the scalar of :func:`sample_scalar`
-    in ``[lo, hi]``, then the scalar of :func:`sample_scalar_away_from`, at
-    least ``gap`` from ``r``.  Its columns are the two scalars."""
+    """A layout slot of two scalars in ``[lo, hi]``: ``r``, then one at least
+    ``gap`` from ``r``, kept as a :class:`Scalar` keeps it.  Its columns are
+    the two scalars."""
 
     def __init__(self, gap: float, lo: float = -2.0, hi: float = 2.0) -> None:
         self.gap, self.lo, self.hi = gap, lo, hi
 
-    def program(self, m: GgvModel, rng: random.Random) -> list[Callable[[], float]]:
-        gap, lo, hi, r = self.gap, self.lo, self.hi, 0.0
+    def uniforms(self, m: GgvModel) -> int:
+        return 2
 
-        def first() -> float:
-            nonlocal r
-            r = sample_scalar(rng, lo, hi)
-            return r
-
-        return [first, lambda: sample_scalar_away_from(rng, r, gap, lo, hi)]
-
-    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list[np.ndarray]:
-        return draws
+    def columns(self, m: GgvModel, rng: random.Random, u: np.ndarray) -> list[np.ndarray]:
+        (r,) = Scalar(self.lo, self.hi).make(u[:1])
+        return [r, *Scalar(self.lo, self.hi, self.gap, r).columns(m, rng, u[1:])]
 
 
 class Const:
@@ -276,11 +326,11 @@ class Const:
     def __init__(self, value: Callable[[GgvModel], object]) -> None:
         self.value = value
 
-    def program(self, m: GgvModel, rng: random.Random) -> list:
-        return []
+    def uniforms(self, m: GgvModel) -> int:
+        return 0
 
-    def columns(self, m: GgvModel, draws: list, n: int, program: list) -> list:
-        value = self.value(m)
+    def columns(self, m: GgvModel, rng: random.Random, u: np.ndarray) -> list:
+        value, n = self.value(m), u.shape[1]
         if isinstance(value, GyroPoint):
             return [tuple(np.full(n, x) for x in value.coords)]
         return [np.full(n, value)]
@@ -292,28 +342,15 @@ Slot = Point | Pair | Scalar | Distinct | Const
 def sample_columns(m: GgvModel, rng: random.Random, n: int, layout: tuple[Slot, ...]) -> list:
     """The columns of ``n >= 1`` samples of ``layout``, slot after slot.
 
-    The layout is compiled into one sample's list of ``rng`` calls, slot
-    after slot, each returning one float: a point's draws (see
-    :func:`_draws`), a scalar's ``rng.random()``, a kept-apart scalar's
-    whole redraw loop.  The list runs once per sample, in one pass over all
-    samples, and each slot makes its columns from its own columns of draws:
-    a point slot its blocks, a scalar its values.  So the first pass makes
-    the ``rng`` calls of a loop that draws each sample slot by slot with the
-    point and scalar samplers, taking each point's first candidate.  A slot
-    that rejects candidates then redraws its rejected rows in rounds, in
-    slot order (see :meth:`_Points.redrawn`); a layout without one draws
-    row ``i`` bit for bit as the ``i``-th sample of that loop.
+    One table of ``n`` rows of uniforms is drawn for the whole layout, each
+    slot's columns of uniforms side by side in layout order (see
+    :func:`_table`), and each slot makes its columns from its own: a point
+    slot its blocks, a scalar its values.  Then each slot that rejects
+    candidates redraws its rejected rows in rounds, in slot order (see
+    :func:`_redrawn`).  So the first ``k`` rows of a layout that rejects
+    nothing are its ``k`` samples from the same seed.
     """
-    programs = [slot.program(m, rng) for slot in layout]
-    program = [draw for slot_program in programs for draw in slot_program]
-    slots = _by_slot([draw() for _ in range(n) for draw in program], n, programs)
-    return [column for slot, draws, slot_program in zip(layout, slots, programs)
-            for column in slot.columns(m, draws, n, slot_program)]
-
-
-def _by_slot(draws: list[float], n: int, programs: list[list]) -> list[list[np.ndarray]]:
-    # The draws of ``n`` successive samples made by ``programs``, one list of
-    # columns per slot: a column per ``rng`` call of a sample.
-    ends = [0, *accumulate(map(len, programs))]
-    table = list(np.array(draws).reshape(n, ends[-1]).T)
-    return [table[start:end] for start, end in zip(ends, ends[1:])]
+    ends = [0, *accumulate(slot.uniforms(m) for slot in layout)]
+    table = _table(rng, n, ends[-1])
+    return [column for slot, start, end in zip(layout, ends, ends[1:])
+            for column in slot.columns(m, rng, table[start:end])]

@@ -13,10 +13,11 @@ by row, and ``evaluate`` computes their residuals at once on blocks (see
 sample, a tuple of slots (a point, a point away from the identity, a
 separated pair, a scalar, a scalar kept apart from a number, two scalars
 kept apart, the unit, the zero norm value), and
-:func:`ggv.sampling.sample_columns` draws ``n`` samples of it: the ``rng``
-calls of a loop over samples, each point slot's points made as one block.
-A slot that rejects candidates keeps its first candidates where it can and
-then redraws its rejected rows together, round after round.  Norm values,
+:func:`ggv.sampling.sample_columns` draws ``n`` samples of it from one
+table of uniforms, each slot's columns made from its own columns of the
+table, each point slot's points as one block.  A slot that rejects
+candidates keeps its first candidates where it can and then redraws its
+rejected rows together from a fresh table, round after round.  Norm values,
 interval ends and the unit substituted into a pair are computed from the
 drawn columns afterwards.  The evaluation calls the model kernels directly,
 since its points were sampled in the carrier; the norm-value operations keep

@@ -350,3 +350,30 @@ def test_verify_mazur_ulam_checks_each_map_once(capsys, monkeypatch):
     )
     assert code == 0 and json.loads(out)["pass"] is True
     assert calls == [(200, 3)]
+
+
+RSS_GUARD = """
+import contextlib, io, sys
+import ggv, ggv.cli
+requests = (["eval", "--model", "mobius", "--expr", "oplus 0.1,0.2 0.3,0"],
+            ["verify-axioms", "--model", "einstein", "--samples", "3"],
+            ["verify-mazur-ulam", "--model", "mobius", "--maps", "1", "--samples", "3", "--max-depth", "2"],
+            ["defect", "--model", "normed", "--n-max", "2"],
+            ["decompose", "--model", "pathological", "--samples", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ggv.cli.main(argv) for argv in requests]
+print(codes, sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+
+
+def test_no_command_imports_numpy_random():
+    # Importing numpy.random costs about 6 MB of peak RSS, a tenth of the
+    # benchmark's: samples come from random.Random.randbytes instead.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", RSS_GUARD], capture_output=True, text=True, check=True,
+                            env={"PYTHONPATH": str(src)})
+    assert result.stdout.split("\n")[0] == "[0, 0, 0, 0, 0] []", result.stdout + result.stderr

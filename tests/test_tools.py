@@ -1,6 +1,7 @@
 """The repository tools under ``tools/``."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import load_tool
@@ -135,3 +136,50 @@ def test_compare_reports_tells_exit_codes_and_pass_flips_from_digits(monkeypatch
         "ggv flip: 3 -> 3 pass flags, flipped at [1, 2]",
         "6 requests, 5 differ: 1 exit codes, 1 pass vectors, 3 digits only",
     ]
+
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+
+
+def test_a_stratified_eighth_of_the_corpus_keeps_its_recorded_reports(capsys):
+    # Exit codes and pass vectors are compared on every platform, digests
+    # only on the one the file was recorded on; a failure prints that one.
+    compare_reports = load_tool("compare_reports")
+    requests = compare_reports.corpus()
+    picked = compare_reports.stratified(requests)
+    assert len(requests) / 10 <= len(picked) <= len(requests) / 6
+    assert {compare_reports._stratum(requests[i]) for i in picked} == set(map(compare_reports._stratum, requests))
+    assert [line["argv"] for line in json.loads(DIGESTS.read_text())["requests"]] == requests
+    status = compare_reports.main(["--check", str(DIGESTS), "--slice"])
+    out = capsys.readouterr().out
+    assert status == 0, out
+
+
+def test_compare_reports_checks_digests_only_on_the_recorded_platform(tmp_path, monkeypatch, capsys):
+    compare_reports = load_tool("compare_reports")
+    requests = [["a"], ["b"], ["c"]]
+    recorded = [_record(["a"], 0, _report(True, True)), _record(["b"], 1, _report(False, False)),
+                _record(["c"], 0, "0.5,0\n")]
+    here = {"python": "3", "numpy": "2", "mpmath": "1", "simd_extensions": {"baseline": [], "found": []}}
+    monkeypatch.setattr(compare_reports, "corpus", lambda: requests)
+    monkeypatch.setattr(compare_reports, "platform_of", lambda: here)
+    monkeypatch.setattr(compare_reports, "run_tree", lambda tree, indices=None: recorded)
+    path = tmp_path / "digests.json"
+    assert compare_reports.main(["--record", str(path), "tree"]) == 0
+    contract = json.loads(path.read_text())
+    assert contract["platform"] == here
+    assert [(line["argv"], line["code"], line["pass"]) for line in contract["requests"]] == [
+        (["a"], 0, [True, True]), (["b"], 1, [False, False]), (["c"], 0, [])]
+    capsys.readouterr()
+    now = [_record(["a"], 0, _report(True, True, residual=1e-12)), _record(["b"], 1, _report(False, True)),
+           _record(["c"], 0, "0.5,0\n")]
+    monkeypatch.setattr(compare_reports, "run_tree", lambda tree, indices=None: now)
+    assert compare_reports.main(["--check", str(path), "tree"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["ggv a: digits or messages changed", "ggv b: 2 -> 2 pass flags, flipped at [1]"]
+    assert lines[2].startswith("3 requests checked, 2 differ; digests compared: the file expects")
+    monkeypatch.setattr(compare_reports, "platform_of", lambda: {**here, "numpy": "3"})
+    assert compare_reports.main(["--check", str(path), "tree"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ggv b: 2 -> 2 pass flags, flipped at [1]"
+    assert lines[1].startswith(f"3 requests checked, 1 differ; digests skipped: the file expects {json.dumps(here)}")

@@ -1,6 +1,8 @@
 """Compare the CLI output of two source trees, request by request.
 
     python3 tools/compare_reports.py OLD_TREE NEW_TREE
+    python3 tools/compare_reports.py --record tests/data/report_digests.json [TREE]
+    python3 tools/compare_reports.py --check tests/data/report_digests.json [--slice] [TREE]
 
 Each tree is a checkout of this repository (for instance an exported copy of
 the parent commit and the working tree).  A fixed corpus of ``ggv`` requests
@@ -30,6 +32,17 @@ their old and new exit code, or the positions of the flipped flags; the last
 line reads ``N requests, K differ: E exit codes, P pass vectors, D digits
 only``.
 
+``--record PATH`` runs the corpus against one tree (by default this
+checkout) and writes the report contract to ``PATH``: the versions of
+Python, NumPy and mpmath and NumPy's SIMD extensions, then one line per
+request with its argv, exit code, vector of ``pass`` flags and the sha256 of
+its masked stdout and of its masked stderr.  ``--check PATH`` runs the
+corpus, or with ``--slice`` the stratified eighth of it that
+:func:`stratified` picks, and compares every request's exit code and pass
+vector with the file, and its digests only on the platform the file was
+recorded on; it prints each mismatch and the platform the file expects, and
+exits 1 if any request differs.
+
 The report ``timestamp`` and the source location of warning lines (file,
 line number and the echoed source line) are masked, since neither is part of
 the report.  Each request starts with fresh warning registries, as a new
@@ -40,13 +53,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import platform
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SEEDS = (0, 7, 1234)
 BALL_RADII = (None, "0.5", "2.5", "0.1")
@@ -159,13 +176,32 @@ def mask(stdout: str, stderr: str) -> tuple[str, str]:
     return _TIMESTAMP.sub('"timestamp": "<masked>"', stdout), "\n".join(lines)
 
 
-def collect(tree: Path) -> list[dict]:
-    """Run the corpus in this interpreter against ``tree``'s sources."""
+def stratified(requests: list[list[str]]) -> list[int]:
+    """The indices of a fixed slice of about an eighth of ``requests``: for
+    each command, kind and tolerance, its middle request, and its first too
+    when it has 24 or more."""
+    strata: dict[tuple, list[int]] = {}
+    for i, argv in enumerate(requests):
+        strata.setdefault(_stratum(argv), []).append(i)
+    return sorted({i for members in strata.values()
+                   for i in (members[len(members) // 2], members[0] if len(members) >= 24 else None) if i is not None})
+
+
+def _stratum(argv: list[str]) -> tuple:
+    # A request's command, kind and tolerance.
+    option = dict(zip(argv[1::2], argv[2::2]))
+    return argv[0], option.get("--model"), option.get("--tolerance")
+
+
+def collect(tree: Path, indices: list[int] | None = None) -> list[dict]:
+    """Run the corpus, or its requests at ``indices``, in this interpreter
+    against ``tree``'s sources."""
     sys.path.insert(0, str(tree / "src"))
     from ggv.cli import main
 
+    requests = corpus()
     records = []
-    for argv in corpus():
+    for argv in requests if indices is None else [requests[i] for i in indices]:
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             # Changing the filters invalidates every warning registry.
@@ -181,10 +217,69 @@ def collect(tree: Path) -> list[dict]:
     return records
 
 
-def run_tree(tree: Path) -> list[dict]:
-    result = subprocess.run([sys.executable, __file__, "--collect", str(tree)],
+def run_tree(tree: Path, indices: list[int] | None = None) -> list[dict]:
+    only = [] if indices is None else ["--indices", ",".join(map(str, indices))]
+    result = subprocess.run([sys.executable, __file__, "--collect", str(tree), *only],
                             check=True, capture_output=True, text=True)
     return json.loads(result.stdout)
+
+
+def platform_of() -> dict:
+    """What the digests depend on: the versions of Python, NumPy and mpmath
+    and the SIMD extensions NumPy dispatches to."""
+    import mpmath
+    import numpy
+
+    simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "mpmath": mpmath.__version__,
+            "simd_extensions": {key: simd[key] for key in ("baseline", "found")}}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(record: dict) -> dict:
+    """The contract line of a record: argv, exit code, pass vector and digests."""
+    return {"argv": record["argv"], "code": record["code"], "pass": passes(record["stdout"]),
+            "stdout": _sha256(record["stdout"]), "stderr": _sha256(record["stderr"])}
+
+
+def record(path: Path, tree: Path) -> int:
+    """Write the report contract of ``tree`` to ``path``, one request per line."""
+    lines = [json.dumps(digest(r)) for r in run_tree(tree)]
+    path.write_text(f'{{"platform": {json.dumps(platform_of())},\n "requests": [\n' + ",\n".join(lines) + "\n]}\n")
+    print(f"{len(lines)} requests recorded in {path}")
+    return 0
+
+
+def check(path: Path, tree: Path, sliced: bool = False, out=sys.stdout) -> int:
+    """Compare ``tree``'s reports with the contract at ``path``: exit codes
+    and pass vectors always, digests only on the recorded platform."""
+    contract = json.loads(path.read_text())
+    expected, here = contract["platform"], platform_of()
+    indices = stratified(corpus()) if sliced else list(range(len(corpus())))
+    lines = [contract["requests"][i] for i in indices]
+    same_platform = expected == here
+    failures = 0
+    for line, got in zip(lines, map(digest, run_tree(tree, indices))):
+        if line["argv"] != got["argv"]:
+            problem = f"the corpus changed: the file holds ggv {' '.join(line['argv'])}"
+        elif line["code"] != got["code"]:
+            problem = f"exit code {line['code']!r} -> {got['code']!r}"
+        elif line["pass"] != got["pass"]:
+            flipped = [i for i, (x, y) in enumerate(zip(line["pass"], got["pass"])) if x != y]
+            problem = f"{len(line['pass'])} -> {len(got['pass'])} pass flags, flipped at {flipped}"
+        elif same_platform and (line["stdout"], line["stderr"]) != (got["stdout"], got["stderr"]):
+            problem = "digits or messages changed"
+        else:
+            continue
+        failures += 1
+        print(f"ggv {' '.join(got['argv'])}: {problem}", file=out)
+    print(f"{len(lines)} requests checked, {failures} differ; digests "
+          f"{'compared' if same_platform else 'skipped'}: the file expects {json.dumps(expected)}"
+          + ("" if same_platform else f", this platform is {json.dumps(here)}"), file=out)
+    return 1 if failures else 0
 
 
 def passes(stdout: str) -> list[bool]:
@@ -208,12 +303,22 @@ def classify(old: list[dict], new: list[dict]) -> tuple[list, list, list]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE, or the TREE to record or check")
+    parser.add_argument("--record", type=Path, metavar="PATH", help="write the report contract of TREE to PATH")
+    parser.add_argument("--check", type=Path, metavar="PATH", help="compare TREE's reports with the contract at PATH")
+    parser.add_argument("--slice", action="store_true", help="with --check, only the stratified eighth of the corpus")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--indices", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
-        json.dump(collect(args.collect.resolve()), sys.stdout)
+        indices = None if args.indices is None else [int(i) for i in args.indices.split(",")]
+        json.dump(collect(args.collect.resolve(), indices), sys.stdout)
         return 0
+    if args.record or args.check:
+        if len(args.trees) > 1:
+            parser.error("expected at most one source tree")
+        tree = (args.trees[0] if args.trees else ROOT).resolve()
+        return record(args.record, tree) if args.record else check(args.check, tree, args.slice)
     if len(args.trees) != 2:
         parser.error("expected two source trees")
     old, new = (run_tree(tree.resolve()) for tree in args.trees)
