@@ -40,6 +40,12 @@ digits (``_mp()``).  The point kernels of the model (``group.add``,
 ``_POINT`` form and build a point from the result (see :func:`_model`).
 Both forms take their transcendental functions from NumPy's ufuncs, so every
 row of a block rounds exactly as the point kernel rounds it.
+
+A norm-value line is data in the same way: ``NormValueSpace.ops(lib)``
+returns its membership test and its ``nv_add``, ``nv_smul``, ``lin`` and
+``lin_inv``, written once over ``lib`` (see :func:`_line`).  The line's
+point functions are its ``_POINT`` form, and the block form of a model runs
+its ``_BLOCK`` form on whole columns (see :func:`_block_line`).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 import warnings
 import weakref
 from dataclasses import dataclass, replace
@@ -60,7 +67,7 @@ import numpy as np
 
 from .errors import BoundaryClampWarning, ConfigError, DomainError
 from .gyrogroup import GyroGroupOps, GyroPoint, _point
-from .space import GgvModel, NormValueSpace, nv_add, nv_smul
+from .space import _NOT_FINITE, GgvModel, NormValueSpace, _first_row_error, _not_member, nv_add, nv_smul
 
 # Relative distance from the ball boundary below which results are clamped
 # back inside with a warning; gamma factors diverge at the boundary and
@@ -216,23 +223,39 @@ def _transplant_inv(a, lib):
     return lib.where(a >= 1.0, t, -t)
 
 
-def _path_S(x: float) -> float:
+def _is_integer(x, lib):
+    return x == lib.floor(x)
+
+
+def _path_S(x, lib):
     # Pinned bijection (-inf, 0) -> (-inf, -1]: negative integers are fixed,
     # everything else shifts down by one.  Discontinuous, but a bijection is
     # all that is required of it (in floating point ``x - 1`` is not
     # injective anyway).  A non-integer whose shift rounds onto an integer
     # (-1 for inputs within an ulp of zero, -3 for the double just above -2)
     # would land on that fixed point; keep it just below.
-    if x.is_integer():
-        return x
     value = x - 1.0
-    return math.nextafter(value, -math.inf) if value.is_integer() else value
+    value = lib.where(_is_integer(value, lib), lib.nextafter(value, -math.inf), value)
+    return lib.where(_is_integer(x, lib), x, value)
 
 
-def _path_S_inv(y: float) -> float:
-    if y.is_integer():
-        return y
-    return y + 1.0
+def _path_S_inv(y, lib):
+    return lib.where(_is_integer(y, lib), y, y + 1.0)
+
+
+def _path_T(x, lib):
+    # path_T in the form of ``lib``: exp on x >= 0, the pinned shift below.
+    # A NaN passes the overflow check (x != x only for NaN) and the shift
+    # keeps it.
+    lib.require((x <= _LOG_MAX) | (x != x), x, "path_T({!r}) overflows a double")
+    return lib.where(x >= 0.0, lib.exp(x), _path_S(x, lib))
+
+
+def _path_T_inv(A, lib):
+    # path_T_inv in the form of ``lib``: log on A >= 1, the pinned shift on
+    # A <= -1, whose log of |A| is not taken.
+    lib.require((A >= 1.0) | (A <= -1.0), A, "{!r} is outside (-inf, -1] union [1, inf)")
+    return lib.where(A >= 1.0, lib.log(abs(A)), _path_S_inv(A, lib))
 
 
 def path_T(x: float) -> float:
@@ -243,22 +266,12 @@ def path_T(x: float) -> float:
     down by one.  Raises :class:`DomainError` where ``exp`` would overflow a
     double.
     """
-    x = float(x)
-    if x > _LOG_MAX:
-        raise DomainError(f"path_T({x!r}) overflows a double")
-    if x >= 0.0:
-        return math.exp(x)
-    return _path_S(x)
+    return _path_T(float(x), _POINT)
 
 
 def path_T_inv(A: float) -> float:
     """Inverse of :func:`path_T`; defined on the norm-value set only."""
-    A = float(A)
-    if A >= 1.0:
-        return math.log(A)
-    if A <= -1.0:
-        return _path_S_inv(A)
-    raise DomainError(f"{A!r} is outside (-inf, -1] union [1, inf)")
+    return _path_T_inv(float(A), _POINT)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +358,60 @@ def _in_form(m: GgvModel, lib) -> GgvModel:
     return replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi, ambient_norm=k.ambient_norm)
 
 
-def _on_blocks(m: GgvModel) -> GgvModel:
-    """``m`` in block form: ``_in_form(m, _BLOCK)`` and a norm-value line on columns.
+def _block_line(nvs: NormValueSpace) -> NormValueSpace:
+    """The norm-value line ``nvs`` on columns, with the checks of its public
+    operations.
 
-    The functions of the norm-value line are mapped over the column entry by
-    entry.  ``nv_add`` and ``nv_smul`` are their public forms mapped over the
-    rows, membership checks included, because norm values drawn through
-    ``lin_inv`` can leave the norm-value set; the first row that does raises
-    the error a loop over the rows would raise.  The block form is built once
-    per model object and dies with it; a model rebuilt with
-    ``dataclasses.replace`` is another object and gets its own.
+    ``contains`` tests a column.  ``nv_add`` and ``nv_smul`` check their
+    arguments and their result, because norm values drawn through
+    ``lin_inv`` can leave the norm-value set, and every function makes the
+    domain checks of its formula.  The first row that fails a check raises
+    the error a loop over the rows would raise: a row checks ``A``, then
+    ``B`` or the scalar, then the formula, then the result.  A line with
+    ``ops`` runs ``ops(_BLOCK)`` on whole columns; a line built by hand
+    has no ``ops``, and its functions are mapped over the entries, ``nv_add``
+    and ``nv_smul`` in their public forms.
+    """
+    if nvs.ops is None:
+        return replace(nvs, contains=_row_wise(nvs.contains), nv_add=_row_wise(partial(nv_add, nvs)),
+                       nv_smul=_row_wise(partial(nv_smul, nvs)), lin=_columnwise(nvs.lin),
+                       lin_inv=_columnwise(nvs.lin_inv))
+    # The formulas' domain checks are recorded, as (ok, x, message), and
+    # raised in row order after the call: the current call's in each thread.
+    recorded = threading.local()
+    line = nvs.ops(SimpleNamespace(**{**vars(_BLOCK), "require": lambda *check: recorded.checks.append(check)}))
+    member = _not_member(nvs.tag)
+
+    def checked(fn, *args, before=(), result=True):
+        # Rows that fail a check may leave a function's domain on the way;
+        # their error is raised, not NumPy's warning.
+        recorded.checks = failed = []
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+        after = [(line.contains(out), out, member)] if result else []
+        _first_row_error([*before, *failed, *after])
+        return out
+
+    def add(A, B):
+        return checked(line.nv_add, A, B, before=[(line.contains(A), A, member), (line.contains(B), B, member)])
+
+    def smul(r, A):
+        return checked(line.nv_smul, r, A, before=[(line.contains(A), A, member), (np.isfinite(r), r, _NOT_FINITE)])
+
+    return replace(nvs, contains=line.contains, nv_add=add, nv_smul=smul,
+                   lin=partial(checked, line.lin, result=False), lin_inv=partial(checked, line.lin_inv, result=False))
+
+
+def _on_blocks(m: GgvModel) -> GgvModel:
+    """``m`` in block form: ``_in_form(m, _BLOCK)`` and its norm-value line on
+    columns (see :func:`_block_line`).
+
+    The block form is built once per model object and dies with it; a model
+    rebuilt with ``dataclasses.replace`` is another object and gets its own.
     """
     form = _BLOCK_FORMS.get(m)
     if form is None:
-        nvs = m.nvs
-        line = replace(nvs, nv_add=_row_wise(partial(nv_add, nvs)), nv_smul=_row_wise(partial(nv_smul, nvs)),
-                       lin=_columnwise(nvs.lin), lin_inv=_columnwise(nvs.lin_inv))
-        form = _BLOCK_FORMS[m] = replace(_in_form(m, _BLOCK), nvs=line)
+        form = _BLOCK_FORMS[m] = replace(_in_form(m, _BLOCK), nvs=_block_line(m.nvs))
     return form
 
 
@@ -446,21 +496,21 @@ def _require(ok: bool, x: float, message: str) -> None:
 def _require_rows(ok: np.ndarray, x: np.ndarray, message: str) -> None:
     # _require on each row: the first row that fails raises its error.
     if not np.all(ok):
-        raise DomainError(message.format(float(np.extract(np.logical_not(ok), x)[0])))
+        _first_row_error([(ok, x, message)])
 
 
 # What the formulas take as ``lib``: the square root and transcendental
-# functions, ``where``, which picks between two values row by row, the
-# boundary clamp, which warns once per clamped row, ``each``, which lifts a
-# scalar function to the coordinate type, ``rows``, which lifts a function of
-# coordinate tuples to the same, ``const``, which brings a constant the
-# formulas close over (a radius, a centre) to the precision of the lib,
-# ``orthonormal``, the same for the rows of an orthogonal matrix, and the
-# pathological transplant ``Phi`` and its inverse; on points that is
-# ``path_Phi`` itself, and the other libs write it once over their
-# ``require``, which raises the domain error of the first row that fails a
-# test.  Everything else, the ball scaling included, is written once over
-# these.  NumPy's square root is correctly rounded, as libm's is.  The
+# functions, ``floor``, ``isfinite`` and ``nextafter``, ``where``, which
+# picks between two values row by row, the boundary clamp, which warns once
+# per clamped row, ``each``, which lifts a scalar function to the coordinate
+# type, ``rows``, which lifts a function of coordinate tuples to the same,
+# ``const``, which brings a constant the formulas close over (a radius, a
+# centre) to the precision of the lib, ``orthonormal``, the same for the rows
+# of an orthogonal matrix, ``require``, which raises the domain error of the
+# first row that fails a test, and the pathological transplant ``Phi`` and
+# its inverse; on points that is ``path_Phi`` itself, and the other libs
+# write it once over their ``require``.  Everything else, the ball scaling
+# and the norm-value lines included, is written once over these.  NumPy's square root is correctly rounded, as libm's is.  The
 # transcendental functions are NumPy's ufuncs in both forms, on the column
 # for a block and on one float for a point, so that each row of a block
 # rounds exactly like its point; their last ulp depends on the NumPy version
@@ -468,10 +518,12 @@ def _require_rows(ok: np.ndarray, x: np.ndarray, message: str) -> None:
 # ufunc returns a non-finite value with a ``RuntimeWarning`` where ``math``
 # raised ``ValueError``, so the formulas keep every argument inside it.
 _POINT = SimpleNamespace(sqrt=math.sqrt, **{name: _on_float(ufunc) for name, ufunc in _UFUNCS.items()},
-                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same, const=_same, orthonormal=_same,
-                         Phi=path_Phi, Phi_inv=path_Phi_inv)
-_BLOCK = SimpleNamespace(sqrt=np.sqrt, **_UFUNCS, where=np.where, clamp=_clamp_block, each=_columnwise,
-                         rows=_row_wise, require=_require_rows, const=_same, orthonormal=_same)
+                         floor=_on_float(np.floor), isfinite=math.isfinite, nextafter=math.nextafter,
+                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same, require=_require, const=_same,
+                         orthonormal=_same, Phi=path_Phi, Phi_inv=path_Phi_inv)
+_BLOCK = SimpleNamespace(sqrt=np.sqrt, **_UFUNCS, floor=np.floor, isfinite=np.isfinite, nextafter=np.nextafter,
+                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise, require=_require_rows,
+                         const=_same, orthonormal=_same)
 _BLOCK.Phi, _BLOCK.Phi_inv = partial(_transplant, lib=_BLOCK), partial(_transplant_inv, lib=_BLOCK)
 
 # Decimal digits of the lib in which failing rows are evaluated again.
@@ -625,16 +677,30 @@ def _mobius_gyr(u: tuple[float, ...], v: tuple[float, ...], w: tuple[float, ...]
 # Norm-value lines.
 # ---------------------------------------------------------------------------
 
+def _line(tag: str, zero: float, ops: Callable) -> NormValueSpace:
+    """The norm-value line of the functions ``ops``, which it holds as data.
+
+    ``ops(lib)`` returns the line's membership test ``contains`` and its
+    functions ``nv_add``, ``nv_smul``, ``lin`` and ``lin_inv``, each written
+    once over ``lib``, as the kernels are.  The line's point functions are
+    ``ops(_POINT)``, its ``contains`` first asking for a real number, and
+    :func:`_on_blocks` runs ``ops(_BLOCK)`` on whole columns.
+    """
+    point = ops(_POINT)
+
+    def contains(A) -> bool:
+        return isinstance(A, (int, float)) and point.contains(A)
+
+    nvs = NormValueSpace(tag, zero, contains, point.nv_add, point.nv_smul, point.lin, point.lin_inv)
+    object.__setattr__(nvs, "ops", ops)
+    return nvs
+
+
 def _euclidean_line() -> NormValueSpace:
-    return NormValueSpace(
-        tag="euclidean-line",
-        zero=0.0,
-        contains=lambda A: isinstance(A, (int, float)) and math.isfinite(A),
-        nv_add=lambda A, B: A + B,
-        nv_smul=lambda r, A: r * A,
-        lin=lambda A: A,
-        lin_inv=lambda t: t,
-    )
+    def ops(lib):
+        return SimpleNamespace(contains=lib.isfinite, nv_add=add, nv_smul=mul, lin=_same, lin_inv=_same)
+
+    return _line("euclidean-line", 0.0, ops)
 
 
 def _rapidity_line(s: float) -> NormValueSpace:
@@ -642,33 +708,44 @@ def _rapidity_line(s: float) -> NormValueSpace:
     # linearized by the rapidity map s*artanh(./s).
     s2 = s * s
 
-    def contains(A: float) -> bool:
-        return isinstance(A, (int, float)) and math.isfinite(A) and -s < A < s
+    def ops(lib):
+        def contains(A):
+            return lib.isfinite(A) & (-s < A) & (A < s)
 
-    return NormValueSpace(
-        tag=f"rapidity-line(s={s:g})",
-        zero=0.0,
-        contains=contains,
-        nv_add=lambda A, B: (A + B) / (1.0 + A * B / s2),
-        nv_smul=lambda r, A: s * math.tanh(r * math.atanh(A / s)),
-        lin=lambda A: s * math.atanh(A / s),
-        lin_inv=lambda t: s * math.tanh(t / s),
-    )
+        def nv_add(A, B):
+            return (A + B) / (1.0 + A * B / s2)
+
+        def nv_smul(r, A):
+            return s * lib.tanh(r * lib.atanh(A / s))
+
+        def lin(A):
+            return s * lib.atanh(A / s)
+
+        def lin_inv(t):
+            return s * lib.tanh(t / s)
+
+        return SimpleNamespace(contains=contains, nv_add=nv_add, nv_smul=nv_smul, lin=lin, lin_inv=lin_inv)
+
+    return _line(f"rapidity-line(s={s:g})", 0.0, ops)
 
 
 def _transplanted_line() -> NormValueSpace:
-    def contains(A: float) -> bool:
-        return isinstance(A, (int, float)) and math.isfinite(A) and (A >= 1.0 or A <= -1.0)
+    # (-inf, -1] union [1, inf), the reals transplanted through path_T.
+    def ops(lib):
+        T, T_inv = partial(_path_T, lib=lib), partial(_path_T_inv, lib=lib)
 
-    return NormValueSpace(
-        tag="transplanted-line",
-        zero=1.0,
-        contains=contains,
-        nv_add=lambda A, B: path_T(path_T_inv(A) + path_T_inv(B)),
-        nv_smul=lambda r, A: path_T(r * path_T_inv(A)),
-        lin=path_T_inv,
-        lin_inv=path_T,
-    )
+        def contains(A):
+            return lib.isfinite(A) & ((A >= 1.0) | (A <= -1.0))
+
+        def nv_add(A, B):
+            return T(T_inv(A) + T_inv(B))
+
+        def nv_smul(r, A):
+            return T(r * T_inv(A))
+
+        return SimpleNamespace(contains=contains, nv_add=nv_add, nv_smul=nv_smul, lin=T_inv, lin_inv=T)
+
+    return _line("transplanted-line", 1.0, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
-from .models import _BLOCK, _POINT, BALL_KINDS, Block, _norm, _on_blocks
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _norm, _on_blocks
 from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -101,9 +101,10 @@ def sample_point(m: GgvModel, rng: random.Random, margin: float = BALL_MARGIN) -
     return _point(m.tag, _coords(m, [draw() for draw in _draws(m, rng)], margin, _POINT))
 
 
-def _squared_separation(a, b, lib):
+def _squared_separation(a, b):
     # The squared Euclidean distance of two coordinate tuples, or of two blocks row by row.
-    return sum(map(lib.each(pow), map(sub, a, b), repeat(2)))
+    d = tuple(map(sub, a, b))
+    return _dot(d, d)
 
 
 def sample_point_away_from_identity(m: GgvModel, rng: random.Random, min_lin_norm: float = 1e-3) -> GyroPoint:
@@ -120,7 +121,7 @@ def sample_separated_pair(m: GgvModel, rng: random.Random, min_coord_sep: float 
     for _ in range(ATTEMPTS):
         a = sample_point(m, rng)
         b = sample_point(m, rng)
-        if math.sqrt(_squared_separation(a.coords, b.coords, _POINT)) >= min_coord_sep:
+        if math.sqrt(_squared_separation(a.coords, b.coords)) >= min_coord_sep:
             return a, b
     raise SamplingError(Pair(min_coord_sep).refusal(m))
 
@@ -269,7 +270,7 @@ class Pair(_Points):
         self.sep = sep
 
     def accepts(self, form: GgvModel, a, c) -> np.ndarray:
-        return np.sqrt(_squared_separation(a, c, _BLOCK)) >= self.sep
+        return np.sqrt(_squared_separation(a, c)) >= self.sep
 
     def refusal(self, m: GgvModel) -> str:
         return f"no pair of {m.tag} {self.sep:g} apart in coordinates in {ATTEMPTS} draws: {_TOO_SMALL}"

@@ -48,6 +48,13 @@ class NormValueSpace:
     ``contains`` decides membership in the norm-value set, ``lin`` is the
     linearizing bijection onto the reals and ``lin_inv`` its inverse.
     ``zero`` is the zero element of the primed structure, i.e. ``lin(zero) == 0``.
+
+    ``ops(lib)`` returns the line's functions in ``lib``'s form, each written
+    once over ``lib`` (see :func:`ggv.models._line`): the point functions
+    above are ``ops`` on floats.  Like ``GgvModel.ops`` it is not a
+    constructor argument, so a line built by hand or rebuilt with
+    ``dataclasses.replace`` has none, and its own functions are mapped over
+    the entries wherever a column is needed.
     """
 
     tag: str
@@ -57,6 +64,7 @@ class NormValueSpace:
     nv_smul: Callable[[float, NormValue], NormValue]
     lin: Callable[[NormValue], float]
     lin_inv: Callable[[float], NormValue]
+    ops: Callable | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +102,48 @@ class GgvModel:
         return self.group.identity
 
 
+# The domain errors of the norm-value operations, as ``message.format(value)``.
+_NOT_FINITE = "scalar {!r} is not a finite real"
+_NEGATIVE = "order comparison is defined on the nonnegative part only"
+
+
+def _not_member(tag: str) -> str:
+    """The error of a value outside the norm-value set of the line ``tag``."""
+    return "{!r} is not in the norm-value set of " + tag.replace("{", "{{").replace("}", "}}")
+
+
 def _require_member(s: NormValueSpace, value: NormValue) -> NormValue:
     # Results are checked too: tanh saturates at the edge of the rapidity line.
+    # A member goes on as a float, so the line's point functions take floats.
     if not s.contains(value):
-        raise DomainError(f"{value!r} is not in the norm-value set of {s.tag}")
-    return value
+        raise DomainError(_not_member(s.tag).format(value))
+    return float(value)
 
 
 def _finite_scalar(r: float) -> float:
     r = float(r)
     if not math.isfinite(r):
-        raise DomainError(f"scalar {r!r} is not a finite real")
+        raise DomainError(_NOT_FINITE.format(r))
     return r
+
+
+def _first_row_error(checks: list) -> None:
+    """Raise the error of the first row that fails a check, as a loop over
+    the rows would raise it.
+
+    ``checks`` lists the checks of a row in the order a row makes them, each
+    as ``(ok, x, message)``: ``ok`` holds a truth value per row (or one for
+    all rows), ``x`` the values tested, and a row that fails raises
+    :class:`DomainError` with ``message.format(value)``.
+    """
+    if all(np.asarray(ok).all() for ok, _, _ in checks):
+        return
+    shape = np.broadcast_shapes((1,), *(np.shape(ok) for ok, _, _ in checks))
+    failed = [np.broadcast_to(np.logical_not(ok), shape) for ok, _, _ in checks]
+    row = min(int(np.argmax(f)) for f in failed if f.any())
+    for (_, x, message), f in zip(checks, failed):
+        if f[row]:
+            raise DomainError(message.format(float(np.broadcast_to(x, shape)[row])))
 
 
 def _count(n: int, name: str = "n_samples") -> None:
@@ -143,21 +181,19 @@ def _gnorm(m: GgvModel, a: GyroPoint) -> NormValue:
 
 def nv_add(s: NormValueSpace, A: NormValue, B: NormValue) -> NormValue:
     """Transplanted vector addition ``A (+)' B`` on the norm-value line."""
-    _require_member(s, A)
-    _require_member(s, B)
+    A, B = _require_member(s, A), _require_member(s, B)
     return _require_member(s, s.nv_add(A, B))
 
 
 def nv_smul(s: NormValueSpace, r: float, A: NormValue) -> NormValue:
     """Transplanted scalar multiplication ``r (x)' A`` on the norm-value line."""
-    _require_member(s, A)
+    A = _require_member(s, A)
     return _require_member(s, s.nv_smul(_finite_scalar(r), A))
 
 
 def linearize(s: NormValueSpace, A: NormValue) -> float:
     """Image of a norm value under the linearizing bijection onto the reals."""
-    _require_member(s, A)
-    return s.lin(A)
+    return s.lin(_require_member(s, A))
 
 
 def delinearize(s: NormValueSpace, t: float) -> NormValue:
@@ -174,7 +210,16 @@ def nv_le_nonneg(s: NormValueSpace, A: NormValue, B: NormValue) -> bool:
     _require_member(s, A)
     _require_member(s, B)
     if A < 0.0 or B < 0.0:
-        raise DomainError("order comparison is defined on the nonnegative part only")
+        raise DomainError(_NEGATIVE)
+    return A <= B
+
+
+def _nv_le_rows(s: NormValueSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """:func:`nv_le_nonneg` row by row over columns, on the block form of a
+    line (see :func:`ggv.models._on_blocks`), whose ``contains`` tests a
+    column: the first row that fails a check raises its error."""
+    member = _not_member(s.tag)
+    _first_row_error([(s.contains(A), A, member), (s.contains(B), B, member), ((A >= 0.0) & (B >= 0.0), A, _NEGATIVE)])
     return A <= B
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .gyrogroup import _coplus, _gyr_via_composition
 from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads verify.oplus)
-from .models import _BLOCK, _on_blocks, _row_wise
+from .models import _on_blocks
 from .sampling import (
     BALL_MARGIN,
     Const,
@@ -60,7 +59,7 @@ from .space import (
     _gnorm,
     _gyrometric,
     _midpoint,
-    nv_le_nonneg,
+    _nv_le_rows,
     worst_of,
     worst_rows,
 )
@@ -133,7 +132,8 @@ _REAL = Scalar(-3.0, 3.0)
 def _norm_values(m: GgvModel, *columns):
     # Members of the norm-value set, including its negative part, obtained by
     # pulling uniformly sampled reals back through the linearization.
-    return [_BLOCK.each(m.nvs.lin_inv)(column) for column in columns]
+    lin_inv = _on_blocks(m).nvs.lin_inv
+    return [lin_inv(column) for column in columns]
 
 
 def _violated(ok):
@@ -376,7 +376,7 @@ def _pair_or_unit(m, a, b, u):
     unit = u < 0.2
     e = m.identity.coords
     b = tuple(np.where(unit, x, column) for x, column in zip(e, b))
-    return a, b, unit & (_squared_separation(a, b, _BLOCK) < SEPARATION ** 2)
+    return a, b, unit & (_squared_separation(a, b) < SEPARATION ** 2)
 
 
 _separated_pair_or_unit = _layout(Pair(SEPARATION), Scalar(0.0, 1.0), then=_pair_or_unit)
@@ -432,7 +432,7 @@ def _linear_order(b, t1, t2):
     fa, fb = b.nvs.lin(A), b.nvs.lin(B)
     ok = ((0.0 <= A) & (A < B)) == ((0.0 <= fa) & (fa < fb))
     ok &= ((0.0 <= B) & (B < A)) == ((0.0 <= fb) & (fb < fa))
-    return _violated(ok & (_row_wise(partial(nv_le_nonneg, b.nvs))(A, B) == (fa <= fb)))
+    return _violated(ok & (_nv_le_rows(b.nvs, A, B) == (fa <= fb)))
 
 
 # Two intervals, each a low end and a width.

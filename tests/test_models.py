@@ -20,9 +20,13 @@ from ggv import (
     DomainError,
     GyroPoint,
     ModelConfig,
+    delinearize,
     gnorm,
+    linearize,
     make_model,
     make_point,
+    nv_add,
+    nv_smul,
     oplus,
     otimes,
     path_Phi,
@@ -452,6 +456,72 @@ def test_a_point_rounds_as_its_row_in_every_layout_of_a_column(name):
         got = [x.hex() for x in column.tolist()]
         mismatched = [(x, e, g) for x, e, g in zip(xs, expected, got) if e != g]
         assert not mismatched, f"{name} on a {layout} column, {_simd()}: {mismatched[:5]}"
+
+
+def _line_arguments(m):
+    """Norm values of the line of ``m`` and reals that reach the edges of its
+    functions, with a bulk band of each, and scalars to act with."""
+    rng = random.Random(28)
+    kind, s = m.config.kind, m.config.s
+    reals = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-17, -1e-17] + _band(rng, 0.0, 3.0, 100)
+    if kind == "pathological":
+        # Negative integers are the fixed points of the pinned shift; exp
+        # overflows beyond _LOG_MAX.
+        integers = [-1.0, -2.0, -3.0, -1e15]
+        edges = [x for n in integers for x in (n, math.nextafter(n, -math.inf), math.nextafter(n, 0.0))]
+        values = [1.0, math.nextafter(1.0, 2.0), math.exp(700.0), 1.7e308] + edges
+        values += [path_T(x) for x in _band(rng, 0.0, 5.0, 100)]
+        reals += edges + _near(_LOG_MAX, 0.0, 5) + [-_LOG_MAX, -1e300]
+    elif kind == "normed":
+        values = reals + [1e300, -1e300]
+    else:
+        inside = math.nextafter(s, 0.0)
+        values = [0.0, inside, -inside, 1.0, -1.0, 1e-300] + [s * x for x in _band(rng, 0.0, 0.999, 100)]
+        reals += [s * x for x in (19.0, -19.0, 40.0)]
+    scalars = [0.0, 1.0, -1.0, 0.5, 2.0, -3.0] + _band(rng, 0.0, 3.0, 100)
+    return values, reals, scalars
+
+
+def _line_rows(m, name):
+    """Argument rows of the line function ``name`` on which its public form succeeds."""
+    values, reals, scalars = _line_arguments(m)
+    shuffled = random.Random(5)
+    public = {
+        "nv_add": (nv_add, [values, shuffled.sample(values, len(values))]),
+        "nv_smul": (nv_smul, [(scalars * 2)[:len(values)], values]),
+        "lin": (linearize, [values]),
+        "lin_inv": (delinearize, [reals]),
+    }
+    fn, columns = public[name]
+    rows = []
+    for row in zip(*columns):
+        try:
+            fn(m.nvs, *row)
+        except DomainError:
+            continue
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig("normed", dim=1), ModelConfig("einstein", dim=2),
+                                 ModelConfig("mobius", dim=2, s=2.5), ModelConfig("einstein", dim=1, s=0.1),
+                                 ModelConfig("pathological")], ids=lambda cfg: cfg.tag)
+@pytest.mark.parametrize("name", ["nv_add", "nv_smul", "lin", "lin_inv"])
+def test_a_norm_value_rounds_as_its_row_in_every_layout_of_a_column(cfg, name):
+    m = make_model(cfg)
+    rows = _line_rows(m, name)
+    assert len(rows) >= 50
+    point, block = getattr(m.nvs, name), getattr(_on_blocks(m).nvs, name)
+    expected = [float(point(*row)).hex() for row in rows]
+    columns = [np.array(column) for column in zip(*rows)]
+    strided = [np.stack([c, c], axis=1)[:, 1] for c in columns]
+    assert not strided[0].flags.contiguous
+    layouts = {"contiguous": block(*columns), "strided": block(*strided),
+               "one row": np.array([block(*[c[i:i + 1] for c in columns])[0] for i in range(len(rows))])}
+    for layout, column in layouts.items():
+        got = [x.hex() for x in column.tolist()]
+        mismatched = [(row, e, g) for row, e, g in zip(rows, expected, got) if e != g]
+        assert not mismatched, f"{m.nvs.tag} {name} on a {layout} column, {_simd()}: {mismatched[:5]}"
 
 
 # ---------------------------------------------------------------------------

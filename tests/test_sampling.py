@@ -239,7 +239,7 @@ def _away(m, t):
 
 def _apart(sep):
     # The test of sample_separated_pair, summed as it sums.
-    return lambda row, entries: math.sqrt(sum((x - y) ** 2 for x, y in zip(*entries))) >= sep
+    return lambda row, entries: math.sqrt(sum((x - y) * (x - y) for x, y in zip(*entries))) >= sep
 
 
 @pytest.mark.parametrize("cfg", [ModelConfig("pathological"), ModelConfig("normed", dim=2),

@@ -77,6 +77,11 @@ def test_normed_norm_of_origin(normed2):
 def test_pathological_norm_value_operations(patho):
     assert nv_add(patho.nvs, 2.0, 3.0) == pytest.approx(6.0, abs=1e-12)
     assert nv_smul(patho.nvs, 2.0, 3.0) == pytest.approx(9.0, abs=1e-12)
+    # Integer arguments are norm values too, and results are floats: the
+    # pinned shift fixes negative integers.
+    results = [nv_add(patho.nvs, -2, -3), nv_smul(patho.nvs, 2, -3), linearize(patho.nvs, -6)]
+    assert results == [-5.0, -6.0, -6.0]
+    assert all(type(result) is float for result in results)
 
 
 def test_normed_norm_value_operations_are_the_usual_ones(normed2):

@@ -149,7 +149,9 @@ def test_a_sample_count_below_one_is_refused(normed2, samples):
 @pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda cfg: cfg.tag)
 def test_every_check_reports_the_same_on_blocks_and_row_by_row(cfg):
     m = make_model(cfg)
-    lifted = dataclasses.replace(m)
+    # A rebuilt model and a rebuilt line have no ``ops``: both are lifted row by row.
+    lifted = dataclasses.replace(m, nvs=dataclasses.replace(m.nvs))
+    assert lifted.ops is None and lifted.nvs.ops is None
     for name, check in CHECKS:
         on_blocks = run_check(m, name, check, seed=3, samples=40).to_dict()
         assert on_blocks == run_check(lifted, name, check, seed=3, samples=40).to_dict(), name
@@ -170,16 +172,45 @@ def _row(column, i):
     return tuple(c[i:i + 1] for c in column) if isinstance(column, tuple) else column[i:i + 1]
 
 
-@pytest.mark.parametrize("name,public,rows", [
+def _add(nvs, A, B):
+    return nv_add(nvs, A, B)
+
+
+def _smul(nvs, A, r):
+    return nv_smul(nvs, r, A)
+
+
+# On a ball of radius 0.1, lin_inv rounds reals beyond about 1.9 onto the
+# edge of the rapidity line, which is not a norm value; 2 (x)' of the value
+# next below the edge saturates onto it.  The transplanted line has no norm
+# value in (-1, 1).
+_EINSTEIN, _PATHOLOGICAL = ModelConfig("einstein", dim=2, s=0.1), ModelConfig("pathological")
+_BELOW_EDGE = math.nextafter(0.1, 0.0)
+
+
+@pytest.mark.parametrize("cfg,name,public,rows", [
     # the second row's B leaves the line; the third row's A does too
-    ("linear_additive", lambda nvs, A, B: nv_add(nvs, A, B), [(0.01, 0.02), (0.02, -0.1), (0.1, 0.02)]),
+    (_EINSTEIN, "linear_additive", _add, [(0.01, 0.02), (0.02, -0.1), (0.1, 0.02)]),
     # the second row's A leaves the line, and so does the third's
-    ("linear_homogeneous", lambda nvs, A, r: nv_smul(nvs, r, A), [(0.01, 0.5), (0.1, 2.0), (-0.1, 1.0)]),
-])
-def test_a_norm_value_off_the_line_raises_the_error_of_the_first_row(name, public, rows):
-    # On a ball of radius 0.1, lin_inv rounds reals beyond about 1.9 onto
-    # the edge of the rapidity line, which is not a norm value.
-    m = make_model(ModelConfig("einstein", dim=2, s=0.1))
+    (_EINSTEIN, "linear_homogeneous", _smul, [(0.01, 0.5), (0.1, 2.0), (-0.1, 1.0)]),
+    # the second row's result saturates onto the edge; the third row's A leaves the line
+    (_EINSTEIN, "linear_homogeneous", _smul, [(0.01, 0.5), (_BELOW_EDGE, 2.0), (0.1, 1.0)]),
+    # the second row's scalar is not finite; the third row's A leaves the line
+    (_EINSTEIN, "linear_homogeneous", _smul, [(0.01, 0.5), (0.02, math.nan), (0.1, 1.0)]),
+    # the second row's A leaves the line before its scalar is read; so does the third's scalar
+    (_EINSTEIN, "linear_homogeneous", _smul, [(0.01, 0.5), (0.1, math.inf), (0.02, math.nan)]),
+    # the second row's B leaves the line; the third row's A and B do too
+    (_PATHOLOGICAL, "linear_additive", _add, [(2.0, -3.0), (1.5, 0.5), (-0.25, 0.75)]),
+    # both of the second row's values leave the line, and the third's A
+    (_PATHOLOGICAL, "linear_additive", _add, [(2.0, -3.0), (0.5, -0.5), (0.0, 2.0)]),
+    # the second row's A leaves the line, and so does the third's
+    (_PATHOLOGICAL, "linear_homogeneous", _smul, [(2.0, 0.5), (0.0, 1.0), (0.5, 2.0)]),
+    # the second row's A leaves the line; the third row's sum overflows path_T's exp
+    (_PATHOLOGICAL, "linear_additive", _add, [(2.0, -3.0), (0.5, 2.0), (1e308, 1e308)]),
+], ids=["B", "A", "saturated", "scalar", "A-before-scalar", "transplanted-B", "transplanted-A-before-B",
+        "transplanted-A", "transplanted-overflow"])
+def test_a_norm_value_off_the_line_raises_the_error_of_the_first_row(cfg, name, public, rows):
+    m = make_model(cfg)
     errors = []
     for row in rows:
         try:
@@ -190,3 +221,30 @@ def test_a_norm_value_off_the_line_raises_the_error_of_the_first_row(name, publi
     with pytest.raises(DomainError) as excinfo:
         dict(CHECKS)[name].residuals(m, [np.array(c) for c in zip(*rows)])
     assert str(excinfo.value) == errors[0]
+
+
+def test_a_hand_built_line_runs_row_by_row_and_raises_the_error_of_the_first_row():
+    # A line built by hand has no ``ops``: its public nv_add runs on each
+    # row in turn, and the loop stops at the first row that fails.
+    m = make_model(_EINSTEIN)
+    nvs = m.nvs
+    calls = []
+
+    def counted(A, B):
+        calls.append((A, B))
+        return nvs.nv_add(A, B)
+
+    line = type(nvs)(tag=nvs.tag, zero=nvs.zero, contains=nvs.contains, nv_add=counted, nv_smul=nvs.nv_smul,
+                     lin=nvs.lin, lin_inv=nvs.lin_inv)
+    assert line.ops is None
+    hand_built = dataclasses.replace(m, nvs=line)
+    check = dict(CHECKS)["linear_additive"]
+    rows = [(0.01, 0.02), (0.03, -0.04), (-0.05, 0.06)]
+    columns = [np.array(c) for c in zip(*rows)]
+    assert check.residuals(hand_built, columns).tolist() == check.residuals(m, columns).tolist()
+    assert calls == rows and all(type(x) is float for row in calls for x in row)
+    calls.clear()
+    with pytest.raises(DomainError) as excinfo:
+        check.residuals(hand_built, [np.array(c) for c in zip((0.01, 0.02), (0.02, -0.1), (0.1, 0.02))])
+    assert str(excinfo.value) == "-0.1 is not in the norm-value set of rapidity-line(s=0.1)"
+    assert calls == [(0.01, 0.02)]
