@@ -9,9 +9,9 @@ it.
 
 A package-built map holds its primitives as data: ``steps``, each with its
 recipe entries and one ``directions(lib)`` that writes the primitive forward
-and backward once over the model kernels in ``lib``'s form
-(``models._kernels``): on coordinate tuples (``_POINT``) or on blocks
-(``_BLOCK``).  The map's coordinate form, block form and ``recipe`` are
+and backward once over the model in ``lib``'s form (``models._in_form``): on
+coordinate tuples (``_POINT``), on blocks (``_BLOCK``) or at 50 digits
+(``_mp()``).  The map's coordinate form, block form and ``recipe`` are
 derived from its steps, and a composition is the flat chain of the steps of
 its maps.  ``apply`` and ``inverse_apply`` validate their argument once per
 call, however deep the composition, run the coordinate form and build one
@@ -33,7 +33,8 @@ reflection centres with :func:`ggv.sampling.sample_point`, rotations from
 as they always were.  The experiments validate their inputs at entry.  The
 defect experiment's doubling chain is sequential and runs on coordinate
 tuples; its fixed-point residual, when over the tolerance in double, is
-computed again at 50 digits, as the rows below are.
+computed again at 50 digits, as the rows below are, by the same doubling map
+(:func:`_doubling_map`) on the 50-digit forms.
 
 The midpoint experiment and the decomposition evaluate again every finite
 row whose double residual is over the tolerance, at ``models.MP_DIGITS``
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import DomainError, MapConstructionError, PreconditionError
 from .gyrogroup import GyroPoint, _coplus, _point
-from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _kernels, _lift, _mp, _on_blocks, _same
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _lift, _mp, _same
 from .sampling import Point, sample_columns, sample_point
 from .space import DEFAULT_TOLERANCE, GgvModel, Report, _count, _midpoint, worst_of, worst_residual
 
@@ -220,7 +221,7 @@ def _validated(fn: Callable[[GyroPoint], GyroPoint], target: GgvModel) -> Callab
 
 def _form(T: GyroMap | tuple[_Step, ...], lib: SimpleNamespace) -> tuple[Callable, Callable]:
     """``T.apply`` and ``T.inverse_apply`` in ``lib``'s form, without the entry
-    check: the map counterpart of ``models._kernels``.  ``T`` is a map or a
+    check: the map counterpart of ``models._in_form``.  ``T`` is a map or a
     tuple of steps; the steps run forward in order, then backward in reverse."""
     pairs = [step.directions(lib) for step in (T if isinstance(T, tuple) else _steps(T))]
     return _chain([forward for forward, _ in pairs]), _chain([backward for _, backward in reversed(pairs)])
@@ -286,7 +287,7 @@ def left_translation(m: GgvModel, c: GyroPoint) -> GyroMap:
     def translations(lib: SimpleNamespace) -> tuple[Callable, Callable]:
         # Left cancellation makes the second an exact two-sided inverse of the
         # first.  On blocks, a point's coordinates broadcast against the columns.
-        add = _kernels(m, lib).add
+        add = _in_form(m, lib).group.add
         return partial(add, lib.const(c.coords)), partial(add, lib.const(neg_c.coords))
 
     return _primitive(m, {"kind": "left_translation", "center": list(c.coords)}, translations)
@@ -302,8 +303,8 @@ def point_reflection(m: GgvModel, a: GyroPoint) -> GyroMap:
     double_a = m.otimes(2.0, a).coords
 
     def reflections(lib: SimpleNamespace) -> tuple[Callable, Callable]:
-        k, center = _kernels(m, lib), lib.const(double_a)
-        add, inv = k.add, k.inv
+        g, center = _in_form(m, lib).group, lib.const(double_a)
+        add, inv = g.add, g.inv
 
         def reflect(x):
             return add(center, inv(x))
@@ -414,7 +415,7 @@ def map_preservation_residual(T: GyroMap, n_pairs: int, seed: int) -> float:
     """
     _count(n_pairs, "n_pairs")
     rng = random.Random(f"{seed}:preservation")
-    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
+    m1, m2 = _in_form(T.domain_model, _BLOCK), _in_form(T.codomain_model, _BLOCK)
     apply = _form(T, _BLOCK)[0]
     a, b = _sample_pairs(T.domain_model, rng, 0.9, n_pairs)
     return worst_of(abs(m2.distance(apply(a), apply(b)) - m1.distance(a, b)))
@@ -585,7 +586,7 @@ def verify_midpoint_preservation(
     """
     _count(n_samples)
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
-    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
+    m1, m2 = _in_form(T.domain_model, _BLOCK), _in_form(T.codomain_model, _BLOCK)
     apply = _form(T, _BLOCK)[0]
     rng = random.Random(f"{seed}:midpoint")
     a, b = _sample_pairs(T.domain_model, rng, 0.9, n_samples)
@@ -625,7 +626,7 @@ def decompose_mazur_ulam(
     require_gyrometric_preserving(T, seed=seed, tolerance=tolerance)
     translation_part = _point(T.codomain_model.tag, _form(T, _POINT)[0](T.domain_model.identity.coords))
     neg_te = T.codomain_model.group.inv(translation_part)
-    m1, m2 = _on_blocks(T.domain_model), _on_blocks(T.codomain_model)
+    m1, m2 = _in_form(T.domain_model, _BLOCK), _in_form(T.codomain_model, _BLOCK)
     apply = _form(T, _BLOCK)[0]
     exact = cache(partial(_exact_T0, T))
 
@@ -667,29 +668,24 @@ def decompose_mazur_ulam(
     )
 
 
-def _exact_fixed_point_residual(T: GyroMap, a1: tuple[float, ...], a2: tuple[float, ...]) -> float:
-    """The fixed-point residual of ``S`` at ``a1`` and ``a2`` at ``models.MP_DIGITS`` digits.
+def _doubling_map(m1: GgvModel, m2: GgvModel, apply: Callable, inverse_apply: Callable, x1, x2) -> tuple:
+    """The midpoints ``p`` of ``x1`` and ``x2`` and ``p'`` of their images, and
+    the doubling map ``S = refl_p o T^-1 o refl_p' o T``, all in the form of
+    the models ``m1`` and ``m2`` (see ``models._in_form``), with ``apply`` and
+    ``inverse_apply`` the directions of ``T`` in the same form.
 
-    The midpoints, the reflection centres ``2 (x) p`` and ``2 (x) p'``, ``T``
-    and ``T^-1`` are all taken at that precision from the double arguments;
-    ``T`` must have exact forms (:func:`_exact_forms`).  An evaluation that
-    leaves a function's domain or divides by zero gives ``inf``, as in
-    :func:`_settle`.
+    ``refl_a`` is the point reflection ``x -> 2 (x) a (-) x``.  The caller
+    validates ``p`` and ``p'`` where it needs them in the carrier.
     """
-    m1, m2, apply, const = _exact_forms(T)
-    inverse_apply = _form(T, _mp())[1]
-    g1, g2 = m1.group, m2.group
-    x1, x2 = const(a1), const(a2)
-    try:
-        centre = m1.otimes(2.0, _midpoint(m1, x1, x2))
-        centre_image = m2.otimes(2.0, _midpoint(m2, apply(x1), apply(x2)))
+    p = _midpoint(m1, x1, x2)
+    p_image = _midpoint(m2, apply(x1), apply(x2))
+    centre, centre_image = m1.otimes(2.0, p), m2.otimes(2.0, p_image)
+    add1, inv1, add2, inv2 = m1.group.add, m1.group.inv, m2.group.add, m2.group.inv
 
-        def S(x: tuple) -> tuple:
-            return g1.add(centre, g1.inv(inverse_apply(g2.add(centre_image, g2.inv(apply(x))))))
+    def S(x):
+        return add1(centre, inv1(inverse_apply(add2(centre_image, inv2(apply(x))))))
 
-        return float(max(m1.distance(S(x1), x1), m1.distance(S(x2), x2)))
-    except (DomainError, ZeroDivisionError):
-        return math.inf
+    return p, p_image, S
 
 
 def defect_experiment(
@@ -708,8 +704,11 @@ def defect_experiment(
     vanishes.  The chain stops at the first exact fixed point of ``S``, which
     leaves the trace unchanged.  The chain and its iterates run in double; a
     fixed-point residual over ``tolerance`` in double is evaluated again at
-    ``models.MP_DIGITS`` digits (see :func:`_exact_fixed_point_residual`)
-    when ``T`` has exact forms, and that value is the residual.
+    ``models.MP_DIGITS`` digits, the midpoints and ``S`` taken again from
+    the double arguments by :func:`_doubling_map`, when ``T`` has exact
+    forms (:func:`_exact_forms`), and that value is the residual.  An
+    evaluation that leaves a function's domain or divides by zero gives
+    ``inf``, as in :func:`_settle`.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= N_MAX_LIMIT:
         raise PreconditionError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
@@ -717,21 +716,14 @@ def defect_experiment(
     m1, m2 = T.domain_model, T.codomain_model
     m1.group.validate(x1)
     m1.group.validate(x2)
+    a1, a2, distance1 = x1.coords, x2.coords, _in_form(m1, _POINT).distance
     apply, inverse_apply = _form(T, _POINT)
+    p, p_image, S = _doubling_map(_in_form(m1, _POINT), _in_form(m2, _POINT), apply, inverse_apply, a1, a2)
+    # The centres of the reflections, validated as point_reflection validates its centre.
+    m1.group.validate(_point(m1.tag, p))
+    m2.group.validate(_point(m2.tag, p_image))
 
-    # The midpoints and reflections are built once on points; everything
-    # after runs on coordinate tuples.
-    mid = _midpoint(m1, x1, x2)
-    mid_image = _midpoint(m2, _point(m2.tag, apply(x1.coords)), _point(m2.tag, apply(x2.coords)))
-    refl_p = _form(point_reflection(m1, mid), _POINT)[0]
-    refl_p_image = _form(point_reflection(m2, mid_image), _POINT)[0]
-    distance1, distance2 = _kernels(m1, _POINT).distance, _kernels(m2, _POINT).distance
-    a1, a2, p, p_image = x1.coords, x2.coords, mid.coords, mid_image.coords
-
-    def S(x: tuple[float, ...]) -> tuple[float, ...]:
-        return refl_p(inverse_apply(refl_p_image(apply(x))))
-
-    defect = distance2(apply(p), p_image)
+    defect = _in_form(m2, _POINT).distance(apply(p), p_image)
     bound = 2.0 * distance1(a1, p)
 
     # S is a pure function of its coordinates, so once S(current) is current
@@ -751,8 +743,15 @@ def defect_experiment(
         iterates.append(distance1(current, p))
 
     fixed_point_residual = worst_residual(distance1(S(a1), a1), distance1(S(a2), a2))
-    if fixed_point_residual > tolerance and _exact_forms(T) is not None:
-        fixed_point_residual = _exact_fixed_point_residual(T, a1, a2)
+    exact = _exact_forms(T) if fixed_point_residual > tolerance else None
+    if exact is not None:
+        e1, e2, exact_apply, const = exact
+        y1, y2 = const(a1), const(a2)
+        try:
+            S = _doubling_map(e1, e2, exact_apply, _form(T, _mp())[1], y1, y2)[2]
+            fixed_point_residual = float(max(e1.distance(S(y1), y1), e1.distance(S(y2), y2)))
+        except (DomainError, ZeroDivisionError):
+            fixed_point_residual = math.inf
     passed = (
         defect <= tolerance
         and fixed_point_residual <= tolerance

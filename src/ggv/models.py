@@ -39,7 +39,9 @@ digits (``_mp()``).  The point kernels of the model (``group.add``,
 ``otimes`` and so on) read the coordinates of their arguments, run the
 ``_POINT`` form and build a point from the result (see :func:`_model`).
 Both forms take their transcendental functions from NumPy's ufuncs, so every
-row of a block rounds exactly as the point kernel rounds it.
+row of a block rounds exactly as the point kernel rounds it.  Code that runs
+a model in a lib's form takes ``_in_form(m, lib)``, the model with those
+kernels, built once per model and lib.
 
 A norm-value line is data in the same way: ``NormValueSpace.ops(lib)``
 returns its membership test and its ``nv_add``, ``nv_smul``, ``lin`` and
@@ -58,7 +60,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, neg, sub, truediv
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -207,9 +209,11 @@ def _transplant(x, lib):
     # which is exp(x) or exp(-x) exactly, then the sign and the nudge off -1.
     # A NaN passes the overflow check (x != x only for NaN) and lands on the
     # nudge, as in path_Phi.  Points keep path_Phi, which the tests hold this
-    # form to: the doubling chain calls it once per step, and this form on
-    # _POINT made ``defect --model pathological --seed 1597780226 --depth 2
-    # --n-max 14`` 2.2x slower (CPython 3.11, Xeon; BENCH_20.json).
+    # form to: the doubling chain calls it several times per step, and this
+    # form on _POINT, both forms taking NumPy's exp and log on one float, made
+    # ``defect --model pathological --seed 1597780226 --depth 2 --n-max 14``
+    # 2.5x slower, 99 -> 246 ms best of 7 in-process (CPython 3.11.7, NumPy
+    # 2.4.6, 2-core Xeon); the reports were identical.
     lib.require((abs(x) <= _LOG_MAX) | (x != x), x, "path_Phi({!r}) overflows a double")
     e = lib.exp(abs(x))
     return lib.where(x >= 0.0, e, lib.where(-e < -1.0, -e, _BELOW_MINUS_ONE))
@@ -287,17 +291,6 @@ def _same(x):
     return x
 
 
-def _columnwise(fn: Callable[..., float]) -> Callable:
-    """``fn`` applied to each entry of a column, with any further arguments
-    the same on every row; a scalar stays a scalar."""
-    def each(x, *args):
-        if isinstance(x, float):
-            return fn(x, *args)
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, len(x))
-
-    return each
-
-
 # A block of carrier points: ``dim`` float64 columns, one row per point.
 Block = tuple[np.ndarray, ...]
 
@@ -308,21 +301,29 @@ def _row_wise(fn: Callable) -> Callable:
     A block argument is split into coordinate tuples, a column into its
     entries, and a scalar or a coordinate tuple (a translation's centre)
     repeats.  A vector-valued ``fn`` gives a tuple of columns, a real-valued
-    one a column and a truth-valued one a column of bools.
+    one a column and a truth-valued one a column of bools.  With no block or
+    column among the arguments ``fn`` runs unchanged: a scalar stays a scalar.
     """
     def block(*args):
-        rows = []
+        rows, n = [], None
         for arg in args:
-            if isinstance(arg, tuple) and isinstance(arg[0], np.ndarray):
-                rows.append(list(zip(*(column.tolist() for column in arg))))
-            elif isinstance(arg, np.ndarray):
+            if isinstance(arg, np.ndarray):
                 rows.append(arg.tolist())
+                n = len(arg)
+            elif isinstance(arg, tuple) and isinstance(arg[0], np.ndarray):
+                rows.append(list(zip(*(column.tolist() for column in arg))))
+                n = len(arg[0])
             else:
                 rows.append(repeat(arg))
-        out = [fn(*row) for row in zip(*rows)]
-        if isinstance(out[0], tuple):
+        if n is None:
+            return fn(*args)
+        # The first row's value tells the type of the result; the rest stream.
+        calls = map(fn, *rows)
+        first = next(calls)
+        out = chain((first,), calls)
+        if isinstance(first, tuple):
             return tuple(np.array(column) for column in zip(*out))
-        return np.array(out, dtype=bool if isinstance(out[0], bool) else np.float64)
+        return np.fromiter(out, bool if isinstance(first, bool) else np.float64, n)
 
     return block
 
@@ -340,22 +341,35 @@ def _lift(fn: Callable, tag: str, lib) -> Callable:
     return lib.rows(lifted)
 
 
-def _kernels(m: GgvModel, lib) -> SimpleNamespace:
-    """The kernels of ``m`` in ``lib``'s form: ``m.ops(lib)``, or else, for a
-    model without ``ops``, its own kernels lifted one by one (``ambient_norm``
-    takes coordinates already)."""
-    if m.ops is not None:
-        return m.ops(lib)
-    g, lift = m.group, partial(_lift, tag=m.tag, lib=lib)
-    return SimpleNamespace(add=lift(g.add), inv=lift(g.inv), gyr=lift(g.gyr), otimes=lift(m.otimes),
-                           distance=lift(m.distance), phi=lift(m.phi), ambient_norm=lib.rows(m.ambient_norm))
-
-
 def _in_form(m: GgvModel, lib) -> GgvModel:
-    """``m`` with each kernel replaced by its form in ``lib``, from ``_kernels(m, lib)``."""
-    k = _kernels(m, lib)
-    group = replace(m.group, add=k.add, inv=k.inv, gyr=k.gyr)
-    return replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi, ambient_norm=k.ambient_norm)
+    """``m`` in ``lib``'s form: each kernel from ``m.ops(lib)`` and its
+    norm-value line from ``lib.line`` (on columns for ``_BLOCK``, see
+    :func:`_block_line`).
+
+    A model without ``ops`` has its own kernels lifted one by one
+    (:func:`_lift`; ``ambient_norm`` takes coordinates already).  The form is
+    built once per model object and lib and dies with the model; a model
+    rebuilt with ``dataclasses.replace`` is another object and gets its own.
+    """
+    forms = _FORMS.setdefault(m, {})
+    form = forms.get(id(lib))
+    if form is None:
+        if m.ops is not None:
+            k = m.ops(lib)
+        else:
+            g, lift = m.group, partial(_lift, tag=m.tag, lib=lib)
+            k = SimpleNamespace(add=lift(g.add), inv=lift(g.inv), gyr=lift(g.gyr), otimes=lift(m.otimes),
+                                distance=lift(m.distance), phi=lift(m.phi), ambient_norm=lib.rows(m.ambient_norm))
+        group = replace(m.group, add=k.add, inv=k.inv, gyr=k.gyr)
+        form = forms[id(lib)] = replace(m, group=group, otimes=k.otimes, distance=k.distance, phi=k.phi,
+                                        ambient_norm=k.ambient_norm, nvs=lib.line(m.nvs))
+    return form
+
+
+# The forms of each model by the id of their lib, keyed by the model object
+# (``GgvModel`` compares by identity).  The libs live as long as the module
+# (``_mp()`` is cached), so an id names one lib.
+_FORMS: weakref.WeakKeyDictionary[GgvModel, dict[int, GgvModel]] = weakref.WeakKeyDictionary()
 
 
 def _block_line(nvs: NormValueSpace) -> NormValueSpace:
@@ -374,8 +388,7 @@ def _block_line(nvs: NormValueSpace) -> NormValueSpace:
     """
     if nvs.ops is None:
         return replace(nvs, contains=_row_wise(nvs.contains), nv_add=_row_wise(partial(nv_add, nvs)),
-                       nv_smul=_row_wise(partial(nv_smul, nvs)), lin=_columnwise(nvs.lin),
-                       lin_inv=_columnwise(nvs.lin_inv))
+                       nv_smul=_row_wise(partial(nv_smul, nvs)), lin=_row_wise(nvs.lin), lin_inv=_row_wise(nvs.lin_inv))
     # The formulas' domain checks are recorded, as (ok, x, message), and
     # raised in row order after the call: the current call's in each thread.
     recorded = threading.local()
@@ -400,24 +413,6 @@ def _block_line(nvs: NormValueSpace) -> NormValueSpace:
 
     return replace(nvs, contains=line.contains, nv_add=add, nv_smul=smul,
                    lin=partial(checked, line.lin, result=False), lin_inv=partial(checked, line.lin_inv, result=False))
-
-
-def _on_blocks(m: GgvModel) -> GgvModel:
-    """``m`` in block form: ``_in_form(m, _BLOCK)`` and its norm-value line on
-    columns (see :func:`_block_line`).
-
-    The block form is built once per model object and dies with it; a model
-    rebuilt with ``dataclasses.replace`` is another object and gets its own.
-    """
-    form = _BLOCK_FORMS.get(m)
-    if form is None:
-        form = _BLOCK_FORMS[m] = replace(_in_form(m, _BLOCK), nvs=_block_line(m.nvs))
-    return form
-
-
-# The block form of each model, keyed by the model object (``GgvModel``
-# compares by identity).
-_BLOCK_FORMS: weakref.WeakKeyDictionary[GgvModel, GgvModel] = weakref.WeakKeyDictionary()
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -500,29 +495,31 @@ def _require_rows(ok: np.ndarray, x: np.ndarray, message: str) -> None:
 
 
 # What the formulas take as ``lib``: the square root and transcendental
-# functions, ``floor``, ``isfinite`` and ``nextafter``, ``where``, which
-# picks between two values row by row, the boundary clamp, which warns once
-# per clamped row, ``each``, which lifts a scalar function to the coordinate
-# type, ``rows``, which lifts a function of coordinate tuples to the same,
+# functions, ``floor``, ``isfinite`` and ``nextafter``, ``where``, which picks
+# between two values row by row, the boundary clamp, which warns once per
+# clamped row, ``rows``, which lifts a function of coordinate tuples or
+# scalars to the coordinate type (on points and blocks; the 50-digit lib lifts
+# nothing), ``line``, which gives a norm-value line in the form of the lib,
 # ``const``, which brings a constant the formulas close over (a radius, a
 # centre) to the precision of the lib, ``orthonormal``, the same for the rows
 # of an orthogonal matrix, ``require``, which raises the domain error of the
-# first row that fails a test, and the pathological transplant ``Phi`` and
-# its inverse; on points that is ``path_Phi`` itself, and the other libs
-# write it once over their ``require``.  Everything else, the ball scaling
-# and the norm-value lines included, is written once over these.  NumPy's square root is correctly rounded, as libm's is.  The
-# transcendental functions are NumPy's ufuncs in both forms, on the column
-# for a block and on one float for a point, so that each row of a block
-# rounds exactly like its point; their last ulp depends on the NumPy version
-# and the SIMD loops it dispatches to, not on libm.  Outside its domain a
-# ufunc returns a non-finite value with a ``RuntimeWarning`` where ``math``
-# raised ``ValueError``, so the formulas keep every argument inside it.
+# first row that fails a test, and the pathological transplant ``Phi`` and its
+# inverse; on points that is ``path_Phi`` itself, and the other libs write it
+# once over their ``require``.  Everything else, the ball scaling and the
+# norm-value lines included, is written once over these.  NumPy's square root
+# is correctly rounded, as libm's is.  The transcendental functions are
+# NumPy's ufuncs in both forms, on the column for a block and on one float for
+# a point, so that each row of a block rounds exactly like its point; their
+# last ulp depends on the NumPy version and the SIMD loops it dispatches to,
+# not on libm.  Outside its domain a ufunc returns a non-finite value with a
+# ``RuntimeWarning`` where ``math`` raised ``ValueError``, so the formulas
+# keep every argument inside it.
 _POINT = SimpleNamespace(sqrt=math.sqrt, **{name: _on_float(ufunc) for name, ufunc in _UFUNCS.items()},
                          floor=_on_float(np.floor), isfinite=math.isfinite, nextafter=math.nextafter,
-                         where=_pick, clamp=_clamp_ball, each=_same, rows=_same, require=_require, const=_same,
+                         where=_pick, clamp=_clamp_ball, rows=_same, line=_same, require=_require, const=_same,
                          orthonormal=_same, Phi=path_Phi, Phi_inv=path_Phi_inv)
 _BLOCK = SimpleNamespace(sqrt=np.sqrt, **_UFUNCS, floor=np.floor, isfinite=np.isfinite, nextafter=np.nextafter,
-                         where=np.where, clamp=_clamp_block, each=_columnwise, rows=_row_wise, require=_require_rows,
+                         where=np.where, clamp=_clamp_block, rows=_row_wise, line=_block_line, require=_require_rows,
                          const=_same, orthonormal=_same)
 _BLOCK.Phi, _BLOCK.Phi_inv = partial(_transplant, lib=_BLOCK), partial(_transplant_inv, lib=_BLOCK)
 
@@ -578,7 +575,7 @@ def _mp() -> SimpleNamespace:
         return tuple(basis)
 
     lib = SimpleNamespace(**{name: real(name) for name in ("sqrt", *_UFUNCS)},
-                          where=_pick, clamp=_unclamped, each=_same, rows=_same, require=_require, const=const,
+                          where=_pick, clamp=_unclamped, line=_same, require=_require, const=const,
                           orthonormal=orthonormal)
     lib.Phi, lib.Phi_inv = partial(_transplant, lib=lib), partial(_transplant_inv, lib=lib)
     return lib
@@ -684,7 +681,8 @@ def _line(tag: str, zero: float, ops: Callable) -> NormValueSpace:
     functions ``nv_add``, ``nv_smul``, ``lin`` and ``lin_inv``, each written
     once over ``lib``, as the kernels are.  The line's point functions are
     ``ops(_POINT)``, its ``contains`` first asking for a real number, and
-    :func:`_on_blocks` runs ``ops(_BLOCK)`` on whole columns.
+    the block form of a model runs ``ops(_BLOCK)`` on whole columns (see
+    :func:`_block_line`).
     """
     point = ops(_POINT)
 

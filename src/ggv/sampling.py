@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .gyrogroup import GyroPoint, _point
-from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _norm, _on_blocks
+from .models import _BLOCK, _POINT, BALL_KINDS, Block, _dot, _in_form, _norm
 from .space import GgvModel, _gnorm
 
 # Ball points are kept at Euclidean norm <= BALL_MARGIN * s: gamma factors
@@ -50,6 +50,9 @@ NORMED_RANGE = 3.0
 # Candidates a rejection sampler draws before it gives up: for one sample, or
 # for a layout slot since it last kept one (see :func:`_redrawn`).
 ATTEMPTS = 1000
+# Most uniforms in one table: ``random.Random.randbytes`` draws its bytes as
+# one ``getrandbits`` call, whose bit count is a C int.
+MAX_UNIFORMS = (2 ** 31 - 1) // 64
 # Why a point sampler can give up: its thresholds are absolute, while ball
 # points scale with the radius.
 _TOO_SMALL = "the radius is too small for the suite's separation thresholds"
@@ -92,7 +95,7 @@ def _coords(m: GgvModel, draws: list, margin: float, lib) -> tuple:
     # coordinate to 1.0 makes it the first axis.
     zero = n == 0.0
     direction[0] = lib.where(zero, 1.0, direction[0])
-    radius = m.config.s * margin * lib.each(pow)(u, 1.0 / len(direction))
+    radius = m.config.s * margin * lib.rows(pow)(u, 1.0 / len(direction))
     return tuple(map(truediv, map(mul, repeat(radius), direction), repeat(lib.where(zero, 1.0, n))))
 
 
@@ -154,8 +157,12 @@ def _table(rng: random.Random, n: int, width: int) -> np.ndarray:
 
     The table is ``rng.randbytes(8 * n * width)`` read row by row as
     little-endian 64-bit words, each word's top 53 bits scaled by ``2**-53``;
-    so the first ``k`` rows of ``n`` are the table of ``k``.
+    so the first ``k`` rows of ``n`` are the table of ``k``.  A table over
+    ``MAX_UNIFORMS`` is refused with :class:`SamplingError` before anything
+    is drawn.
     """
+    if n * width > MAX_UNIFORMS:
+        raise SamplingError(f"{n} samples of {width} uniforms each exceed the {MAX_UNIFORMS} uniforms of one table")
     words = np.frombuffer(rng.randbytes(8 * n * width), "<u8") >> np.uint64(11)
     return np.ascontiguousarray((words * 2.0 ** -53).reshape(n, width).T)
 
@@ -237,7 +244,7 @@ class _Points:
         blocks = self.make(m, u)
         if not self.rejects:
             return blocks
-        form = _on_blocks(m)
+        form = _in_form(m, _BLOCK)
         return _redrawn(rng, blocks, self.uniforms(m), partial(self.make, m),
                         lambda rows, *candidate: self.accepts(form, *candidate), lambda row: self.refusal(m))
 

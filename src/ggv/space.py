@@ -216,7 +216,7 @@ def nv_le_nonneg(s: NormValueSpace, A: NormValue, B: NormValue) -> bool:
 
 def _nv_le_rows(s: NormValueSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """:func:`nv_le_nonneg` row by row over columns, on the block form of a
-    line (see :func:`ggv.models._on_blocks`), whose ``contains`` tests a
+    line (see :func:`ggv.models._block_line`), whose ``contains`` tests a
     column: the first row that fails a check raises its error."""
     member = _not_member(s.tag)
     _first_row_error([(s.contains(A), A, member), (s.contains(B), B, member), ((A >= 0.0) & (B >= 0.0), A, _NEGATIVE)])

@@ -9,7 +9,7 @@ implications count violations (so their residual is ``0.0`` or ``1.0``).
 Each check of :data:`GROUPS` is a :class:`Check`, split in two: ``sample``
 draws the inputs of all samples from the check's seeded stream, stacked row
 by row, and ``evaluate`` computes their residuals at once on blocks (see
-:func:`ggv.models._on_blocks`).  Every check declares the layout of one
+:func:`ggv.models._in_form`).  Every check declares the layout of one
 sample, a tuple of slots (a point, a point away from the identity, a
 separated pair, a scalar, a scalar kept apart from a number, two scalars
 kept apart, the unit, the zero norm value), and
@@ -40,7 +40,7 @@ import numpy as np
 
 from .gyrogroup import _coplus, _gyr_via_composition
 from .gyrogroup import oplus  # noqa: F401  (perfbench/test_perfbench.py reads verify.oplus)
-from .models import _on_blocks
+from .models import _BLOCK, _in_form
 from .sampling import (
     BALL_MARGIN,
     Const,
@@ -105,7 +105,7 @@ class Check:
 
     def residuals(self, m: GgvModel, columns: list) -> np.ndarray:
         """The residuals of the sampled columns, evaluated in one pass."""
-        return self.evaluate(_on_blocks(m), *columns)
+        return self.evaluate(_in_form(m, _BLOCK), *columns)
 
 
 def _layout(*slots, then: Callable | None = None) -> SampleFn:
@@ -132,7 +132,7 @@ _REAL = Scalar(-3.0, 3.0)
 def _norm_values(m: GgvModel, *columns):
     # Members of the norm-value set, including its negative part, obtained by
     # pulling uniformly sampled reals back through the linearization.
-    lin_inv = _on_blocks(m).nvs.lin_inv
+    lin_inv = _in_form(m, _BLOCK).nvs.lin_inv
     return [lin_inv(column) for column in columns]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import ggv.cli
 import ggv.isometry
+import ggv.models
 from ggv import ModelConfig
 from ggv.cli import build_parser, main
 
@@ -350,6 +351,44 @@ def test_verify_mazur_ulam_checks_each_map_once(capsys, monkeypatch):
     )
     assert code == 0 and json.loads(out)["pass"] is True
     assert calls == [(200, 3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-mazur-ulam", "--model", "mobius", "--dim", "3", "--seed", "5", "--maps", "2"],
+    ["defect", "--model", "mobius", "--seed", "5", "--depth", "4", "--n-max", "6"],
+], ids=lambda argv: argv[0])
+def test_a_request_builds_its_model_in_each_form_once(capsys, monkeypatch, argv):
+    libs = []
+    make_model = ggv.cli.make_model
+
+    def counted(cfg):
+        m = make_model(cfg)
+        ops = m.ops
+
+        def counted_ops(lib):
+            libs.append(lib)
+            return ops(lib)
+
+        object.__setattr__(m, "ops", counted_ops)
+        return m
+
+    monkeypatch.setattr(ggv.cli, "make_model", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert ggv.models._POINT in libs and ggv.models._BLOCK in libs
+    assert len(libs) == len({id(lib) for lib in libs})
+
+
+@pytest.mark.parametrize("argv", [["verify-axioms", "--model", "mobius", "--samples", "4000000"],
+                                  ["verify-mazur-ulam", "--model", "mobius", "--maps", "1", "--samples", "6000000"]],
+                         ids=lambda argv: argv[0])
+def test_more_samples_than_one_table_holds_is_a_usage_error(capsys, argv):
+    # A table of n rows of w uniforms is one randbytes draw of 64 n w bits,
+    # whose count must fit a C int: it is refused before anything is drawn.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ggv: error:") and err.count("\n") == 1
+    assert "uniforms of one table" in err
 
 
 RSS_GUARD = """

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -43,7 +44,8 @@ from ggv import (
     verify_midpoint_preservation,
 )
 from ggv.cli import main
-from ggv.isometry import CONSTRUCTION_PAIRS, _exact_forms, _sample_pairs
+from ggv.isometry import CONSTRUCTION_PAIRS, _doubling_map, _exact_forms, _form, _sample_pairs
+from ggv.models import _POINT, _in_form, _mp
 from ggv.sampling import sample_point
 from ggv.space import DEFAULT_TOLERANCE, gyrometric, nv_smul, worst_residual
 from ggv.verify import GROUPS, run_check
@@ -574,6 +576,42 @@ def test_a_fixed_orbit_applies_s_only_until_it_is_fixed():
     assert trace.to_dict() == defect_experiment(T, x1, x2, n_max=12).to_dict()
     assert len(trace.iterates) == 13
     assert len(calls) == 1 + 2
+
+
+def test_the_defect_validates_its_points_and_both_midpoints_once_each(normed2):
+    # The midpoint of (1e308, 0) and (-1e308, 0) overflows to (-inf, 0): the
+    # centre of refl_p is off the carrier, and the chain does not start.
+    validated = []
+
+    def validate(p):
+        validated.append(p.coords)
+        normed2.group.validate(p)
+
+    m = dataclasses.replace(normed2, group=dataclasses.replace(normed2.group, validate=validate))
+    x1, x2 = make_point(normed2, [1e308, 0.0]), make_point(normed2, [-1e308, 0.0])
+    with pytest.raises(DomainError, match=re.escape("normed(dim=2): non-finite coordinates (-inf, 0.0)")):
+        defect_experiment(identity_map(m), x1, x2, n_max=2)
+    assert validated == [x1.coords, x2.coords, (-math.inf, 0.0)]
+    validated.clear()
+    y1, y2 = make_point(normed2, [1.0, 0.0]), make_point(normed2, [0.0, 3.0])
+    defect_experiment(identity_map(m), y1, y2, n_max=2)
+    assert validated == [y1.coords, y2.coords, (0.5, 1.5), (0.5, 1.5)]
+
+
+def test_the_doubling_map_at_50_digits_agrees_with_double(any_model):
+    # Every kind has exact forms.  The midpoints p and p' and S at x1, x2 and
+    # p, from the same double inputs, agree to the last few ulps.
+    m, lib = any_model, _mp()
+    for seed in (3, 5):
+        T = random_isometry(m, seed=seed, depth=4)
+        rng = random.Random(seed)
+        a1, a2 = sample_point(m, rng, 0.7).coords, sample_point(m, rng, 0.7).coords
+        double = _doubling_map(_in_form(m, _POINT), _in_form(m, _POINT), *_form(T, _POINT), a1, a2)
+        exact = _doubling_map(_in_form(m, lib), _in_form(m, lib), *_form(T, lib), lib.const(a1), lib.const(a2))
+        pairs = [(double[0], exact[0]), (double[1], exact[1])]
+        pairs += [(double[2](x), exact[2](lib.const(x))) for x in (a1, a2, double[0])]
+        for near, far in pairs:
+            assert m.distance(GyroPoint(m.tag, near), GyroPoint(m.tag, tuple(map(float, far)))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from ggv import (
     path_T,
     path_T_inv,
 )
-from ggv.models import _BLOCK, _LOG_MAX, _POINT, _on_blocks
+from ggv.models import _BLOCK, _LOG_MAX, _POINT, _in_form, _mp
 from ggv.sampling import sample_point
 
 line_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -366,7 +366,7 @@ def test_block_kernels_match_the_point_kernels_bit_for_bit(cfg):
     def block_of(points):
         return tuple(np.array(x) for x in zip(*(p.coords for p in points)))
 
-    blocks = _on_blocks(m)
+    blocks = _in_form(m, _BLOCK)
     block_form = {g.add: blocks.group.add, g.inv: blocks.group.inv, g.gyr: blocks.group.gyr,
                   m.distance: blocks.distance, m.otimes: blocks.otimes}
     cases = [
@@ -397,7 +397,7 @@ def test_a_block_warns_once_per_clamped_row_with_the_point_message():
         expected = [m.otimes(1.0, p).coords for p in points]
     block = tuple(np.array(x) for x in zip(*rows))
     with pytest.warns(BoundaryClampWarning) as block_record:
-        got = _on_blocks(m).otimes(1.0, block)
+        got = _in_form(m, _BLOCK).otimes(1.0, block)
     assert len(block_record) == len(point_record) == 2
     assert [str(w.message) for w in block_record] == [str(w.message) for w in point_record]
     assert [tuple(row) for row in zip(*(x.tolist() for x in got))] == expected
@@ -511,7 +511,7 @@ def test_a_norm_value_rounds_as_its_row_in_every_layout_of_a_column(cfg, name):
     m = make_model(cfg)
     rows = _line_rows(m, name)
     assert len(rows) >= 50
-    point, block = getattr(m.nvs, name), getattr(_on_blocks(m).nvs, name)
+    point, block = getattr(m.nvs, name), getattr(_in_form(m, _BLOCK).nvs, name)
     expected = [float(point(*row)).hex() for row in rows]
     columns = [np.array(column) for column in zip(*rows)]
     strided = [np.stack([c, c], axis=1)[:, 1] for c in columns]
@@ -525,14 +525,24 @@ def test_a_norm_value_rounds_as_its_row_in_every_layout_of_a_column(cfg, name):
 
 
 # ---------------------------------------------------------------------------
-# The block form of a model, built once.
+# The form of a model in each lib, built once.
 # ---------------------------------------------------------------------------
 
-def test_a_model_builds_its_block_form_once_and_a_rebuilt_model_its_own():
+# The three libs, the 50-digit one built on first use.
+LIBS = {"point": lambda: _POINT, "block": lambda: _BLOCK, "50 digits": _mp}
+
+
+@pytest.mark.parametrize("name", LIBS)
+def test_a_model_builds_its_form_in_each_lib_once_and_a_rebuilt_model_its_own(name):
+    lib = LIBS[name]()
     m = make_model(ModelConfig("mobius", dim=2))
-    assert _on_blocks(m) is _on_blocks(m)
+    assert _in_form(m, lib) is _in_form(m, lib)
+    assert all(_in_form(m, other()) is not _in_form(m, lib) for key, other in LIBS.items() if key != name)
+    # A copy with the model's kernels as data: a copy without them has its
+    # kernels lifted, which the 50-digit lib does not do.
     copy = dataclasses.replace(m)
-    assert _on_blocks(copy) is not _on_blocks(m)
+    object.__setattr__(copy, "ops", m.ops)
+    assert _in_form(copy, lib) is not _in_form(m, lib)
     # The cache keeps neither model alive.
     refs = [weakref.ref(m), weakref.ref(copy)]
     del m, copy
@@ -542,7 +552,7 @@ def test_a_model_builds_its_block_form_once_and_a_rebuilt_model_its_own():
 
 def test_a_mutant_block_form_runs_the_mutant_kernel():
     m = make_model(ModelConfig("normed", dim=2))
-    _on_blocks(m)
+    _in_form(m, _BLOCK)
     mutant = dataclasses.replace(m)
 
     def ops(lib):
@@ -552,15 +562,15 @@ def test_a_mutant_block_form_runs_the_mutant_kernel():
 
     object.__setattr__(mutant, "ops", ops)
     block = (np.array([1.0, 2.0]), np.array([0.5, -1.0]))
-    assert [c.tolist() for c in _on_blocks(mutant).group.add(block, block)] == [[3.0, 6.0], [1.5, -3.0]]
-    assert [c.tolist() for c in _on_blocks(m).group.add(block, block)] == [[2.0, 4.0], [1.0, -2.0]]
+    assert [c.tolist() for c in _in_form(mutant, _BLOCK).group.add(block, block)] == [[3.0, 6.0], [1.5, -3.0]]
+    assert [c.tolist() for c in _in_form(m, _BLOCK).group.add(block, block)] == [[2.0, 4.0], [1.0, -2.0]]
 
 
 @pytest.mark.parametrize("s", [1.0, 2.5])
 def test_the_einstein_distance_of_points_an_ulp_apart_is_not_negative(s):
     # Rounding took about one pair in 17 of these below 0 at s = 1; a NaN
     # coordinate still gives NaN.
-    from ggv.models import _einstein_distance, _mp
+    from ggv.models import _einstein_distance
 
     rng = random.Random(7)
     us, vs = [], []
